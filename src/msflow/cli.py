@@ -30,7 +30,7 @@ from .driver import (
     reference_incompressible,
     run_simulation,
     sweep_epsilon,
-    _l2l2,
+    sweep_row,
 )
 from .grid import (
     Grid,
@@ -208,19 +208,12 @@ def _cmd_check(cfg) -> int:
 
 def _cmd_compare(cfg) -> int:
     ref = reference_incompressible(cfg, keep_history=True)
-    res = run_simulation(cfg, keep_history=True)
-    tau = cfg.tau
-    div_norm = float(np.sqrt(sum(
-        tau * row["div_u_l2"] ** 2 for row in res.ledger.rows[1:])))
-    ref_div = float(np.sqrt(sum(
-        tau * row["div_u_l2"] ** 2 for row in ref.ledger.rows[1:])))
-    u_diff = _l2l2(res.grid, tau, res.history["u"], ref.history["u"])
-    rho_diff = _l2l2(res.grid, tau, res.history["rho"], ref.history["rho"])
+    row = sweep_row(run_simulation(cfg, keep_history=True), ref)
     print(f"eps = {cfg.eps:g}")
-    print(f"relaxed   |div u| = {div_norm:.6e}")
-    print(f"reference |div u| = {ref_div:.6e}")
-    print(f"|u - u_ref|   = {u_diff:.6e}")
-    print(f"|rho - rho_ref| = {rho_diff:.6e}")
+    print(f"relaxed   |div u| = {row.div_norm:.6e}")
+    print(f"reference |div u| = {sweep_row(ref, ref).div_norm:.6e}")
+    print(f"|u - u_ref|   = {row.u_diff:.6e}")
+    print(f"|rho - rho_ref| = {row.rho_diff:.6e}")
     return 0
 
 

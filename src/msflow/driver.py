@@ -1,14 +1,15 @@
 """Simulation driver: initial data, time loop, reference solver, sweeps.
 
 ``run_simulation`` advances the artificial-compressibility system and
-fills a diagnostics ledger.  ``reference_incompressible`` solves the
-exactly incompressible system on the same grid with a pressure
-projection iterated inside the Picard loop, so the velocity divergence
-vanishes to machine precision each step; it provides the limit object
-for the relaxation sweep.  ``sweep_epsilon`` runs the relaxed solver
-for a list of eps values against one reference run and checks that
-both the divergence defect and the distance to the reference decrease
-monotonically as eps decreases.
+fills a diagnostics ledger.  ``reference_incompressible`` runs the same
+time loop on its incompressible limit, whose saddle system keeps the
+velocity divergence at machine precision each step; it provides the
+limit object for the relaxation sweep.  Each run owns its flow
+operators and their LU, and drops them when it returns.
+``sweep_epsilon`` runs the relaxed solver for a list of eps values
+against one reference run and checks that both the divergence defect
+and the distance to the reference decrease monotonically as eps
+decreases.
 """
 
 from __future__ import annotations
@@ -17,33 +18,21 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import mixture
 from .config import SimConfig
 from .diagnostics import SimLedger
 from .flow import (
     FlowParams,
-    FlowSolverError,
     FlowState,
-    FlowStepReport,
+    FlowSystem,
     Forcing,
+    SaddleSystem,
     average_force,
-    _skew_advect,
+    flow_step,
 )
-from .grid import (
-    Grid,
-    advection_matrix,
-    deriv_matrix,
-    div,
-    grad_sq_norm,
-    inner,
-    laplacian_matrix,
-    norm_l2,
-    write_snapshot,
-)
-from .species import SpeciesParams, species_step
+from .grid import Grid, deriv_matrix, inner, write_snapshot
+from .species import SpeciesParams, _to_field, species_step
 
 
 @dataclass
@@ -153,10 +142,6 @@ def build_forcing(config: SimConfig, grid: Grid) -> Forcing:
     raise ValueError(f"unknown forcing preset {preset!r}")
 
 
-def _to_field(pts, grid, n):
-    return np.moveaxis(pts.reshape(grid.shape + (n,)), -1, 0)
-
-
 def _prepare(config: SimConfig):
     config.validate()
     grid = config.build_grid()
@@ -164,9 +149,9 @@ def _prepare(config: SimConfig):
     flow0, rho_raw_full = initial_conditions(config, grid, spec)
     rho_raw_pts = np.moveaxis(rho_raw_full, 0, -1).reshape(-1, spec.n_species)
     lifted_pts = mixture.lift_initial(rho_raw_pts, config.alpha0)
-    rho0 = _to_field(lifted_pts[:, :-1], grid, spec.n_reduced)
+    rho0 = _to_field(lifted_pts[:, :-1], grid)
     w0_pts = mixture.entropy_vars(lifted_pts[:, :-1], spec)
-    w0 = _to_field(w0_pts, grid, spec.n_reduced)
+    w0 = _to_field(w0_pts, grid)
     entropy_raw = grid.cell_volume * float(np.sum(mixture.entropy_density(
         rho_raw_pts[:, :-1], spec, allow_boundary=True)))
     return grid, spec, flow0, w0, rho0, entropy_raw
@@ -185,29 +170,45 @@ def _write_step_snapshots(config, grid, k, tau, flow, rho):
 def run_simulation(config: SimConfig, keep_history: bool = False,
                    write_outputs: bool = False) -> SimResult:
     """Advance the relaxed-incompressibility system for the whole run."""
-    from .flow import flow_step
+    return _run(config, config.eps, keep_history, write_outputs)
 
+
+def reference_incompressible(config: SimConfig, keep_history: bool = False
+                             ) -> SimResult:
+    """Run the exactly incompressible reference on the config's grid.
+
+    The same time loop, time step, advection form and species stepper
+    as the relaxed solver, on the eps = 0 limit; the configured eps
+    plays no role.  In 1D the constraint together with the wall
+    condition forces zero velocity, so species evolve by pure
+    cross-diffusion.
+    """
+    return _run(config, 0.0, keep_history)
+
+
+def _run(config: SimConfig, eps: float, keep_history: bool = False,
+         write_outputs: bool = False) -> SimResult:
+    """The time loop at relaxation ``eps``: a flow step, then a species
+    step.  eps = 0 is the incompressible limit."""
     grid, spec, flow, w, rho, entropy_raw = _prepare(config)
     tau = config.tau
     lam = config.lam_value
-    ledger = SimLedger(grid, spec, tau, config.eps, lam, config.species_tol)
+    ledger = SimLedger(grid, spec, tau, eps, lam, config.species_tol)
     ledger.record_initial(flow, rho, entropy_raw)
     history = {"u": [], "p": [], "rho": []} if keep_history else None
     if write_outputs:
         os.makedirs(config.out_dir, exist_ok=True)
-    if config.steps == 0:
-        if write_outputs:
-            ledger.write_csv(os.path.join(config.out_dir, config.csv_name))
-        return SimResult(config, grid, spec, flow, w, rho, ledger, history)
-
-    fparams = FlowParams(tau=tau, eps=config.eps, tol=config.flow_tol,
-                         max_picard=config.max_picard)
-    sparams = SpeciesParams(tau=tau, lam=lam, tol=config.species_tol,
-                            max_outer=config.max_outer)
-    forcing = build_forcing(config, grid)
+    if config.steps:
+        system_cls = FlowSystem if eps > 0 else SaddleSystem
+        system = system_cls(grid, FlowParams(
+            tau=tau, eps=config.eps, tol=config.flow_tol,
+            max_picard=config.max_picard))
+        sparams = SpeciesParams(tau=tau, lam=lam, tol=config.species_tol,
+                                max_outer=config.max_outer)
+        forcing = build_forcing(config, grid)
     for k in range(1, config.steps + 1):
         f_avg = average_force(forcing, grid, k, tau)
-        flow, freport = flow_step(grid, flow, f_avg, fparams)
+        flow, freport = flow_step(system, flow, f_avg)
         w, rho, sreport = species_step(grid, spec, w, rho, flow.u, sparams)
         ledger.record_step(k, flow, freport, f_avg, rho, sreport)
         if keep_history:
@@ -219,136 +220,6 @@ def run_simulation(config: SimConfig, keep_history: bool = False,
             _write_step_snapshots(config, grid, k, tau, flow, rho)
     if write_outputs:
         ledger.write_csv(os.path.join(config.out_dir, config.csv_name))
-    return SimResult(config, grid, spec, flow, w, rho, ledger, history)
-
-
-# ---------------------------------------------------------------------
-# Reference solver with exact incompressibility
-# ---------------------------------------------------------------------
-
-_saddle_cache: dict = {}
-
-
-def _projection_flow_step(grid: Grid, state: FlowState, f_avg: np.ndarray,
-                          params: FlowParams):
-    """One exactly incompressible step via a direct constrained solve.
-
-    Solves the saddle system coupling the momentum block to the
-    divergence constraint, plus a row pinning the pressure mean.  The
-    advection-free part is factorized once per (grid, tau) and reused;
-    advection of the current iterate rides on the right-hand side,
-    which contracts at rate ~ tau |u| / h.  If that lagged iteration
-    stalls, the pass refactorizes with the advecting field frozen in
-    the matrix instead.  The velocity returned is discretely divergence
-    free to roundoff; the only fixed-point error is the advection lag.
-    """
-    tau = params.tau
-    u_prev, p_prev = state.u, state.p
-    n = grid.n_cells
-    d = grid.dim
-    lap = laplacian_matrix(grid, "dirichlet")
-    base = sp.identity(n) / tau - lap
-    grad_stack = sp.vstack(
-        [deriv_matrix(grid, a, "neumann") for a in range(d)], format="csr")
-    div_stack = sp.hstack(
-        [deriv_matrix(grid, a, "dirichlet") for a in range(d)], format="csr")
-    ones = np.ones((n, 1))
-
-    def saddle(mom):
-        return sp.bmat([[mom, grad_stack, None],
-                        [div_stack, None, ones],
-                        [None, ones.T, None]], format="csc")
-
-    key = (grid, tau)
-    lu0 = _saddle_cache.get(key)
-    if lu0 is None:
-        lu0 = spla.splu(saddle(sp.block_diag([base] * d, format="csr")))
-        _saddle_cache[key] = lu0
-
-    def mom_residual(u, p):
-        r = (u - u_prev) / tau + _skew_advect(grid, u, u, "dirichlet") - f_avg
-        for a in range(grid.dim):
-            r[a] -= (lap @ u[a].reshape(-1)).reshape(grid.shape)
-            gd = deriv_matrix(grid, a, "neumann")
-            r[a] += (gd @ p.reshape(-1)).reshape(grid.shape)
-        return norm_l2(grid, r)
-
-    u, p = u_prev.copy(), p_prev.copy()
-    residuals = [mom_residual(u, p)]
-    iterations = 0
-    while residuals[-1] > params.tol:
-        if iterations >= params.max_picard:
-            raise FlowSolverError(
-                f"constrained iteration stalled at residual "
-                f"{residuals[-1]:.3e} after {iterations} iterations",
-                residuals)
-        stalling = (len(residuals) >= 2
-                    and residuals[-1] > 0.5 * residuals[-2])
-        rhs_mom = f_avg + u_prev / tau
-        if stalling:
-            # Advection too strong for the lagged right-hand side:
-            # freeze it inside the matrix and refactorize.
-            adv = advection_matrix(grid, u, "dirichlet")
-            mom = sp.block_diag([(base + adv)] * d, format="csr")
-            lu = spla.splu(saddle(mom))
-        else:
-            rhs_mom = rhs_mom - _skew_advect(grid, u, u, "dirichlet")
-            lu = lu0
-        rhs = np.concatenate([rhs_mom.reshape(-1), np.zeros(n + 1)])
-        sol = lu.solve(rhs)
-        u = sol[:d * n].reshape(u_prev.shape)
-        p = sol[d * n:d * n + n].reshape(grid.shape)
-        residuals.append(mom_residual(u, p))
-        iterations += 1
-
-    new_state = FlowState(u, p)
-    divu = div(grid, u, "dirichlet")
-    e_prev = inner(grid, u_prev, u_prev)
-    lhs = (inner(grid, u, u) + 2.0 * tau * grad_sq_norm(grid, u)
-           + inner(grid, u - u_prev, u - u_prev))
-    rhs_val = e_prev + 2.0 * tau * inner(grid, f_avg, u) \
-        - 2.0 * tau * inner(grid, p, divu)
-    report = FlowStepReport(
-        picard_iterations=iterations,
-        final_residual=residuals[-1],
-        energy_identity_residual=abs(lhs - rhs_val),
-        div_u_l2=norm_l2(grid, divu),
-        pressure_eq_residual=0.0,
-    )
-    return new_state, report
-
-
-def reference_incompressible(config: SimConfig, keep_history: bool = False
-                             ) -> SimResult:
-    """Run the exactly incompressible reference on the config's grid.
-
-    Uses the same time step, advection form and species stepper as the
-    relaxed solver; eps plays no role.  In 1D the constraint together
-    with the wall condition forces zero velocity, so species evolve by
-    pure cross-diffusion.
-    """
-    grid, spec, flow, w, rho, entropy_raw = _prepare(config)
-    tau = config.tau
-    lam = config.lam_value
-    ledger = SimLedger(grid, spec, tau, 0.0, lam, config.species_tol)
-    ledger.record_initial(flow, rho, entropy_raw)
-    history = {"u": [], "p": [], "rho": []} if keep_history else None
-    if config.steps == 0:
-        return SimResult(config, grid, spec, flow, w, rho, ledger, history)
-    fparams = FlowParams(tau=tau, eps=1.0, tol=config.flow_tol,
-                         max_picard=config.max_picard)
-    sparams = SpeciesParams(tau=tau, lam=lam, tol=config.species_tol,
-                            max_outer=config.max_outer)
-    forcing = build_forcing(config, grid)
-    for k in range(1, config.steps + 1):
-        f_avg = average_force(forcing, grid, k, tau)
-        flow, freport = _projection_flow_step(grid, flow, f_avg, fparams)
-        w, rho, sreport = species_step(grid, spec, w, rho, flow.u, sparams)
-        ledger.record_step(k, flow, freport, f_avg, rho, sreport)
-        if keep_history:
-            history["u"].append(flow.u.copy())
-            history["p"].append(flow.p.copy())
-            history["rho"].append(rho.copy())
     return SimResult(config, grid, spec, flow, w, rho, ledger, history)
 
 
@@ -387,6 +258,20 @@ def _l2l2(grid: Grid, tau: float, fields_a, fields_b) -> float:
     return float(np.sqrt(total))
 
 
+def sweep_row(res: SimResult, ref: SimResult) -> SweepRow:
+    """Space-time distances of one run, kept with history, to a reference.
+
+    ``div_norm`` is the run's own divergence defect in L2(0, T; L2).
+    """
+    tau = res.config.tau
+    div_norm = float(np.sqrt(sum(
+        tau * row["div_u_l2"] ** 2 for row in res.ledger.rows[1:])))
+    return SweepRow(
+        res.config.eps, div_norm,
+        _l2l2(res.grid, tau, res.history["u"], ref.history["u"]),
+        _l2l2(res.grid, tau, res.history["rho"], ref.history["rho"]))
+
+
 def sweep_epsilon(config: SimConfig, eps_values, strict: bool = True
                   ) -> SweepResult:
     """Run the relaxed solver for each eps against one reference run.
@@ -399,17 +284,9 @@ def sweep_epsilon(config: SimConfig, eps_values, strict: bool = True
     if len(eps_sorted) < 2:
         raise ValueError("need at least two eps values to sweep")
     ref = reference_incompressible(config, keep_history=True)
-    grid = ref.grid
-    tau = config.tau
-    rows = []
-    for eps in eps_sorted:
-        cfg = replace(config, eps=eps)
-        res = run_simulation(cfg, keep_history=True)
-        div_norm = float(np.sqrt(sum(
-            tau * row["div_u_l2"] ** 2 for row in res.ledger.rows[1:])))
-        u_diff = _l2l2(grid, tau, res.history["u"], ref.history["u"])
-        rho_diff = _l2l2(grid, tau, res.history["rho"], ref.history["rho"])
-        rows.append(SweepRow(eps, div_norm, u_diff, rho_diff))
+    rows = [sweep_row(run_simulation(replace(config, eps=eps),
+                                     keep_history=True), ref)
+            for eps in eps_sorted]
     div_seq = [r.div_norm for r in rows]
     u_seq = [r.u_diff for r in rows]
     monotone_div = all(b < a for a, b in zip(div_seq, div_seq[1:]))

@@ -1,21 +1,24 @@
-"""Implicit velocity/pressure step with relaxed incompressibility.
+"""Implicit velocity/pressure step, relaxed or exactly incompressible.
 
 One time step advances (u, p) by the coupled system
 
     (u - u_prev)/tau + advect_form-advection + (-lap) u + grad p = f_avg
     eps (p - p_prev)/tau + div u = 0
 
-on the cell-centered grid.  The pressure equation is eliminated exactly,
+on the cell-centered grid.  For eps > 0 (``FlowSystem``) the pressure
+equation is eliminated exactly,
 
     p = p_prev - (tau/eps) div u,
 
 which turns the velocity solve into a Helmholtz system with a grad-div
-term of strength tau/eps.  The nonlinearity is resolved by Picard
-iteration with the advection term lagged on the right-hand side, so
-every pass reuses one cached sparse LU factorization of the
-advection-free operator; if that iteration stops contracting, the
-advection operator is frozen into the matrix and refactorized for the
-offending pass.
+term of strength tau/eps.  The incompressible limit eps = 0
+(``SaddleSystem``) keeps the pressure as an unknown of a saddle system
+that imposes div u = 0.  Both go through one Picard loop,
+``flow_step``, with the advection term lagged on the right-hand side,
+so every pass reuses the advection-free LU that the system factors on
+its first step and keeps for the run; if that iteration stops
+contracting, the advection operator is frozen into the matrix and
+refactorized for the offending pass.
 
 Because the advection operator is exactly skew-adjoint and the discrete
 gradient and divergence are exact negative adjoints, the converged step
@@ -23,9 +26,10 @@ satisfies the energy balance
 
     |u|^2 + eps |p|^2 + 2 tau |grad u|^2 + |u - u_prev|^2
         + eps |p - p_prev|^2  =  |u_prev|^2 + eps |p_prev|^2
-        + 2 tau <f_avg, u>
+        + 2 tau <f_avg, u> - 2 tau <p, eps (p - p_prev)/tau + div u>
 
-up to a defect proportional to the solver tolerance.  The defect is
+up to a defect proportional to the solver tolerance; the last term is
+the pressure equation's residual paired with p.  The defect is
 computed and reported every step.
 """
 
@@ -47,6 +51,7 @@ from .grid import (
     inner,
     laplacian_matrix,
     norm_l2,
+    skew_advect,
 )
 
 
@@ -171,82 +176,107 @@ def average_force(forcing: Forcing, grid: Grid, k: int,
     return factor * forcing.spatial_field(grid)
 
 
-_helmholtz_cache: dict = {}
+class FlowSystem:
+    """The relaxed system's step operators, owned by one run.
 
-
-def _helmholtz_parts(grid: Grid, tau: float, eps: float):
-    """Advection-free velocity operator: sparse matrix and its LU."""
-    key = (grid, tau, eps)
-    if key in _helmholtz_cache:
-        return _helmholtz_cache[key]
-    d = grid.dim
-    n = grid.n_cells
-    lap = laplacian_matrix(grid, "dirichlet")
-    base = sp.identity(n) / tau - lap
-    coef = tau / eps
-    blocks = [[None] * d for _ in range(d)]
-    for a in range(d):
-        ga = deriv_matrix(grid, a, "neumann")
-        for b in range(d):
-            db = deriv_matrix(grid, b, "dirichlet")
-            block = -coef * (ga @ db)
-            if a == b:
-                block = block + base
-            blocks[a][b] = block
-    mat = sp.bmat(blocks, format="csc")
-    lu = spla.splu(mat)
-    _helmholtz_cache[key] = (mat, lu)
-    return mat, lu
-
-
-def _skew_advect(grid: Grid, u_frozen: np.ndarray, v: np.ndarray,
-                 bc: str) -> np.ndarray:
-    m = advection_matrix(grid, u_frozen, bc)
-    out = np.empty_like(v)
-    for k in range(v.shape[0]):
-        out[k] = (m @ v[k].reshape(-1)).reshape(grid.shape)
-    return out
-
-
-def _momentum_residual(grid: Grid, u, u_prev, p_prev, f_avg, tau, eps):
-    lap = laplacian_matrix(grid, "dirichlet")
-    divu = div(grid, u, "dirichlet")
-    r = (u - u_prev) / tau + _skew_advect(grid, u, u, "dirichlet") - f_avg
-    for a in range(grid.dim):
-        r[a] -= (lap @ u[a].reshape(-1)).reshape(grid.shape)
-        gd = deriv_matrix(grid, a, "neumann")
-        r[a] -= (tau / eps) * (gd @ divu.reshape(-1)).reshape(grid.shape)
-        r[a] += (gd @ p_prev.reshape(-1)).reshape(grid.shape)
-    return r
-
-
-def flow_step(grid: Grid, state: FlowState, f_avg: np.ndarray,
-              params: FlowParams):
-    """Advance velocity and pressure by one implicit step.
-
-    Returns (new_state, FlowStepReport).  Raises FlowSolverError if the
-    Picard iteration exceeds its budget or a linear solve fails; there
-    is no silent capping.
+    The pressure is eliminated, p = p_prev - (tau/eps) div u, which
+    leaves a velocity-only Helmholtz matrix with a grad-div term.  The
+    advection-free LU is factored on the first step and lives as long
+    as the object, so a run that returns drops its factorization.
     """
-    tau, eps = params.tau, params.eps
+
+    def __init__(self, grid: Grid, params: FlowParams):
+        self.grid = grid
+        self.params = params
+        self.eps = params.eps
+        d = grid.dim
+        self.grad_mat = sp.vstack([deriv_matrix(grid, a, "neumann")
+                                   for a in range(d)], format="csr")
+        self.div_mat = sp.hstack([deriv_matrix(grid, a, "dirichlet")
+                                  for a in range(d)], format="csr")
+        self.lap = laplacian_matrix(grid, "dirichlet")
+        self.base = sp.identity(grid.n_cells) / params.tau - self.lap
+        self.lu = None
+
+    def factor(self, adv=None):
+        """LU of the step matrix, with ``adv`` frozen into each velocity
+        component's block when given."""
+        mom = self.base if adv is None else self.base + adv
+        return spla.splu(self._couple(
+            sp.block_diag([mom] * self.grid.dim, format="csr")))
+
+    def _couple(self, mom):
+        coef = self.params.tau / self.eps
+        return (mom - coef * (self.grad_mat @ self.div_mat)).tocsc()
+
+    def pressure(self, u, p_prev):
+        """The pressure that goes with velocity ``u`` before a solve."""
+        return p_prev - (self.params.tau / self.eps) * div(self.grid, u)
+
+    def solve(self, lu, rhs, p_prev):
+        """(u, p) for the momentum right-hand side ``rhs``."""
+        g = (self.grad_mat @ p_prev.reshape(-1)).reshape(rhs.shape)
+        u = lu.solve((rhs - g).reshape(-1)).reshape(rhs.shape)
+        return u, self.pressure(u, p_prev)
+
+
+class SaddleSystem(FlowSystem):
+    """The incompressible limit eps = 0: div u = 0 holds exactly.
+
+    The pressure stays an unknown of a saddle matrix that couples the
+    momentum block to the divergence constraint, with a last row
+    pinning the pressure mean.  ``params.eps`` plays no role.
+    """
+
+    def __init__(self, grid: Grid, params: FlowParams):
+        super().__init__(grid, params)
+        self.eps = 0.0
+
+    def _couple(self, mom):
+        ones = np.ones((self.grid.n_cells, 1))
+        return sp.bmat([[mom, self.grad_mat, None],
+                        [self.div_mat, None, ones],
+                        [None, ones.T, None]], format="csc")
+
+    def pressure(self, u, p_prev):
+        # Only a solve determines the constrained pressure.
+        return p_prev.copy()
+
+    def solve(self, lu, rhs, p_prev):
+        nu, n = rhs.size, self.grid.n_cells
+        sol = lu.solve(np.concatenate([rhs.reshape(-1), np.zeros(n + 1)]))
+        return (sol[:nu].reshape(rhs.shape),
+                sol[nu:nu + n].reshape(self.grid.shape))
+
+
+def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray):
+    """Advance velocity and pressure by one implicit step of ``system``.
+
+    Picard iteration with the advection of the current iterate lagged
+    on the right-hand side, so every pass reuses the system's
+    advection-free LU; a pass after one that failed to halve the
+    residual freezes the advection in the matrix and refactorizes.
+    Returns (new_state, FlowStepReport).  Raises FlowSolverError if the
+    iteration exceeds its budget; there is no silent capping.
+    """
+    grid, params = system.grid, system.params
+    tau, eps = params.tau, system.eps
     u_prev, p_prev = state.u, state.p
     f_avg = np.asarray(f_avg, dtype=float)
     if f_avg.shape != u_prev.shape:
         raise GridError("forcing shape does not match the velocity field")
+    if system.lu is None:
+        system.lu = system.factor()
 
-    mat0, lu0 = _helmholtz_parts(grid, tau, eps)
-    rhs0 = np.empty_like(u_prev)
-    for a in range(grid.dim):
-        gd = deriv_matrix(grid, a, "neumann")
-        rhs0[a] = f_avg[a] + u_prev[a] / tau - (
-            gd @ p_prev.reshape(-1)
-        ).reshape(grid.shape)
-
-    u = u_prev.copy()
+    u, p = u_prev.copy(), system.pressure(u_prev, p_prev)
     residuals = []
     iterations = 0
     while True:
-        r = _momentum_residual(grid, u, u_prev, p_prev, f_avg, tau, eps)
+        adv = skew_advect(grid, u, u, "dirichlet")
+        r = (u - u_prev) / tau + adv - f_avg
+        r += (system.grad_mat @ p.reshape(-1)).reshape(u.shape)
+        for a in range(grid.dim):
+            r[a] -= (system.lap @ u[a].reshape(-1)).reshape(grid.shape)
         res = norm_l2(grid, r)
         residuals.append(res)
         if res <= params.tol:
@@ -255,37 +285,33 @@ def flow_step(grid: Grid, state: FlowState, f_avg: np.ndarray,
             raise FlowSolverError(
                 f"Picard iteration stalled at residual {res:.3e} after "
                 f"{iterations} iterations", residuals)
-        stalling = (len(residuals) >= 2
-                    and residuals[-1] > 0.5 * residuals[-2])
-        if stalling:
+        rhs = f_avg + u_prev / tau
+        if len(residuals) >= 2 and residuals[-1] > 0.5 * residuals[-2]:
             # Advection too strong for the lagged right-hand side:
             # freeze it in the matrix and refactorize for this pass.
-            adv = advection_matrix(grid, u, "dirichlet")
-            mat = (mat0 + sp.block_diag([adv] * grid.dim,
-                                        format="csc")).tocsc()
-            sol = spla.splu(mat).solve(rhs0.reshape(-1))
+            lu = system.factor(advection_matrix(grid, u, "dirichlet"))
         else:
-            rhs = rhs0 - _skew_advect(grid, u, u, "dirichlet")
-            sol = lu0.solve(rhs.reshape(-1))
-        u = sol.reshape(u_prev.shape)
+            rhs = rhs - adv
+            lu = system.lu
+        u, p = system.solve(lu, rhs, p_prev)
         iterations += 1
 
+    # The pressure equation's residual; with it the energy balance
+    # below is an identity for both systems.
     divu = div(grid, u, "dirichlet")
-    p = p_prev - (tau / eps) * divu
-    new_state = FlowState(u, p)
-
-    pres_res = norm_l2(grid, eps * (p - p_prev) / tau + divu)
+    defect = eps * (p - p_prev) / tau + divu
     e_prev = inner(grid, u_prev, u_prev) + eps * inner(grid, p_prev, p_prev)
     e_new = inner(grid, u, u) + eps * inner(grid, p, p)
     lhs = (e_new + 2.0 * tau * grad_sq_norm(grid, u)
            + inner(grid, u - u_prev, u - u_prev)
            + eps * inner(grid, p - p_prev, p - p_prev))
-    rhs_val = e_prev + 2.0 * tau * inner(grid, f_avg, u)
+    rhs_val = (e_prev + 2.0 * tau * inner(grid, f_avg, u)
+               - 2.0 * tau * inner(grid, p, defect))
     report = FlowStepReport(
         picard_iterations=iterations,
         final_residual=residuals[-1],
         energy_identity_residual=abs(lhs - rhs_val),
         div_u_l2=norm_l2(grid, divu),
-        pressure_eq_residual=pres_res,
+        pressure_eq_residual=norm_l2(grid, defect),
     )
-    return new_state, report
+    return FlowState(u, p), report

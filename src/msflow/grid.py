@@ -280,13 +280,32 @@ def advect_form(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray,
     return 0.5 * (a1 - a2)
 
 
+def skew_advect(grid: Grid, u: np.ndarray, v: np.ndarray,
+                bc: str) -> np.ndarray:
+    """Skew advection 0.5 [ (u.grad) v + div(u v) ] of each component of v.
+
+    Applies :func:`advection_matrix` with the derivative stencils,
+    without assembling it.
+    """
+    u = _check_field(grid, u, "vector")
+    v = _check_field(grid, v, "components")
+    cols = v.reshape(v.shape[0], -1).T
+    out = np.zeros_like(cols)
+    for a in range(grid.dim):
+        ua = u[a].reshape(-1, 1)
+        out += ua * (deriv_matrix(grid, a, bc) @ cols)
+        out += deriv_matrix(grid, a, _ADJOINT_BC[bc]) @ (ua * cols)
+    return 0.5 * out.T.reshape(v.shape)
+
+
 def advection_matrix(grid: Grid, u: np.ndarray, bc: str) -> sp.csr_matrix:
     """Matrix of the skew advection operator on flattened scalar fields.
 
     Represents v -> 0.5 [ (u.grad) v + div(u v) ] with the ghost rule of
     the advected field ``bc`` and its adjoint rule on the conservative
     part; the result is exactly skew-adjoint in the quadrature inner
-    product.  Applied per component by the steppers.
+    product.  Assembled where it is factorized or applied repeatedly;
+    :func:`skew_advect` applies it once.
     """
     u = _check_field(grid, u, "vector")
     adj = _ADJOINT_BC[bc]

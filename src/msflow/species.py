@@ -168,30 +168,6 @@ class _StepOperators:
         return mat.tocsr()
 
 
-def assemble_species_system(grid: Grid, spec: mixture.MixtureSpec,
-                            w_frozen: np.ndarray, rho_prev: np.ndarray,
-                            u: np.ndarray | None, params: SpeciesParams):
-    """Frozen-coefficient linear system for the entropy-variable update.
-
-    Returns (matrix, rhs) where matrix @ delta = rhs defines the update
-    w -> w + delta at the frozen state ``w_frozen``.  The matrix is
-    symmetric positive definite; the advection contribution sits in the
-    right-hand side, frozen at the current densities.
-    """
-    n = spec.n_reduced
-    ops = _StepOperators(grid, spec, u)
-    w_pts = _to_points(np.asarray(w_frozen, dtype=float), n, grid)
-    rho_prev_pts = _to_points(np.asarray(rho_prev, dtype=float), n, grid)
-    rho_pts = mixture.densities_from_entropy(
-        w_pts, spec, tol=params.inversion_tol)
-    b_blocks = mixture.mobility_matrix(rho_pts, spec)
-    minv = np.linalg.inv(mixture.entropy_hessian(rho_pts, spec))
-    r = ops.residual(spec, w_pts, rho_pts, rho_prev_pts, b_blocks,
-                     params.tau, params.lam)
-    mat = ops.system_matrix(minv, b_blocks, params.tau, params.lam)
-    return mat, -r.reshape(-1)
-
-
 def species_step(grid: Grid, spec: mixture.MixtureSpec, w_prev: np.ndarray,
                  rho_prev: np.ndarray, u: np.ndarray | None,
                  params: SpeciesParams):

@@ -13,7 +13,9 @@ from msflow.flow import (
     FlowParams,
     FlowSolverError,
     FlowState,
+    FlowSystem,
     Forcing,
+    SaddleSystem,
     average_force,
     flow_step,
 )
@@ -146,7 +148,8 @@ def test_zero_data_exact_fixed_point():
     g = Grid.box((8, 8), (1.0, 1.0))
     state = FlowState.zero(g)
     params = FlowParams(tau=1e-2, eps=1e-2)
-    new, report = flow_step(g, state, np.zeros((2, 8, 8)), params)
+    new, report = flow_step(FlowSystem(g, params), state,
+                            np.zeros((2, 8, 8)))
     assert report.picard_iterations == 0
     assert not new.u.any()
     assert not new.p.any()
@@ -161,7 +164,7 @@ def test_energy_identity_recomputed():
     tau, eps = 1e-3, 1e-2
     params = FlowParams(tau=tau, eps=eps, tol=1e-12)
     f = average_force(Forcing("constant", (0.2, -0.1)), g, 1, tau)
-    new, report = flow_step(g, state, f, params)
+    new, report = flow_step(FlowSystem(g, params), state, f)
     lhs = (inner(g, new.u, new.u) + eps * inner(g, new.p, new.p)
            + 2.0 * tau * grad_sq_norm(g, new.u)
            + inner(g, new.u - state.u, new.u - state.u)
@@ -178,7 +181,8 @@ def test_pressure_update_is_exact_elimination():
     state = FlowState(stream_velocity(g, 0.3), np.zeros(g.shape))
     tau, eps = 1e-3, 1e-1
     params = FlowParams(tau=tau, eps=eps)
-    new, report = flow_step(g, state, np.zeros((2,) + g.shape), params)
+    new, report = flow_step(FlowSystem(g, params), state,
+                            np.zeros((2,) + g.shape))
     divu = div(g, new.u, "dirichlet")
     np.testing.assert_array_equal(new.p,
                                   state.p - (tau / eps) * divu)
@@ -193,22 +197,23 @@ def test_unforced_energy_decay():
     f = np.zeros((2,) + g.shape)
     for tau, eps in ((1e-3, 1e-1), (1e-2, 1e-3)):
         s = state.copy()
-        params = FlowParams(tau=tau, eps=eps)
+        system = FlowSystem(g, FlowParams(tau=tau, eps=eps))
         energies = [inner(g, s.u, s.u) + eps * inner(g, s.p, s.p)]
         for _ in range(5):
-            s, _ = flow_step(g, s, f, params)
+            s, _ = flow_step(system, s, f)
             energies.append(inner(g, s.u, s.u) + eps * inner(g, s.p, s.p))
         diffs = np.diff(energies)
         assert (diffs <= 0.0).all()
         assert energies[-1] < energies[0]
 
 
-def test_forcing_shape_mismatch():
+@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
+def test_forcing_shape_mismatch(system_cls):
     g = Grid.box((8, 8), (1.0, 1.0))
     state = FlowState.zero(g)
-    params = FlowParams(tau=1e-2, eps=1e-2)
+    system = system_cls(g, FlowParams(tau=1e-2, eps=1e-2))
     with pytest.raises(GridError, match="forcing shape"):
-        flow_step(g, state, np.zeros((2, 4, 4)), params)
+        flow_step(system, state, np.zeros((2, 4, 4)))
 
 
 def test_iteration_budget_error():
@@ -216,33 +221,40 @@ def test_iteration_budget_error():
     state = FlowState(stream_velocity(g, 0.5), np.zeros(g.shape))
     params = FlowParams(tau=1e-2, eps=1e-2, max_picard=0)
     with pytest.raises(FlowSolverError, match="stalled") as err:
-        flow_step(g, state, np.zeros((2,) + g.shape), params)
+        flow_step(FlowSystem(g, params), state, np.zeros((2,) + g.shape))
     assert len(err.value.residuals) == 1
 
 
-def test_stall_fallback_refactorizes_and_converges(monkeypatch):
+@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
+def test_stall_fallback_refactorizes_and_converges(monkeypatch, system_cls):
     # Advection strong enough that the lagged right-hand-side fixed
     # point stops contracting: the step must fall back to freezing the
     # advection operator in the matrix (visible as an extra sparse
-    # factorization) and still converge.
+    # factorization) and still converge, for the relaxed and the
+    # constrained system alike.
     g = Grid.box((16, 16), (1.0, 1.0))
-    calls = {"n": 0}
+    factored = []
     orig = flow_mod.spla.splu
 
-    def counting_splu(*args, **kwargs):
-        calls["n"] += 1
-        return orig(*args, **kwargs)
+    def recording_splu(mat, *args, **kwargs):
+        factored.append(mat.copy())
+        return orig(mat, *args, **kwargs)
 
-    monkeypatch.setattr(flow_mod.spla, "splu", counting_splu)
-    flow_mod._helmholtz_cache.clear()
+    monkeypatch.setattr(flow_mod.spla, "splu", recording_splu)
     state = FlowState(stream_velocity(g, 5.0), np.zeros(g.shape))
     params = FlowParams(tau=0.1, eps=1e-2, tol=1e-10, max_picard=60)
-    new, report = flow_step(g, state, np.zeros((2,) + g.shape), params)
+    new, report = flow_step(system_cls(g, params), state,
+                            np.zeros((2,) + g.shape))
     assert report.final_residual <= 1e-10
-    # One factorization builds the cached advection-free operator; any
-    # further ones are fallback passes.
-    assert calls["n"] >= 2
-    flow_mod._helmholtz_cache.clear()
+    # One factorization builds the run's advection-free operator; any
+    # further ones are fallback passes, which differ from it by the
+    # frozen advection: nonzero and skew.
+    assert len(factored) >= 2
+    frozen = (factored[1] - factored[0]).toarray()
+    assert np.abs(frozen).max() > 0.0
+    assert np.abs(frozen + frozen.T).max() <= 1e-12 * np.abs(frozen).max()
+    # The pressure equation (div u = 0 for the constrained system).
+    assert report.pressure_eq_residual <= 1e-10
 
 
 def test_step_is_deterministic():
@@ -250,7 +262,9 @@ def test_step_is_deterministic():
     state = FlowState(stream_velocity(g, 0.4), np.zeros(g.shape))
     params = FlowParams(tau=1e-3, eps=1e-2)
     f = average_force(Forcing("constant", (0.1, 0.2)), g, 1, params.tau)
-    a, _ = flow_step(g, state.copy(), f, params)
-    b, _ = flow_step(g, state.copy(), f, params)
+    # The second step reuses the LU the first one factored.
+    system = FlowSystem(g, params)
+    a, _ = flow_step(system, state.copy(), f)
+    b, _ = flow_step(system, state.copy(), f)
     np.testing.assert_array_equal(a.u, b.u)
     np.testing.assert_array_equal(a.p, b.p)

@@ -28,6 +28,7 @@ from msflow.grid import (
     norm_l2,
     read_snapshot,
     second_deriv_matrix,
+    skew_advect,
     write_snapshot,
 )
 from msflow.mixture import MixtureSpec
@@ -204,6 +205,16 @@ def test_advection_matrix_skew_adjoint(bc):
     u = rng.standard_normal((2,) + g.shape)
     m = advection_matrix(g, u, bc).toarray()
     assert np.abs(m + m.T).max() <= 1e-13 * np.abs(m).max()
+    # The matrix-free apply is the same operator, on 2D and 1D grids.
+    for g in (g, Grid.box((12,), (2.0,))):
+        u = rng.standard_normal((g.dim,) + g.shape)
+        v = rng.standard_normal((3,) + g.shape)
+        m = advection_matrix(g, u, bc)
+        expect = np.stack([(m @ vk.reshape(-1)).reshape(g.shape)
+                           for vk in v])
+        got = skew_advect(g, u, v, bc)
+        assert got.shape == v.shape
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])

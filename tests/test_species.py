@@ -12,11 +12,16 @@ import pytest
 import scipy.linalg
 
 from msflow.grid import Grid, GridError, deriv_matrix, inner
-from msflow.mixture import MixtureSpec, entropy_vars
+from msflow.mixture import (
+    MixtureSpec,
+    entropy_hessian,
+    entropy_vars,
+    mobility_matrix,
+)
 from msflow.species import (
     SpeciesParams,
     SpeciesSolverError,
-    assemble_species_system,
+    _StepOperators,
     species_step,
 )
 
@@ -84,14 +89,15 @@ def test_assembled_system_is_spd(ternary_spec):
     g = Grid.box((8,), (1.0,))
     rng = np.random.default_rng(23)
     pts = 0.25 + 0.05 * rng.standard_normal((8, 2))
-    w = np.moveaxis(entropy_vars(pts, ternary_spec), -1, 0).reshape(2, 8)
-    rho = np.moveaxis(pts, -1, 0).reshape(2, 8)
     params = SpeciesParams(tau=1e-3, lam=1e-4)
-    mat, rhs = assemble_species_system(g, ternary_spec, w, rho, None, params)
+    # The frozen-coefficient matrix exactly as species_step assembles it.
+    minv = np.linalg.inv(entropy_hessian(pts, ternary_spec))
+    mat = _StepOperators(g, ternary_spec, None).system_matrix(
+        minv, mobility_matrix(pts, ternary_spec), params.tau, params.lam)
     dense = mat.toarray()
     assert np.abs(dense - dense.T).max() <= 1e-10 * np.abs(dense).max()
     np.linalg.cholesky(dense)
-    assert rhs.shape == (16,)
+    assert dense.shape == (16, 16)
 
 
 # ---------------------------------------------------------------------
