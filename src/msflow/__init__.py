@@ -30,7 +30,7 @@ from .mixture import (
 from .grid import Grid
 from .flow import (FlowState, FlowParams, FlowSystem, SaddleSystem, flow_step,
                    Forcing, average_force)
-from .species import SpeciesParams, species_step
+from .species import SpeciesParams, SpeciesSystem, species_step
 from .diagnostics import SimLedger
 from .config import SimConfig, ConfigError
 from .driver import run_simulation, reference_incompressible, sweep_epsilon
@@ -43,7 +43,7 @@ __all__ = [
     "mobility_matrix", "lift_initial",
     "Grid", "FlowState", "FlowParams", "FlowSystem", "SaddleSystem",
     "flow_step", "Forcing",
-    "average_force", "SpeciesParams", "species_step", "SimLedger",
-    "SimConfig", "ConfigError", "run_simulation",
+    "average_force", "SpeciesParams", "SpeciesSystem", "species_step",
+    "SimLedger", "SimConfig", "ConfigError", "run_simulation",
     "reference_incompressible", "sweep_epsilon",
 ]

@@ -12,7 +12,9 @@ Subcommands:
   the configured eps.
 
 All subcommands accept repeated ``--set key=value`` overrides using
-config-file keys.  Exit code is zero only if every enabled check holds.
+config-file keys.  Exit code is zero only if every enabled check holds,
+1 if a check fails, 2 for a bad config value and 3 if a solver fails;
+the last two print one line on stderr.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import mixture
-from .config import load_config
+from .config import ConfigError, load_config
 from .driver import (
     reference_incompressible,
     run_simulation,
     sweep_epsilon,
     sweep_row,
 )
+from .flow import FlowSolverError
 from .grid import (
     Grid,
     advect_form,
@@ -40,6 +43,7 @@ from .grid import (
     grad,
     inner,
 )
+from .species import SpeciesSolverError
 
 
 def _build_parser():
@@ -219,16 +223,15 @@ def _cmd_compare(cfg) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = load_config(args.config, args.overrides)
-    if args.command == "run":
-        return _cmd_run(cfg)
-    if args.command == "sweep-eps":
-        return _cmd_sweep(cfg, args.eps)
-    if args.command == "check":
-        return _cmd_check(cfg)
-    if args.command == "compare-ref":
-        return _cmd_compare(cfg)
-    raise AssertionError("unreachable")
+    try:
+        cfg = load_config(args.config, args.overrides)
+        if args.command == "sweep-eps":
+            return _cmd_sweep(cfg, args.eps)
+        return {"run": _cmd_run, "check": _cmd_check,
+                "compare-ref": _cmd_compare}[args.command](cfg)
+    except (ConfigError, FlowSolverError, SpeciesSolverError) as exc:
+        print(f"msflow: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

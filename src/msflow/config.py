@@ -116,8 +116,17 @@ class SimConfig:
             raise ConfigError("scheme.eps must be positive")
         if self.lam != "tau" and float(self.lam) < 0:
             raise ConfigError("scheme.lambda must be nonnegative or 'tau'")
-        self.build_mixture()
-        self.build_grid()
+        if not min(self.flow_tol, self.species_tol) > 0:
+            raise ConfigError(
+                "scheme.flow_tol and scheme.species_tol must be positive")
+        try:
+            self.build_mixture()
+            self.build_grid()
+        except ValueError as exc:       # MixtureSpec's and the grid's too
+            raise ConfigError(str(exc)) from exc
+        if not 0.0 < self.alpha0 < 0.5 / self.species:
+            raise ConfigError(
+                f"scheme.alpha0 must lie in (0, {0.5 / self.species:.4g})")
         return self
 
 

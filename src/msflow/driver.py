@@ -4,8 +4,10 @@
 fills a diagnostics ledger.  ``reference_incompressible`` runs the same
 time loop on its incompressible limit, whose saddle system keeps the
 velocity divergence at machine precision each step; it provides the
-limit object for the relaxation sweep.  Each run owns its flow
-operators and their LU, and drops them when it returns.
+limit object for the relaxation sweep.  Each run builds its flow and
+species operators once, owns the flow LU, and drops them all when it
+returns.  With ``write_outputs`` the ledger is written even when a
+solver fails, up to the last completed step.
 ``sweep_epsilon`` runs the relaxed solver for a list of eps values
 against one reference run and checks that both the divergence defect
 and the distance to the reference decrease monotonically as eps
@@ -32,7 +34,7 @@ from .flow import (
     flow_step,
 )
 from .grid import Grid, deriv_matrix, inner, write_snapshot
-from .species import SpeciesParams, _to_field, species_step
+from .species import SpeciesParams, SpeciesSystem, _to_field, species_step
 
 
 @dataclass
@@ -203,23 +205,26 @@ def _run(config: SimConfig, eps: float, keep_history: bool = False,
         system = system_cls(grid, FlowParams(
             tau=tau, eps=config.eps, tol=config.flow_tol,
             max_picard=config.max_picard))
-        sparams = SpeciesParams(tau=tau, lam=lam, tol=config.species_tol,
-                                max_outer=config.max_outer)
+        species = SpeciesSystem(grid, spec, SpeciesParams(
+            tau=tau, lam=lam, tol=config.species_tol,
+            max_outer=config.max_outer))
         forcing = build_forcing(config, grid)
-    for k in range(1, config.steps + 1):
-        f_avg = average_force(forcing, grid, k, tau)
-        flow, freport = flow_step(system, flow, f_avg)
-        w, rho, sreport = species_step(grid, spec, w, rho, flow.u, sparams)
-        ledger.record_step(k, flow, freport, f_avg, rho, sreport)
-        if keep_history:
-            history["u"].append(flow.u.copy())
-            history["p"].append(flow.p.copy())
-            history["rho"].append(rho.copy())
-        if write_outputs and config.snapshot_every > 0 and (
-                k % config.snapshot_every == 0):
-            _write_step_snapshots(config, grid, k, tau, flow, rho)
-    if write_outputs:
-        ledger.write_csv(os.path.join(config.out_dir, config.csv_name))
+    try:
+        for k in range(1, config.steps + 1):
+            f_avg = average_force(forcing, grid, k, tau)
+            flow, freport = flow_step(system, flow, f_avg)
+            w, rho, sreport = species_step(species, w, rho, flow.u)
+            ledger.record_step(k, flow, freport, f_avg, rho, sreport)
+            if keep_history:
+                history["u"].append(flow.u.copy())
+                history["p"].append(flow.p.copy())
+                history["rho"].append(rho.copy())
+            if write_outputs and config.snapshot_every > 0 and (
+                    k % config.snapshot_every == 0):
+                _write_step_snapshots(config, grid, k, tau, flow, rho)
+    finally:
+        if write_outputs:
+            ledger.write_csv(os.path.join(config.out_dir, config.csv_name))
     return SimResult(config, grid, spec, flow, w, rho, ledger, history)
 
 

@@ -12,11 +12,13 @@ One step solves
 tested against grid functions with even (reflecting) ghosts.  B is the
 symmetric positive definite mobility matrix from the mixture algebra.
 
-The nonlinear problem is solved by a frozen-coefficient outer loop:
-B, the advected densities and the inversion Jacobian are frozen at the
-current iterate, the time-difference term is linearized through the
-analytic Jacobian drho/dw = H^{-1}, and the resulting symmetric
-positive definite system is solved for the update.  A step is halved
+A run builds the spatial operators once, in a ``SpeciesSystem``; a
+step adds only the advection by its own velocity.  The nonlinear
+problem is solved by a frozen-coefficient outer loop: B, the advected
+densities and the inversion Jacobian are frozen at the current
+iterate, the time-difference term is linearized through the analytic
+Jacobian drho/dw = H^{-1}, and the resulting symmetric positive
+definite system is solved for the update.  A step is halved
 whenever the residual increases.  The assembled matrix is exactly
 symmetric because the diffusion block is the triple product of a
 derivative matrix, the cellwise B blocks and the adjoint derivative
@@ -117,69 +119,65 @@ def _kron_cells(mat: sp.csr_matrix, n: int) -> sp.csr_matrix:
     return sp.kron(mat, sp.identity(n), format="csr")
 
 
-class _StepOperators:
-    """Grid operators and frozen advection pieces for one step."""
+class SpeciesSystem:
+    """The species step's spatial operators, owned by one run.
+
+    The derivative stencils are lifted to the N components of a cell
+    once; the H2 block lap^T lap + I and its lift exist only when
+    lambda > 0.  Only the advection by the step's velocity is built
+    per step, in :func:`species_step`.
+    """
 
     def __init__(self, grid: Grid, spec: mixture.MixtureSpec,
-                 u: np.ndarray | None):
-        self.grid = grid
-        self.n = spec.n_reduced
+                 params: SpeciesParams):
+        self.grid, self.spec, self.params = grid, spec, params
+        n = spec.n_reduced
         self.dn = [deriv_matrix(grid, a, "neumann") for a in range(grid.dim)]
         self.dd = [deriv_matrix(grid, a, "dirichlet")
                    for a in range(grid.dim)]
-        lap = laplacian_matrix(grid, "neumann")
-        self.lap = lap
-        self.reg = (lap.T @ lap + sp.identity(grid.n_cells)).tocsr()
-        if u is None:
-            self.adv = None
-            self.divu_flat = np.zeros(grid.n_cells)
-        else:
-            skew = advection_matrix(grid, u, "neumann")
-            self.divu_flat = div(grid, u, "dirichlet").reshape(-1)
-            self.adv = (skew + 0.5 * sp.diags(self.divu_flat)).tocsr()
+        self.lifted = [(_kron_cells(dd, n), _kron_cells(dn, n))
+                       for dd, dn in zip(self.dd, self.dn)]
+        self.lap = self.reg = self.reg_lifted = None
+        if params.lam > 0.0:
+            self.lap = laplacian_matrix(grid, "neumann")
+            self.reg = (self.lap.T @ self.lap
+                        + sp.identity(grid.n_cells)).tocsr()
+            self.reg_lifted = params.lam * _kron_cells(self.reg, n)
 
-    def apply_columns(self, mat, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(mat @ pts)
-
-    def residual(self, spec, w_pts, rho_pts, rho_prev_pts, b_blocks,
-                 tau: float, lam: float) -> np.ndarray:
-        r = (rho_pts - rho_prev_pts) / tau
-        if self.adv is not None:
-            r = r + self.apply_columns(self.adv, rho_pts)
-        for a in range(self.grid.dim):
-            gw = self.apply_columns(self.dn[a], w_pts)
-            flux = np.einsum("cij,cj->ci", b_blocks, gw)
-            r = r - self.apply_columns(self.dd[a], flux)
-        if lam > 0.0:
-            r = r + lam * self.apply_columns(self.reg, w_pts)
+    def residual(self, adv, w_pts, rho_pts, rho_prev_pts,
+                 b_blocks) -> np.ndarray:
+        r = (rho_pts - rho_prev_pts) / self.params.tau + adv @ rho_pts
+        for dd, dn in zip(self.dd, self.dn):
+            flux = np.einsum("cij,cj->ci", b_blocks, dn @ w_pts)
+            r = r - dd @ flux
+        if self.reg is not None:
+            r = r + self.params.lam * (self.reg @ w_pts)
         return r
 
-    def system_matrix(self, minv_blocks, b_blocks, tau: float,
-                      lam: float) -> sp.csr_matrix:
-        n = self.n
-        mat = _block_diag_bsr(minv_blocks / tau).tocsr()
+    def system_matrix(self, minv_blocks, b_blocks) -> sp.csr_matrix:
+        mat = _block_diag_bsr(minv_blocks / self.params.tau).tocsr()
         b_bsr = _block_diag_bsr(b_blocks).tocsr()
-        for a in range(self.grid.dim):
-            dd = _kron_cells(self.dd[a], n)
-            dn = _kron_cells(self.dn[a], n)
+        for dd, dn in self.lifted:
             mat = mat - dd @ (b_bsr @ dn)
-        if lam > 0.0:
-            mat = mat + lam * _kron_cells(self.reg, n)
+        if self.reg_lifted is not None:
+            mat = mat + self.reg_lifted
         return mat.tocsr()
 
 
-def species_step(grid: Grid, spec: mixture.MixtureSpec, w_prev: np.ndarray,
-                 rho_prev: np.ndarray, u: np.ndarray | None,
-                 params: SpeciesParams):
-    """Advance the species by one implicit step.
+def species_step(system: SpeciesSystem, w_prev: np.ndarray,
+                 rho_prev: np.ndarray, u: np.ndarray):
+    """Advance the species by one implicit step with velocity ``u``.
 
     ``rho_prev`` must be the densities matching ``w_prev`` (the driver
     carries both so the time-difference term uses exactly the stored
     state).  Returns (w_new, rho_new, SpeciesStepReport).
     """
+    grid, spec, params = system.grid, system.spec, system.params
     n = spec.n_reduced
     tau, lam = params.tau, params.lam
-    ops = _StepOperators(grid, spec, u)
+    divu = div(grid, u, "dirichlet").reshape(-1)
+    adv = (advection_matrix(grid, u, "neumann")
+           + 0.5 * sp.diags(divu)).tocsr()
     w_pts = _to_points(np.asarray(w_prev, dtype=float), n, grid)
     rho_prev_pts = _to_points(np.asarray(rho_prev, dtype=float), n, grid)
     rho_pts = rho_prev_pts.copy()
@@ -195,7 +193,7 @@ def species_step(grid: Grid, spec: mixture.MixtureSpec, w_prev: np.ndarray,
         return sqrt_cell * float(np.linalg.norm(r))
 
     b_blocks = mixture.mobility_matrix(rho_pts, spec)
-    r = ops.residual(spec, w_pts, rho_pts, rho_prev_pts, b_blocks, tau, lam)
+    r = system.residual(adv, w_pts, rho_pts, rho_prev_pts, b_blocks)
     res = quad_norm(r)
     residuals = [res]
     iterations = 0
@@ -213,7 +211,7 @@ def species_step(grid: Grid, spec: mixture.MixtureSpec, w_prev: np.ndarray,
                 f"outer iteration stalled at residual {res:.3e} after "
                 f"{iterations} iterations", residuals)
         minv = np.linalg.inv(mixture.entropy_hessian(rho_pts, spec))
-        mat = ops.system_matrix(minv, b_blocks, tau, lam)
+        mat = system.system_matrix(minv, b_blocks)
         diag = mat.diagonal()
         precond = spla.LinearOperator(
             mat.shape, matvec=lambda x, d=diag: x / d)
@@ -229,8 +227,8 @@ def species_step(grid: Grid, spec: mixture.MixtureSpec, w_prev: np.ndarray,
             rho_cand = mixture.densities_from_entropy(
                 w_cand, spec, rho_init=rho_pts, tol=params.inversion_tol)
             b_cand = mixture.mobility_matrix(rho_cand, spec)
-            r_cand = ops.residual(spec, w_cand, rho_cand, rho_prev_pts,
-                                  b_cand, tau, lam)
+            r_cand = system.residual(adv, w_cand, rho_cand, rho_prev_pts,
+                                     b_cand)
             res_cand = quad_norm(r_cand)
             if res_cand <= res or res_cand <= target:
                 break
@@ -265,24 +263,20 @@ def species_step(grid: Grid, spec: mixture.MixtureSpec, w_prev: np.ndarray,
     entropy_after = vol * float(np.sum(mixture.entropy_density(rho_pts, spec)))
 
     dissipation = 0.0
-    for a in range(grid.dim):
-        gw = ops.apply_columns(ops.dn[a], w_pts)
+    for dn in system.dn:
+        gw = dn @ w_pts
         dissipation += vol * float(
             np.einsum("ci,cij,cj->", gw, b_blocks, gw))
 
     h2_sq = 0.0
     if lam > 0.0:
-        lw = ops.apply_columns(ops.lap, w_pts)
+        lw = system.lap @ w_pts
         h2_sq = vol * (float(np.sum(lw * lw)) + float(np.sum(w_pts * w_pts)))
 
     x, _ = mixture.molar_fractions(rho_pts, spec)
     control = vol * float(
-        np.dot(ops.divu_flat, np.log(x[:, -1]))) / spec.molar_masses[-1]
-    if ops.adv is not None:
-        advective = -vol * float(
-            np.sum(ops.apply_columns(ops.adv, rho_pts) * w_pts))
-    else:
-        advective = 0.0
+        np.dot(divu, np.log(x[:, -1]))) / spec.molar_masses[-1]
+    advective = -vol * float(np.sum((adv @ rho_pts) * w_pts))
 
     slack = (entropy_after + tau * dissipation + lam * tau * h2_sq) - (
         entropy_before + tau * advective)

@@ -19,7 +19,7 @@ from msflow.config import SimConfig
 from msflow.driver import run_simulation, sweep_epsilon
 from msflow.grid import Grid, advect_form, divergence_identity_residual
 from msflow.mixture import MixtureSpec
-from msflow.species import SpeciesParams, species_step
+from msflow.species import SpeciesParams, SpeciesSystem, species_step
 
 from conftest import random_spec
 
@@ -98,6 +98,8 @@ def heat_scan():
     for n in (32, 64, 128):
         grid = Grid.box((n,), (1.0,))
         h = grid.spacing[0]
+        system = SpeciesSystem(grid, spec, params)
+        still = np.zeros((1, n))
         x = grid.cell_centers()[0]
         theta = 0.5 + amp * np.cos(np.pi * x)
 
@@ -119,7 +121,7 @@ def heat_scan():
         for _ in range(steps):
             local = heat_step(rho[0])
             oracle = heat_step(oracle)
-            w, rho, _ = species_step(grid, spec, w, rho, None, params)
+            w, rho, _ = species_step(system, w, rho, still)
             per_step = max(per_step, sqv * np.linalg.norm(rho[0] - local))
             min_rho = min(min_rho, rho.min(), 1.0 - rho.max())
         full = sqv * float(np.linalg.norm(rho[0] - oracle))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msflow import cli
+from msflow import cli, driver
 from msflow.config import ConfigError, SimConfig, load_config, \
     parse_config_text
 from msflow.driver import (
@@ -15,8 +15,9 @@ from msflow.driver import (
     run_simulation,
     sweep_epsilon,
 )
-from msflow.grid import deriv_matrix, div, norm_l2
+from msflow.grid import _ADJOINT_BC, deriv_matrix, div, norm_l2
 from msflow.mixture import entropy_vars, mobility_matrix
+from msflow.species import SpeciesSolverError
 
 
 CONFIG_TEXT = """
@@ -137,6 +138,14 @@ def test_validate_rejects_bad_settings():
         dict(species=3, molar_masses=(1.0, 1.0, 1.0),
              diffusivities=(1.0,)),
         dict(species=2, molar_masses=(1.0,)),
+        dict(flow_tol=0.0),
+        dict(species_tol=-1.0),
+        dict(alpha0=0.0),
+        dict(alpha0=0.25),
+        dict(species=3, molar_masses=(1.0, 1.0, 1.0),
+             diffusivities=(1.0, 1.0, 1.0), alpha0=0.2),
+        dict(nx=3),
+        dict(dim=2, ny=2),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigError):
@@ -396,6 +405,19 @@ def test_cli_check_fails_on_degenerate_refinement(monkeypatch, capsys):
     assert "1 failure(s)" in out
 
 
+def test_cli_check_fails_on_non_skew_advection(monkeypatch, capsys):
+    # A wrong ghost rule on the conservative part of the velocity
+    # advection breaks its skew-adjointness; the check must see it.
+    monkeypatch.setitem(_ADJOINT_BC, "dirichlet", "dirichlet")
+    rc = cli.main(["check"] + _overrides([
+        ("grid.nx", 16), ("scheme.steps", 2), ("scheme.t_final", "2e-3"),
+    ]))
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL advection form skew identities" in out
+    assert "1 failure(s)" in out
+
+
 def test_cli_compare_ref_runs(tmp_path, capsys):
     rc = cli.main(["compare-ref"] + _overrides([
         ("grid.dim", 2), ("grid.nx", 12), ("grid.ny", 12),
@@ -424,6 +446,52 @@ def test_cli_sweep_eps(tmp_path, capsys):
     assert "monotone decrease: div True  u-distance True" in out
 
 
-def test_cli_rejects_unknown_key():
-    with pytest.raises(ConfigError):
-        cli.main(["run", "--set", "grid.nz=4"])
+def test_cli_rejects_unknown_key(capsys):
+    rc = cli.main(["run", "--set", "grid.nz=4"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "msflow: ConfigError: unknown config key 'grid.nz'\n"
+
+
+@pytest.mark.parametrize("override", [
+    "grid.nx=3", "scheme.flow_tol=0", "scheme.species_tol=-1",
+    "scheme.alpha0=0.5",
+])
+def test_cli_rejects_bad_value_in_one_line(override, capsys):
+    rc = cli.main(["run", "--set", override])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("msflow: ConfigError: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_reports_solver_failure_in_one_line(tmp_path, capsys):
+    rc = cli.main(["run"] + _overrides([
+        ("grid.nx", 16), ("scheme.t_final", "2e-3"), ("scheme.steps", 2),
+        ("init.preset", "cosine-binary"), ("scheme.max_outer", 0),
+        ("output.dir", str(tmp_path)),
+    ]))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("msflow: SpeciesSolverError: outer iteration")
+    assert err.count("\n") == 1
+
+
+def test_solver_failure_keeps_ledger_up_to_last_step(tmp_path, monkeypatch):
+    real_step = driver.species_step
+    calls = []
+
+    def failing_step(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise SpeciesSolverError("injected failure")
+        return real_step(*args)
+
+    monkeypatch.setattr(driver, "species_step", failing_step)
+    cfg = SimConfig(nx=16, steps=5, t_final=5e-3, preset="cosine-binary",
+                    out_dir=str(tmp_path))
+    with pytest.raises(SpeciesSolverError, match="injected"):
+        run_simulation(cfg, write_outputs=True)
+    lines = (tmp_path / "ledger.csv").read_text().splitlines()
+    steps = [row.split(",")[0] for row in lines[1:]]
+    assert steps == ["0", "1", "2"]

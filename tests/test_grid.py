@@ -12,7 +12,6 @@ import pytest
 from msflow.grid import (
     Grid,
     GridError,
-    advect,
     advection_matrix,
     advect_form,
     deriv_matrix,
@@ -183,20 +182,6 @@ def test_norm_h1_dominates_l2():
 # ---------------------------------------------------------------------
 # Advection
 # ---------------------------------------------------------------------
-
-def test_advect_matches_definition():
-    rng = np.random.default_rng(31)
-    g = Grid.box((9, 11), (1.0, 1.0))
-    u = rng.standard_normal((2,) + g.shape)
-    v = rng.standard_normal((2,) + g.shape)
-    got = advect(g, u, v, "dirichlet")
-    expect = np.zeros_like(v)
-    for a in range(2):
-        d = deriv_matrix(g, a, "dirichlet")
-        for k in range(2):
-            expect[k] += u[a] * (d @ v[k].reshape(-1)).reshape(g.shape)
-    np.testing.assert_allclose(got, expect, atol=0.0)
-
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 def test_advection_matrix_skew_adjoint(bc):

@@ -21,7 +21,7 @@ from msflow.mixture import (
 from msflow.species import (
     SpeciesParams,
     SpeciesSolverError,
-    _StepOperators,
+    SpeciesSystem,
     species_step,
 )
 
@@ -32,6 +32,11 @@ def cosine_binary_state(grid, spec, amplitude):
     rho = (0.5 + amplitude * np.cos(np.pi * x / grid.lengths[0]))[None]
     w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), spec), -1, 0)
     return w, rho
+
+
+def still(grid):
+    """Zero velocity: the species step without advection."""
+    return np.zeros((grid.dim,) + grid.shape)
 
 
 def heat_step_banded(theta, h, tau, diffusivity):
@@ -66,7 +71,8 @@ def test_uniform_state_is_fixed_point(binary_spec):
     w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), binary_spec),
                     -1, 0)
     params = SpeciesParams(tau=1e-3)
-    w2, rho2, report = species_step(g, binary_spec, w, rho, None, params)
+    system = SpeciesSystem(g, binary_spec, params)
+    w2, rho2, report = species_step(system, w, rho, still(g))
     assert report.iterations == 0
     np.testing.assert_array_equal(rho2, rho)
     assert report.dissipation == 0.0
@@ -76,9 +82,10 @@ def test_uniform_state_is_fixed_point(binary_spec):
 def test_field_shape_mismatch(binary_spec):
     g = Grid.box((16,), (1.0,))
     params = SpeciesParams(tau=1e-3)
+    system = SpeciesSystem(g, binary_spec, params)
     bad = np.zeros((1, 8))
     with pytest.raises(GridError, match="species field shape"):
-        species_step(g, binary_spec, bad, bad, None, params)
+        species_step(system, bad, bad, still(g))
 
 
 # ---------------------------------------------------------------------
@@ -92,8 +99,8 @@ def test_assembled_system_is_spd(ternary_spec):
     params = SpeciesParams(tau=1e-3, lam=1e-4)
     # The frozen-coefficient matrix exactly as species_step assembles it.
     minv = np.linalg.inv(entropy_hessian(pts, ternary_spec))
-    mat = _StepOperators(g, ternary_spec, None).system_matrix(
-        minv, mobility_matrix(pts, ternary_spec), params.tau, params.lam)
+    mat = SpeciesSystem(g, ternary_spec, params).system_matrix(
+        minv, mobility_matrix(pts, ternary_spec))
     dense = mat.toarray()
     assert np.abs(dense - dense.T).max() <= 1e-10 * np.abs(dense).max()
     np.linalg.cholesky(dense)
@@ -108,9 +115,10 @@ def test_mass_conserved_without_flow(binary_spec):
     g = Grid.box((32,), (1.0,))
     w, rho = cosine_binary_state(g, binary_spec, 0.2)
     params = SpeciesParams(tau=1e-3, tol=1e-11)
+    system = SpeciesSystem(g, binary_spec, params)
     mass0 = g.cell_volume * rho.sum()
     for _ in range(10):
-        w, rho, report = species_step(g, binary_spec, w, rho, None, params)
+        w, rho, report = species_step(system, w, rho, still(g))
         assert abs(g.cell_volume * rho.sum() - mass0) <= 1e-13
     assert report.min_density > 0.0
 
@@ -129,9 +137,10 @@ def test_mass_conserved_with_divfree_flow(binary_spec):
     w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), binary_spec),
                     -1, 0)
     params = SpeciesParams(tau=1e-3, tol=1e-11)
+    system = SpeciesSystem(g, binary_spec, params)
     mass0 = g.cell_volume * rho.sum()
     for _ in range(5):
-        w, rho, _ = species_step(g, binary_spec, w, rho, u, params)
+        w, rho, _ = species_step(system, w, rho, u)
         assert abs(g.cell_volume * rho.sum() - mass0) <= 1e-12
 
 
@@ -146,9 +155,10 @@ def test_entropy_decreases_without_flow(ternary_spec):
     w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), ternary_spec),
                     -1, 0)
     params = SpeciesParams(tau=1e-3, tol=1e-11)
+    system = SpeciesSystem(g, ternary_spec, params)
     entropies = []
     for _ in range(8):
-        w, rho, report = species_step(g, ternary_spec, w, rho, None, params)
+        w, rho, report = species_step(system, w, rho, still(g))
         entropies.append(report.entropy_after)
         assert report.dissipation >= 0.0
         assert report.entropy_balance_slack <= 100.0 * params.tol
@@ -159,7 +169,8 @@ def test_regularization_contributes(binary_spec):
     g = Grid.box((16,), (1.0,))
     w, rho = cosine_binary_state(g, binary_spec, 0.1)
     params = SpeciesParams(tau=1e-3, lam=1e-3, tol=1e-11)
-    _, _, report = species_step(g, binary_spec, w, rho, None, params)
+    system = SpeciesSystem(g, binary_spec, params)
+    _, _, report = species_step(system, w, rho, still(g))
     assert report.h2_sq_norm > 0.0
     assert report.entropy_balance_slack <= 100.0 * params.tol
 
@@ -176,9 +187,10 @@ def test_binary_equal_mass_reduces_to_heat_equation():
     h = g.spacing[0]
     w, rho = cosine_binary_state(g, spec, amp)
     params = SpeciesParams(tau=tau, tol=1e-12)
+    system = SpeciesSystem(g, spec, params)
     for _ in range(5):
         prev = rho[0].copy()
-        w, rho, _ = species_step(g, spec, w, rho, None, params)
+        w, rho, _ = species_step(system, w, rho, still(g))
         oracle = heat_step_banded(prev, h, tau, d12)
         step_diff = np.sqrt(h * np.sum((rho[0] - oracle) ** 2))
         assert step_diff <= 1e-8
@@ -192,8 +204,9 @@ def test_iteration_budget_error(binary_spec):
     g = Grid.box((16,), (1.0,))
     w, rho = cosine_binary_state(g, binary_spec, 0.2)
     params = SpeciesParams(tau=1e-3, max_outer=0)
+    system = SpeciesSystem(g, binary_spec, params)
     with pytest.raises(SpeciesSolverError, match="stalled") as err:
-        species_step(g, binary_spec, w, rho, None, params)
+        species_step(system, w, rho, still(g))
     assert len(err.value.residuals) == 1
 
 
@@ -201,7 +214,8 @@ def test_step_is_deterministic(binary_spec):
     g = Grid.box((16,), (1.0,))
     w, rho = cosine_binary_state(g, binary_spec, 0.2)
     params = SpeciesParams(tau=1e-3)
-    w1, r1, _ = species_step(g, binary_spec, w, rho, None, params)
-    w2, r2, _ = species_step(g, binary_spec, w, rho, None, params)
+    system = SpeciesSystem(g, binary_spec, params)
+    w1, r1, _ = species_step(system, w, rho, still(g))
+    w2, r2, _ = species_step(system, w, rho, still(g))
     np.testing.assert_array_equal(w1, w2)
     np.testing.assert_array_equal(r1, r2)
