@@ -201,5 +201,9 @@ def parse_config_text(text: str, overrides=()) -> SimConfig:
 def load_config(path, overrides=()) -> SimConfig:
     if path is None:
         return parse_config_text("", overrides)
-    with open(path) as fh:
-        return parse_config_text(fh.read(), overrides)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    return parse_config_text(text, overrides)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mixture
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .diagnostics import SimLedger
 from .flow import (
     FlowParams,
@@ -128,27 +128,17 @@ def initial_conditions(config: SimConfig, grid: Grid,
     return flow, rho_full
 
 
-def build_forcing(config: SimConfig, grid: Grid) -> Forcing:
-    amp = (config.fx,) if grid.dim == 1 else (config.fx, config.fy)
-    preset = config.forcing_preset
-    if preset == "zero":
-        return Forcing("zero", amp)
-    if preset == "constant":
-        return Forcing("constant", amp, spatial=config.forcing_spatial)
-    if preset == "linear":
-        return Forcing("separable", amp, spatial=config.forcing_spatial,
-                       time_profile="linear")
-    if preset == "sin":
-        return Forcing("separable", amp, spatial=config.forcing_spatial,
-                       time_profile="sin", omega=config.omega)
-    raise ValueError(f"unknown forcing preset {preset!r}")
-
-
 def _prepare(config: SimConfig):
     config.validate()
     grid = config.build_grid()
     spec = config.build_mixture()
-    flow0, rho_raw_full = initial_conditions(config, grid, spec)
+    amp = (config.fx,) if grid.dim == 1 else (config.fx, config.fy)
+    try:
+        flow0, rho_raw_full = initial_conditions(config, grid, spec)
+        forcing = Forcing(config.forcing_preset, amp, config.forcing_spatial,
+                          config.omega)
+    except ValueError as exc:       # presets and amplitudes from the config
+        raise ConfigError(str(exc)) from exc
     rho_raw_pts = np.moveaxis(rho_raw_full, 0, -1).reshape(-1, spec.n_species)
     lifted_pts = mixture.lift_initial(rho_raw_pts, config.alpha0)
     rho0 = _to_field(lifted_pts[:, :-1], grid)
@@ -156,7 +146,7 @@ def _prepare(config: SimConfig):
     w0 = _to_field(w0_pts, grid)
     entropy_raw = grid.cell_volume * float(np.sum(mixture.entropy_density(
         rho_raw_pts[:, :-1], spec, allow_boundary=True)))
-    return grid, spec, flow0, w0, rho0, entropy_raw
+    return grid, spec, flow0, w0, rho0, entropy_raw, forcing
 
 
 def _write_step_snapshots(config, grid, k, tau, flow, rho):
@@ -192,12 +182,12 @@ def _run(config: SimConfig, eps: float, keep_history: bool = False,
          write_outputs: bool = False) -> SimResult:
     """The time loop at relaxation ``eps``: a flow step, then a species
     step.  eps = 0 is the incompressible limit."""
-    grid, spec, flow, w, rho, entropy_raw = _prepare(config)
+    grid, spec, flow, w, rho, entropy_raw, forcing = _prepare(config)
     tau = config.tau
     lam = config.lam_value
     ledger = SimLedger(grid, spec, tau, eps, lam, config.species_tol)
     ledger.record_initial(flow, rho, entropy_raw)
-    history = {"u": [], "p": [], "rho": []} if keep_history else None
+    history = {"u": [], "rho": []} if keep_history else None
     if write_outputs:
         os.makedirs(config.out_dir, exist_ok=True)
     if config.steps:
@@ -208,7 +198,6 @@ def _run(config: SimConfig, eps: float, keep_history: bool = False,
         species = SpeciesSystem(grid, spec, SpeciesParams(
             tau=tau, lam=lam, tol=config.species_tol,
             max_outer=config.max_outer))
-        forcing = build_forcing(config, grid)
     try:
         for k in range(1, config.steps + 1):
             f_avg = average_force(forcing, grid, k, tau)
@@ -217,7 +206,6 @@ def _run(config: SimConfig, eps: float, keep_history: bool = False,
             ledger.record_step(k, flow, freport, f_avg, rho, sreport)
             if keep_history:
                 history["u"].append(flow.u.copy())
-                history["p"].append(flow.p.copy())
                 history["rho"].append(rho.copy())
             if write_outputs and config.snapshot_every > 0 and (
                     k % config.snapshot_every == 0):

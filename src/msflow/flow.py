@@ -101,22 +101,30 @@ class FlowStepReport:
     pressure_eq_residual: float
 
 
+_FORCING_PRESETS = ("zero", "constant", "linear", "sin")
+_SPATIAL_PROFILES = ("uniform", "bump")
+
+
 @dataclass(frozen=True)
 class Forcing:
-    """Body force presets with exact or quadrature time averaging.
+    """Body force g(t) F(x), named by the config's presets.
 
-    kind is one of "zero", "constant", "separable".  A separable force
-    is g(t) * F(x) with g drawn from closed-form profiles ("one",
-    "linear" for g = t, "sin" for g = sin(omega t)) or a callable, and
-    F either a uniform vector ("uniform") or a per-axis sine bump
-    ("bump").
+    ``preset`` picks g: "zero" (no force), "constant" (g = 1), "linear"
+    (g = t) or "sin" (g = sin(omega t)).  ``spatial`` picks F: a
+    uniform vector ("uniform") or a per-axis sine bump ("bump"), scaled
+    per axis by ``amplitude``.
     """
 
-    kind: str = "zero"
+    preset: str = "zero"
     amplitude: tuple = ()
     spatial: str = "uniform"
-    time_profile: object = "one"
     omega: float = 1.0
+
+    def __post_init__(self):
+        if self.preset not in _FORCING_PRESETS:
+            raise ValueError(f"unknown forcing preset {self.preset!r}")
+        if self.spatial not in _SPATIAL_PROFILES:
+            raise ValueError(f"unknown spatial profile {self.spatial!r}")
 
     def spatial_field(self, grid: Grid) -> np.ndarray:
         amp = np.asarray(self.amplitude, dtype=float)
@@ -124,55 +132,32 @@ class Forcing:
             raise GridError(
                 f"forcing amplitude needs {grid.dim} components, got {amp.size}"
             )
-        out = np.empty((grid.dim,) + grid.shape)
-        if self.spatial == "uniform":
-            for a in range(grid.dim):
-                out[a] = amp[a]
-        elif self.spatial == "bump":
+        profile = np.ones(grid.shape)
+        if self.spatial == "bump":
             xs = grid.cell_centers()
-            profile = np.ones(grid.shape)
             for a in range(grid.dim):
                 profile = profile * np.sin(np.pi * xs[a] / grid.lengths[a])
-            for a in range(grid.dim):
-                out[a] = amp[a] * profile
-        else:
-            raise ValueError(f"unknown spatial profile {self.spatial!r}")
-        return out
-
-
-def _mean_time_factor(forcing: Forcing, k: int, tau: float) -> float:
-    t0, t1 = (k - 1) * tau, k * tau
-    g = forcing.time_profile
-    if g == "one":
-        return 1.0
-    if g == "linear":
-        return 0.5 * (t0 + t1)
-    if g == "sin":
-        w = forcing.omega
-        return (np.cos(w * t0) - np.cos(w * t1)) / (w * tau)
-    if callable(g):
-        # 5-point Gauss-Legendre on (t0, t1).
-        nodes, weights = np.polynomial.legendre.leggauss(5)
-        t = 0.5 * (t1 - t0) * nodes + 0.5 * (t0 + t1)
-        return 0.5 * float(np.dot(weights, [g(ti) for ti in t]))
-    raise ValueError(f"unknown time profile {g!r}")
+        return amp.reshape((-1,) + (1,) * grid.dim) * profile
 
 
 def average_force(forcing: Forcing, grid: Grid, k: int,
                   tau: float) -> np.ndarray:
-    """Time average of the force over step k, ((k-1) tau, k tau].
+    """Exact time average of the force over step k, ((k-1) tau, k tau].
 
-    Exact for the closed-form profiles, 5-point Gauss quadrature for
-    callables.  Step index k starts at 1.
+    Step index k starts at 1.
     """
     if k < 1:
         raise ValueError("step index starts at 1")
-    if forcing.kind == "zero":
+    if forcing.preset == "zero":
         return np.zeros((grid.dim,) + grid.shape)
-    if forcing.kind not in ("constant", "separable"):
-        raise ValueError(f"unknown forcing kind {forcing.kind!r}")
-    factor = 1.0 if forcing.kind == "constant" else _mean_time_factor(
-        forcing, k, tau)
+    t0, t1 = (k - 1) * tau, k * tau
+    if forcing.preset == "constant":
+        factor = 1.0
+    elif forcing.preset == "linear":
+        factor = 0.5 * (t0 + t1)        # (k - 1/2) tau
+    else:
+        w = forcing.omega
+        factor = (np.cos(w * t0) - np.cos(w * t1)) / (w * tau)
     return factor * forcing.spatial_field(grid)
 
 

@@ -215,16 +215,6 @@ def div(grid: Grid, v: np.ndarray, bc: str = "dirichlet") -> np.ndarray:
     return out
 
 
-def laplacian(grid: Grid, f: np.ndarray, bc: str) -> np.ndarray:
-    f = _check_field(grid, f, "scalar")
-    return _apply(grid, laplacian_matrix(grid, bc), f)
-
-
-def integrate(grid: Grid, f: np.ndarray) -> float:
-    """Midpoint quadrature of a field over the box."""
-    return grid.cell_volume * float(np.sum(f))
-
-
 def inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """Quadrature inner product; sums over all matching components."""
     a = np.asarray(a, dtype=float)
@@ -236,16 +226,6 @@ def inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
 
 def norm_l2(grid: Grid, a: np.ndarray) -> float:
     return float(np.sqrt(max(inner(grid, a, a), 0.0)))
-
-
-def norm_h1(grid: Grid, f: np.ndarray, bc: str) -> float:
-    """Discrete H1 norm of a component field with the module gradient."""
-    f = _check_field(grid, f, "components")
-    total = inner(grid, f, f)
-    for comp in f:
-        g = grad(grid, comp, bc)
-        total += inner(grid, g, g)
-    return float(np.sqrt(total))
 
 
 def advect_form(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray,
@@ -288,8 +268,8 @@ def advection_matrix(grid: Grid, u: np.ndarray, bc: str) -> sp.csr_matrix:
     Represents v -> 0.5 [ (u.grad) v + div(u v) ] with the ghost rule of
     the advected field ``bc`` and its adjoint rule on the conservative
     part; the result is exactly skew-adjoint in the quadrature inner
-    product.  Assembled where it is factorized or applied repeatedly;
-    :func:`skew_advect` applies it once.
+    product.  Assembled only where it is factorized; everywhere else
+    :func:`skew_advect` applies it.
     """
     u = _check_field(grid, u, "vector")
     adj = _ADJOINT_BC[bc]

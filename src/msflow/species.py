@@ -12,17 +12,17 @@ One step solves
 tested against grid functions with even (reflecting) ghosts.  B is the
 symmetric positive definite mobility matrix from the mixture algebra.
 
-A run builds the spatial operators once, in a ``SpeciesSystem``; a
-step adds only the advection by its own velocity.  The nonlinear
-problem is solved by a frozen-coefficient outer loop: B, the advected
-densities and the inversion Jacobian are frozen at the current
-iterate, the time-difference term is linearized through the analytic
-Jacobian drho/dw = H^{-1}, and the resulting symmetric positive
-definite system is solved for the update.  A step is halved
-whenever the residual increases.  The assembled matrix is exactly
-symmetric because the diffusion block is the triple product of a
-derivative matrix, the cellwise B blocks and the adjoint derivative
-matrix, and the lambda block is lap^T lap + identity.
+A run builds the stencils once, in a ``SpeciesSystem``; no operator is
+assembled.  The nonlinear problem is solved by a frozen-coefficient
+outer loop: B, the advected densities and the inversion Jacobian are
+frozen at the current iterate, the time-difference term is linearized
+through the analytic Jacobian drho/dw = H^{-1}, and Jacobi-
+preconditioned CG solves H^{-1} delta / tau + D delta = -residual for
+the update.  D w = -sum_a dd_a (B dn_a w) + lambda (lap^T lap + I) w
+is the one diffusion apply that the residual also uses; it is
+symmetric because dd_a = -dn_a^T (odd ghosts are adjoint to even
+ones), so the system is symmetric positive definite.  A step is
+halved whenever the residual increases.
 
 Testing the converged equation against w itself and using convexity of
 the entropy density gives the per-step entropy balance
@@ -46,10 +46,10 @@ from . import mixture
 from .grid import (
     Grid,
     GridError,
-    advection_matrix,
     deriv_matrix,
     div,
     laplacian_matrix,
+    skew_advect,
 )
 
 
@@ -104,64 +104,61 @@ def _to_field(pts: np.ndarray, grid: Grid) -> np.ndarray:
     return np.moveaxis(pts.reshape(grid.shape + (n_comp,)), -1, 0)
 
 
-def _block_diag_bsr(blocks: np.ndarray) -> sp.bsr_matrix:
-    """Cellwise (cells, N, N) blocks as a block-diagonal sparse matrix."""
-    cells, n, _ = blocks.shape
-    indptr = np.arange(cells + 1)
-    indices = np.arange(cells)
-    return sp.bsr_matrix((blocks, indices, indptr),
-                         shape=(cells * n, cells * n))
-
-
-def _kron_cells(mat: sp.csr_matrix, n: int) -> sp.csr_matrix:
-    if n == 1:
-        return mat.tocsr()
-    return sp.kron(mat, sp.identity(n), format="csr")
-
-
 class SpeciesSystem:
-    """The species step's spatial operators, owned by one run.
+    """The species step's stencils, owned by one run.
 
-    The derivative stencils are lifted to the N components of a cell
-    once; the H2 block lap^T lap + I and its lift exist only when
-    lambda > 0.  Only the advection by the step's velocity is built
-    per step, in :func:`species_step`.
+    :meth:`diffusion` applies the operator that the residual and the CG
+    solve share; the H2 block lap^T lap + I exists only when lambda > 0.
     """
 
     def __init__(self, grid: Grid, spec: mixture.MixtureSpec,
                  params: SpeciesParams):
         self.grid, self.spec, self.params = grid, spec, params
-        n = spec.n_reduced
         self.dn = [deriv_matrix(grid, a, "neumann") for a in range(grid.dim)]
         self.dd = [deriv_matrix(grid, a, "dirichlet")
                    for a in range(grid.dim)]
-        self.lifted = [(_kron_cells(dd, n), _kron_cells(dn, n))
-                       for dd, dn in zip(self.dd, self.dn)]
-        self.lap = self.reg = self.reg_lifted = None
+        # Entry (c, k) is dd[c, k] dn[k, c]: the coupling of cell c to
+        # itself through cell k's mobility in dd @ (B @ dn).
+        self.diag_weights = [dd.multiply(dn.T).tocsr()
+                             for dd, dn in zip(self.dd, self.dn)]
+        self.lap = self.reg = None
         if params.lam > 0.0:
             self.lap = laplacian_matrix(grid, "neumann")
             self.reg = (self.lap.T @ self.lap
                         + sp.identity(grid.n_cells)).tocsr()
-            self.reg_lifted = params.lam * _kron_cells(self.reg, n)
 
-    def residual(self, adv, w_pts, rho_pts, rho_prev_pts,
-                 b_blocks) -> np.ndarray:
-        r = (rho_pts - rho_prev_pts) / self.params.tau + adv @ rho_pts
+    def diffusion(self, b_blocks, w_pts) -> np.ndarray:
+        """-div(B grad w) + lambda (lap^2 w + w), on (cells, N) points."""
+        out = np.zeros_like(w_pts)
         for dd, dn in zip(self.dd, self.dn):
-            flux = np.einsum("cij,cj->ci", b_blocks, dn @ w_pts)
-            r = r - dd @ flux
+            out -= dd @ np.einsum("cij,cj->ci", b_blocks, dn @ w_pts)
         if self.reg is not None:
-            r = r + self.params.lam * (self.reg @ w_pts)
-        return r
+            out += self.params.lam * (self.reg @ w_pts)
+        return out
 
-    def system_matrix(self, minv_blocks, b_blocks) -> sp.csr_matrix:
-        mat = _block_diag_bsr(minv_blocks / self.params.tau).tocsr()
-        b_bsr = _block_diag_bsr(b_blocks).tocsr()
-        for dd, dn in self.lifted:
-            mat = mat - dd @ (b_bsr @ dn)
-        if self.reg_lifted is not None:
-            mat = mat + self.reg_lifted
-        return mat.tocsr()
+    def residual(self, advect, w_pts, rho_pts, rho_prev_pts, b_blocks):
+        return ((rho_pts - rho_prev_pts) / self.params.tau + advect(rho_pts)
+                + self.diffusion(b_blocks, w_pts))
+
+    def frozen_operator(self, minv_blocks, b_blocks):
+        """x -> H^{-1} x / tau + diffusion(B, x) on flattened points,
+        and its diagonal (the Jacobi preconditioner)."""
+        tau = self.params.tau
+        cells, n, _ = minv_blocks.shape
+
+        def matvec(x):
+            x = x.reshape(cells, n)
+            return (np.einsum("cij,cj->ci", minv_blocks, x) / tau
+                    + self.diffusion(b_blocks, x)).reshape(-1)
+
+        diag = np.diagonal(minv_blocks, axis1=1, axis2=2) / tau
+        b_diag = np.diagonal(b_blocks, axis1=1, axis2=2)
+        for weights in self.diag_weights:
+            diag -= weights @ b_diag
+        if self.reg is not None:
+            diag += self.params.lam * self.reg.diagonal()[:, None]
+        return (spla.LinearOperator((cells * n,) * 2, matvec, dtype=float),
+                diag.reshape(-1))
 
 
 def species_step(system: SpeciesSystem, w_prev: np.ndarray,
@@ -176,8 +173,12 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
     n = spec.n_reduced
     tau, lam = params.tau, params.lam
     divu = div(grid, u, "dirichlet").reshape(-1)
-    adv = (advection_matrix(grid, u, "neumann")
-           + 0.5 * sp.diags(divu)).tocsr()
+
+    def advect(rho_pts):
+        """Skew advection of the densities by u, plus 0.5 (div u) rho."""
+        skew = skew_advect(grid, u, _to_field(rho_pts, grid), "neumann")
+        return _to_points(skew, n, grid) + 0.5 * divu[:, None] * rho_pts
+
     w_pts = _to_points(np.asarray(w_prev, dtype=float), n, grid)
     rho_prev_pts = _to_points(np.asarray(rho_prev, dtype=float), n, grid)
     rho_pts = rho_prev_pts.copy()
@@ -193,7 +194,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         return sqrt_cell * float(np.linalg.norm(r))
 
     b_blocks = mixture.mobility_matrix(rho_pts, spec)
-    r = system.residual(adv, w_pts, rho_pts, rho_prev_pts, b_blocks)
+    r = system.residual(advect, w_pts, rho_pts, rho_prev_pts, b_blocks)
     res = quad_norm(r)
     residuals = [res]
     iterations = 0
@@ -211,11 +212,10 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
                 f"outer iteration stalled at residual {res:.3e} after "
                 f"{iterations} iterations", residuals)
         minv = np.linalg.inv(mixture.entropy_hessian(rho_pts, spec))
-        mat = system.system_matrix(minv, b_blocks)
-        diag = mat.diagonal()
+        op, diag = system.frozen_operator(minv, b_blocks)
         precond = spla.LinearOperator(
-            mat.shape, matvec=lambda x, d=diag: x / d)
-        delta, info = spla.cg(mat, -r.reshape(-1), rtol=lin_rtol,
+            op.shape, matvec=lambda x, d=diag: x / d, dtype=float)
+        delta, info = spla.cg(op, -r.reshape(-1), rtol=lin_rtol,
                               atol=lin_atol, maxiter=4000, M=precond)
         if info != 0:
             raise SpeciesSolverError(
@@ -227,7 +227,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
             rho_cand = mixture.densities_from_entropy(
                 w_cand, spec, rho_init=rho_pts, tol=params.inversion_tol)
             b_cand = mixture.mobility_matrix(rho_cand, spec)
-            r_cand = system.residual(adv, w_cand, rho_cand, rho_prev_pts,
+            r_cand = system.residual(advect, w_cand, rho_cand, rho_prev_pts,
                                      b_cand)
             res_cand = quad_norm(r_cand)
             if res_cand <= res or res_cand <= target:
@@ -276,7 +276,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
     x, _ = mixture.molar_fractions(rho_pts, spec)
     control = vol * float(
         np.dot(divu, np.log(x[:, -1]))) / spec.molar_masses[-1]
-    advective = -vol * float(np.sum((adv @ rho_pts) * w_pts))
+    advective = -vol * float(np.sum(advect(rho_pts) * w_pts))
 
     slack = (entropy_after + tau * dissipation + lam * tau * h2_sq) - (
         entropy_before + tau * advective)

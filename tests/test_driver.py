@@ -9,7 +9,6 @@ from msflow import cli, driver
 from msflow.config import ConfigError, SimConfig, load_config, \
     parse_config_text
 from msflow.driver import (
-    build_forcing,
     initial_conditions,
     reference_incompressible,
     run_simulation,
@@ -19,6 +18,7 @@ from msflow.grid import _ADJOINT_BC, deriv_matrix, div, norm_l2
 from msflow.mixture import entropy_vars, mobility_matrix
 from msflow.species import SpeciesSolverError
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CONFIG_TEXT = """
 # full-coverage sample
@@ -227,23 +227,6 @@ def test_unknown_preset_rejected():
         initial_conditions(cfg, cfg.build_grid(), cfg.build_mixture())
 
 
-def test_build_forcing_mapping():
-    grid1 = SimConfig(dim=1, nx=8).build_grid()
-    z = build_forcing(SimConfig(forcing_preset="zero"), grid1)
-    assert z.kind == "zero"
-    c = build_forcing(SimConfig(forcing_preset="constant", fx=0.3), grid1)
-    assert c.kind == "constant" and c.amplitude == (0.3,)
-    cfg2 = SimConfig(dim=2, forcing_preset="linear", fx=0.1, fy=0.2)
-    lin = build_forcing(cfg2, cfg2.build_grid())
-    assert lin.kind == "separable" and lin.time_profile == "linear"
-    assert lin.amplitude == (0.1, 0.2)
-    cfg3 = SimConfig(dim=2, forcing_preset="sin", omega=3.0)
-    s = build_forcing(cfg3, cfg3.build_grid())
-    assert s.time_profile == "sin" and s.omega == 3.0
-    with pytest.raises(ValueError, match="unknown forcing preset"):
-        build_forcing(SimConfig(forcing_preset="gusts"), grid1)
-
-
 # -- time loop --------------------------------------------------------
 
 
@@ -378,9 +361,7 @@ def test_cli_check_passes_on_defaults(capsys):
 def test_cli_check_passes_on_standard_config(capsys):
     # Unlike the defaults, this run has flow and a nonuniform mixture,
     # so the entropy slack and the refinement residuals are nonzero.
-    config = Path(__file__).resolve().parent.parent / "configs" / \
-        "standard-2d.cfg"
-    rc = cli.main(["check", str(config)] + _overrides([
+    rc = cli.main(["check", str(CONFIGS / "standard-2d.cfg")] + _overrides([
         ("grid.nx", 16), ("grid.ny", 16),
     ]))
     out = capsys.readouterr().out
@@ -453,12 +434,18 @@ def test_cli_rejects_unknown_key(capsys):
     assert err == "msflow: ConfigError: unknown config key 'grid.nz'\n"
 
 
-@pytest.mark.parametrize("override", [
-    "grid.nx=3", "scheme.flow_tol=0", "scheme.species_tol=-1",
-    "scheme.alpha0=0.5",
+@pytest.mark.parametrize("args", [
+    pytest.param(["--set", override], id=override) for override in (
+        "grid.nx=3", "scheme.flow_tol=0", "scheme.species_tol=-1",
+        "scheme.alpha0=0.5", "forcing.preset=gusts", "init.preset=swirl",
+        "forcing.spatial=blob")
+] + [
+    pytest.param([str(CONFIGS / "entropy-binary-1d.cfg"),
+                  "--set", "init.amplitude=0.9"], id="init.amplitude=0.9"),
+    pytest.param([str(CONFIGS / "missing.cfg")], id="missing-config-file"),
 ])
-def test_cli_rejects_bad_value_in_one_line(override, capsys):
-    rc = cli.main(["run", "--set", override])
+def test_cli_rejects_bad_value_in_one_line(args, capsys):
+    rc = cli.main(["run", *args])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("msflow: ConfigError: ")

@@ -90,7 +90,7 @@ def test_linear_profile_exact_average():
     # g(t) = t averaged over ((k-1) tau, k tau) is (k - 1/2) tau.
     g = Grid.box((8,), (1.0,))
     tau = 0.2
-    forcing = Forcing("separable", (2.0,), time_profile="linear")
+    forcing = Forcing("linear", (2.0,))
     for k in (1, 3):
         f = average_force(forcing, g, k, tau)
         assert f[0, 0] == pytest.approx(2.0 * (k - 0.5) * tau, rel=1e-14)
@@ -99,22 +99,11 @@ def test_linear_profile_exact_average():
 def test_sin_profile_exact_average():
     g = Grid.box((8,), (1.0,))
     tau, omega, k = 0.05, 3.0, 4
-    forcing = Forcing("separable", (1.0,), time_profile="sin", omega=omega)
+    forcing = Forcing("sin", (1.0,), omega=omega)
     f = average_force(forcing, g, k, tau)
     t0, t1 = (k - 1) * tau, k * tau
     expect = (np.cos(omega * t0) - np.cos(omega * t1)) / (omega * tau)
     assert f[0, 0] == pytest.approx(expect, rel=1e-14)
-
-
-def test_callable_profile_gauss_quadrature():
-    # 5-point Gauss is exact for polynomials up to degree 9.
-    g = Grid.box((8,), (1.0,))
-    tau, k = 0.3, 2
-    forcing = Forcing("separable", (1.0,), time_profile=lambda t: t ** 4)
-    f = average_force(forcing, g, k, tau)
-    t0, t1 = (k - 1) * tau, k * tau
-    expect = (t1 ** 5 - t0 ** 5) / (5.0 * tau)
-    assert f[0, 0] == pytest.approx(expect, rel=1e-13)
 
 
 def test_bump_spatial_profile():
@@ -131,13 +120,10 @@ def test_forcing_validation():
     g = Grid.box((8, 8), (1.0, 1.0))
     with pytest.raises(GridError, match="components"):
         average_force(Forcing("constant", (1.0,)), g, 1, 0.1)
-    with pytest.raises(ValueError, match="unknown forcing kind"):
-        average_force(Forcing("windy", (1.0, 1.0)), g, 1, 0.1)
-    with pytest.raises(ValueError, match="unknown spatial"):
-        Forcing("constant", (1.0, 1.0), spatial="blob").spatial_field(g)
-    bad = Forcing("separable", (1.0, 1.0), time_profile="quadratic")
-    with pytest.raises(ValueError, match="unknown time profile"):
-        average_force(bad, g, 1, 0.1)
+    with pytest.raises(ValueError, match="unknown forcing preset 'windy'"):
+        Forcing("windy", (1.0, 1.0))
+    with pytest.raises(ValueError, match="unknown spatial profile 'blob'"):
+        Forcing("zero", (1.0, 1.0), spatial="blob")
 
 
 # ---------------------------------------------------------------------

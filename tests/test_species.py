@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from msflow.grid import Grid, GridError, deriv_matrix, inner
+from msflow.grid import (
+    Grid,
+    GridError,
+    deriv_matrix,
+    inner,
+    laplacian_matrix,
+)
 from msflow.mixture import (
     MixtureSpec,
     entropy_hessian,
@@ -92,19 +98,32 @@ def test_field_shape_mismatch(binary_spec):
 # Structure of the linearized system
 # ---------------------------------------------------------------------
 
-def test_assembled_system_is_spd(ternary_spec):
-    g = Grid.box((8,), (1.0,))
+@pytest.mark.parametrize("shape", [(8,), (4, 5)], ids=["1d", "2d"])
+def test_frozen_operator_is_spd(ternary_spec, shape):
+    g = Grid.box(shape, (1.0,) * len(shape))
     rng = np.random.default_rng(23)
-    pts = 0.25 + 0.05 * rng.standard_normal((8, 2))
+    pts = 0.25 + 0.05 * rng.standard_normal((g.n_cells, 2))
     params = SpeciesParams(tau=1e-3, lam=1e-4)
-    # The frozen-coefficient matrix exactly as species_step assembles it.
+    # The frozen-coefficient operator and diagonal exactly as CG gets them.
     minv = np.linalg.inv(entropy_hessian(pts, ternary_spec))
-    mat = SpeciesSystem(g, ternary_spec, params).system_matrix(
-        minv, mobility_matrix(pts, ternary_spec))
-    dense = mat.toarray()
+    b = mobility_matrix(pts, ternary_spec)
+    op, diag = SpeciesSystem(g, ternary_spec, params).frozen_operator(minv, b)
+    size = 2 * g.n_cells
+    assert op.shape == (size, size)
+    dense = np.column_stack([op.matvec(e) for e in np.eye(size)])
     assert np.abs(dense - dense.T).max() <= 1e-10 * np.abs(dense).max()
     np.linalg.cholesky(dense)
-    assert dense.shape == (16, 16)
+    assert np.abs(diag - np.diag(dense)).max() <= (
+        1e-13 * np.abs(np.diag(dense)).max())
+    # Reference: the same operator assembled densely, component-lifted.
+    ref = scipy.linalg.block_diag(*(minv / params.tau))
+    for a in range(g.dim):
+        dd, dn = (np.kron(deriv_matrix(g, a, bc).toarray(), np.eye(2))
+                  for bc in ("dirichlet", "neumann"))
+        ref -= dd @ scipy.linalg.block_diag(*b) @ dn
+    lap = laplacian_matrix(g, "neumann").toarray()
+    ref += params.lam * np.kron(lap.T @ lap + np.eye(g.n_cells), np.eye(2))
+    assert np.abs(dense - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------
