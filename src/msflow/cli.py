@@ -7,7 +7,8 @@ Subcommands:
 * ``sweep-eps <config> --eps 1e-1,1e-2``: relaxation sweep against the
   incompressible reference.
 * ``check <config>``: fast invariant suite (algebra, operator
-  adjointness, advection identities, a short run with ledger checks).
+  adjointness, advection identities, a short run with ledger checks,
+  the same short run of the incompressible reference).
 * ``compare-ref <config>``: one relaxed run against the reference at
   the configured eps.
 
@@ -205,6 +206,12 @@ def _cmd_check(cfg) -> int:
     ck.check(bounds.ok, "global energy and entropy bounds",
              f"margins {bounds.energy_margin:.2e} "
              f"{bounds.entropy_margin:.2e}")
+    ref_rows = reference_incompressible(small).ledger.rows[1:]
+    worst_div = max((r["div_u_l2"] for r in ref_rows), default=0.0)
+    worst_ref = max((r["energy_residual"] for r in ref_rows), default=0.0)
+    ck.check(worst_div <= 1e-10 and worst_ref <= 100 * cfg.flow_tol,
+             "incompressible reference divergence-free",
+             f"max div {worst_div:.2e}, max energy residual {worst_ref:.2e}")
 
     print(f"{ck.failures} failure(s)")
     return 0 if ck.failures == 0 else 1

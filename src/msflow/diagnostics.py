@@ -200,7 +200,7 @@ class SimLedger:
 
         Energy:  |u^k|^2 + eps |p^k|^2 + sum_j tau |grad u^j|^2
                  <= initial + C_p^2 sum_j tau |f^j|^2 + slack,
-        with C_p the numerically estimated Poincare constant.  Entropy:
+        with C_p the closed-form ``poincare_constant``.  Entropy:
         H(rho^k) + dissipation sums <= H(rho^0) + 1 + advective sums
         + slack.  Slack grows with the recorded residuals.
         """
@@ -209,18 +209,10 @@ class SimLedger:
         cp = poincare_constant(self.grid)
         e0 = self.rows[0]["energy"] + self.rows[0]["pressure_energy"]
         h_base = self.entropy_initial_raw + 1.0
-        force_sum = 0.0
-        visc_sum = 0.0
-        diss_sum = 0.0
-        adv_sum = 0.0
-        slack = 0.0
-        energy_margin = np.inf
-        entropy_margin = np.inf
+        force_sum = visc_sum = diss_sum = adv_sum = slack = 0.0
+        energy_margin = entropy_margin = np.inf
         first_violation = None
-        energy_ok = True
-        entropy_ok = True
         for row in self.rows[1:]:
-            k = row["step"]
             force_sum += self.tau * cp * cp * row["f_l2_sq"]
             visc_sum += 0.5 * row["visc_dissipation"]
             diss_sum += self.tau * row["w_dissipation"]
@@ -229,22 +221,17 @@ class SimLedger:
             slack += 100.0 * self.tol + row["energy_residual"] + abs(
                 row["entropy_slack"])
             e_here = row["energy"] + row["pressure_energy"] + visc_sum
-            e_bound = e0 + force_sum + slack
-            margin = e_bound - e_here
-            energy_margin = min(energy_margin, margin)
-            if margin < 0 and energy_ok:
-                energy_ok = False
-                first_violation = first_violation or k
+            energy_margin = min(energy_margin, e0 + force_sum + slack - e_here)
             h_here = row["entropy"] + diss_sum
-            h_bound = h_base + adv_sum + slack
-            margin = h_bound - h_here
-            entropy_margin = min(entropy_margin, margin)
-            if margin < 0 and entropy_ok:
-                entropy_ok = False
-                first_violation = first_violation or k
+            entropy_margin = min(entropy_margin,
+                                 h_base + adv_sum + slack - h_here)
+            if first_violation is None and min(energy_margin,
+                                               entropy_margin) < 0:
+                first_violation = row["step"]
         return GlobalBoundsReport(
-            ok=energy_ok and entropy_ok,
-            energy_ok=energy_ok, entropy_ok=entropy_ok,
+            ok=bool(energy_margin >= 0 and entropy_margin >= 0),
+            energy_ok=bool(energy_margin >= 0),
+            entropy_ok=bool(entropy_margin >= 0),
             energy_margin=float(energy_margin),
             entropy_margin=float(entropy_margin),
             first_violation=first_violation,

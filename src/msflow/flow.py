@@ -13,7 +13,8 @@ equation is eliminated exactly,
 which turns the velocity solve into a Helmholtz system with a grad-div
 term of strength tau/eps.  The incompressible limit eps = 0
 (``SaddleSystem``) keeps the pressure as an unknown of a saddle system
-that imposes div u = 0.  Both go through one Picard loop,
+that imposes div u = 0, with the pressure pinned at one cell and
+shifted to zero mean after each solve.  Both go through one Picard loop,
 ``flow_step``, with the advection term lagged on the right-hand side,
 so every pass reuses the advection-free LU that the system factors on
 its first step and keeps for the run; if that iteration stops
@@ -209,8 +210,12 @@ class SaddleSystem(FlowSystem):
     """The incompressible limit eps = 0: div u = 0 holds exactly.
 
     The pressure stays an unknown of a saddle matrix that couples the
-    momentum block to the divergence constraint, with a last row
-    pinning the pressure mean.  ``params.eps`` plays no role.
+    momentum block to the divergence constraint.  A 1 on the pressure
+    diagonal of cell 0 pins the pressure's free constant; each solve
+    then shifts it to zero mean.  With odd ghosts the discrete
+    divergence of any velocity sums to zero, so the summed constraint
+    rows force p_0 = 0: the matrix is nonsingular and div u = 0 still
+    holds exactly.  ``params.eps`` plays no role.
     """
 
     def __init__(self, grid: Grid, params: FlowParams):
@@ -218,20 +223,20 @@ class SaddleSystem(FlowSystem):
         self.eps = 0.0
 
     def _couple(self, mom):
-        ones = np.ones((self.grid.n_cells, 1))
-        return sp.bmat([[mom, self.grad_mat, None],
-                        [self.div_mat, None, ones],
-                        [None, ones.T, None]], format="csc")
+        n = self.grid.n_cells
+        pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
+        return sp.bmat([[mom, self.grad_mat], [self.div_mat, pin]],
+                       format="csc")
 
     def pressure(self, u, p_prev):
         # Only a solve determines the constrained pressure.
         return p_prev.copy()
 
     def solve(self, lu, rhs, p_prev):
-        nu, n = rhs.size, self.grid.n_cells
-        sol = lu.solve(np.concatenate([rhs.reshape(-1), np.zeros(n + 1)]))
-        return (sol[:nu].reshape(rhs.shape),
-                sol[nu:nu + n].reshape(self.grid.shape))
+        zero = np.zeros(self.grid.n_cells)
+        u, p = np.split(lu.solve(np.concatenate([rhs.reshape(-1), zero])),
+                        [rhs.size])
+        return u.reshape(rhs.shape), (p - p.mean()).reshape(p_prev.shape)
 
 
 def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray):

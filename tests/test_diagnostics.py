@@ -1,5 +1,7 @@
 """Ledger, display-floor counter, Poincare constant, global bounds."""
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -75,6 +77,17 @@ def test_display_floor_counts_only_real_clamps():
     assert led.clamp_events == 1
     assert led._display_floor(-1.0) == DISPLAY_FLOOR
     assert led.clamp_events == 2
+
+
+def test_recording_a_density_below_the_floor_counts_a_clamp():
+    grid = Grid.box((8,), (1.0,))
+    led = SimLedger(grid, make_binary_spec(), tau=1e-3, eps=1e-2,
+                    lam=0.0, tol=1e-10)
+    rho = np.full((1,) + grid.shape, 0.5)
+    rho[0, 3] = 0.5 * DISPLAY_FLOOR
+    led.record_initial(FlowState.zero(grid), rho)
+    assert led.clamp_events >= 1
+    assert led.rows[0]["min_density"] == DISPLAY_FLOOR
 
 
 # -- recording and CSV ------------------------------------------------
@@ -198,3 +211,14 @@ def test_global_bounds_hold_on_mini_runs(mini_1d_result, mini_2d_result):
         assert report.first_violation is None
         assert report.poincare_constant > 0.0
         assert result.ledger.clamp_events == 0
+
+
+def test_global_energy_bound_fires_at_the_raised_step(mini_2d_result):
+    led = copy.deepcopy(mini_2d_result.ledger)
+    assert len(led.rows) == 3
+    led.rows[1]["energy"] += 1.0
+    report = led.check_global_bounds()
+    assert not report.ok
+    assert not report.energy_ok and report.entropy_ok
+    assert report.energy_margin < 0.0
+    assert report.first_violation == 1

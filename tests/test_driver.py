@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from msflow import cli, driver
 from msflow.config import ConfigError, SimConfig, load_config, \
@@ -14,6 +15,7 @@ from msflow.driver import (
     run_simulation,
     sweep_epsilon,
 )
+from msflow.flow import SaddleSystem
 from msflow.grid import _ADJOINT_BC, deriv_matrix, div, norm_l2
 from msflow.mixture import entropy_vars, mobility_matrix
 from msflow.species import SpeciesSolverError
@@ -396,6 +398,24 @@ def test_cli_check_fails_on_non_skew_advection(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL advection form skew identities" in out
+    assert "1 failure(s)" in out
+
+
+def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
+    # An identity pressure block turns the saddle system into a penalty
+    # that no longer enforces div u = 0; the reference check must see it.
+    def penalized(self, mom):
+        n = self.grid.n_cells
+        return sp.bmat([[mom, self.grad_mat],
+                        [self.div_mat, sp.identity(n)]], format="csc")
+
+    monkeypatch.setattr(SaddleSystem, "_couple", penalized)
+    rc = cli.main(["check", str(CONFIGS / "standard-2d.cfg")] + _overrides([
+        ("grid.nx", 16), ("grid.ny", 16),
+    ]))
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL incompressible reference divergence-free" in out
     assert "1 failure(s)" in out
 
 

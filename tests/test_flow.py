@@ -7,6 +7,7 @@ tests double as a check that the report numbers mean what they say.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import msflow.flow as flow_mod
 from msflow.flow import (
@@ -22,6 +23,7 @@ from msflow.flow import (
 from msflow.grid import (
     Grid,
     GridError,
+    advection_matrix,
     deriv_matrix,
     div,
     grad_sq_norm,
@@ -162,6 +164,20 @@ def test_energy_identity_recomputed():
     assert report.energy_identity_residual <= 1e-10
 
 
+def test_energy_identity_fails_when_gradient_is_not_adjoint():
+    # Scaling the gradient breaks <grad p, u> = -<p, div u>, which the
+    # energy identity rests on; the reported residual must show it.
+    rng = np.random.default_rng(9)
+    g = Grid.box((16, 16), (1.0, 1.0))
+    state = FlowState(stream_velocity(g, 0.4),
+                      0.1 * rng.standard_normal(g.shape))
+    params = FlowParams(tau=1e-3, eps=1e-2, tol=1e-12)
+    system = FlowSystem(g, params)
+    system.grad_mat = 1.01 * system.grad_mat
+    _, report = flow_step(system, state, np.zeros((2,) + g.shape))
+    assert report.energy_identity_residual > 100 * params.tol
+
+
 def test_pressure_update_is_exact_elimination():
     g = Grid.box((12, 12), (1.0, 1.0))
     state = FlowState(stream_velocity(g, 0.3), np.zeros(g.shape))
@@ -254,3 +270,53 @@ def test_step_is_deterministic():
     b, _ = flow_step(system, state.copy(), f)
     np.testing.assert_array_equal(a.u, b.u)
     np.testing.assert_array_equal(a.p, b.p)
+
+
+# ---------------------------------------------------------------------
+# Incompressible saddle system
+# ---------------------------------------------------------------------
+
+def test_saddle_matrix_keeps_operator_sparsity(monkeypatch):
+    # Pinning one pressure cell, not the pressure mean, leaves no dense
+    # row or column in the saddle matrix.
+    g = Grid.box((16, 16), (1.0, 1.0))
+    factored = []
+    orig = flow_mod.spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        factored.append(mat)
+        return orig(mat, *args, **kwargs)
+
+    monkeypatch.setattr(flow_mod.spla, "splu", recording_splu)
+    SaddleSystem(g, FlowParams(tau=1e-3, eps=1e-2)).factor()
+    (mat,) = factored
+    assert np.diff(sp.csr_matrix(mat).indptr).max() <= 7
+    assert np.diff(sp.csc_matrix(mat).indptr).max() <= 7
+    assert mat.shape == (3 * g.n_cells, 3 * g.n_cells)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_saddle_solve_matches_dense_mean_bordered_system(frozen):
+    # Oracle: the saddle system with the pressure mean fixed by a dense
+    # border of ones, solved densely.
+    rng = np.random.default_rng(4)
+    g = Grid.box((8, 6), (1.0, 1.5))
+    n = g.n_cells
+    system = SaddleSystem(g, FlowParams(tau=1e-2, eps=1e-2))
+    adv = (advection_matrix(g, rng.standard_normal((2,) + g.shape),
+                            "dirichlet") if frozen else None)
+    mom = system.base if adv is None else system.base + adv
+    ones = np.ones((n, 1))
+    dense = np.block([
+        [sp.block_diag([mom, mom]).toarray(), system.grad_mat.toarray(),
+         np.zeros((2 * n, 1))],
+        [system.div_mat.toarray(), np.zeros((n, n)), ones],
+        [np.zeros((1, 2 * n)), ones.T, np.zeros((1, 1))]])
+    rhs = rng.standard_normal((2,) + g.shape)
+    ref = np.linalg.solve(dense, np.concatenate([rhs.reshape(-1),
+                                                 np.zeros(n + 1)]))
+    u, p = system.solve(system.factor(adv), rhs, np.zeros(g.shape))
+    got = np.concatenate([u.reshape(-1), p.reshape(-1)])
+    assert np.abs(got - ref[:3 * n]).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(p.mean()) <= 1e-14
+    assert np.abs(div(g, u, "dirichlet")).max() <= 1e-12
