@@ -119,6 +119,11 @@ class SimConfig:
         if not min(self.flow_tol, self.species_tol) > 0:
             raise ConfigError(
                 "scheme.flow_tol and scheme.species_tol must be positive")
+        if min(self.max_picard, self.max_outer) < 1:
+            raise ConfigError(
+                "scheme.max_picard and scheme.max_outer must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         try:
             self.build_mixture()
             self.build_grid()

@@ -120,7 +120,7 @@ class SimLedger:
             energy_residual=0.0, pressure_eq_residual=0.0,
             entropy_slack=0.0, control_term=0.0, advective_flux=0.0,
             lambda_h2_sq=0.0, f_l2_sq=0.0,
-            flow_iters=0, species_iters=0,
+            flow_iters=0, species_iters=0, cg_iters=0,
             flow_residual=0.0, species_residual=0.0,
             cum_visc_dissipation=0.0, cum_grad_sqrt_x=0.0,
         )
@@ -154,6 +154,7 @@ class SimLedger:
             f_l2_sq=inner(self.grid, f_avg, f_avg),
             flow_iters=flow_report.picard_iterations,
             species_iters=species_report.iterations,
+            cg_iters=species_report.cg_iterations,
             flow_residual=flow_report.final_residual,
             species_residual=species_report.final_residual,
             cum_visc_dissipation=self.cum_visc,
@@ -176,7 +177,7 @@ class SimLedger:
             "min_density", "closure_defect", "energy_residual",
             "pressure_eq_residual", "entropy_slack", "control_term",
             "advective_flux", "lambda_h2_sq", "f_l2_sq", "flow_iters",
-            "species_iters", "flow_residual", "species_residual",
+            "species_iters", "cg_iters", "flow_residual", "species_residual",
             "cum_visc_dissipation", "cum_grad_sqrt_x",
         ]
         return cols

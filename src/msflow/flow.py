@@ -21,6 +21,20 @@ its first step and keeps for the run; if that iteration stops
 contracting, the advection operator is frozen into the matrix and
 refactorized for the offending pass.
 
+Each system factors its matrix in one fixed order of the unknowns,
+computed once: the components of a cell are adjacent, and the cells
+follow a nested dissection of the grid (George, SIAM J. Numer. Anal.
+10, 1973).  The longer side of a block is cut by a separator, the two
+halves are ordered recursively and the separator last, so the LU's
+fill stays inside the separators instead of spreading along a band.
+The separators are two cells wide because G D, the grad-div term of
+the relaxed matrix, couples cells two apart (a central difference of a
+central difference); a one-wide cut would leave the halves coupled
+through it.  The saddle matrix couples only neighbours, but its zero
+pressure diagonal needs row pivoting, and with one-wide cuts the
+pivots spread the fill: at 64 x 64 it triples.  Row pivoting stays
+on, and ``solve`` permutes the right-hand side and the solution.
+
 Because the advection operator is exactly skew-adjoint and the discrete
 gradient and divergence are exact negative adjoints, the converged step
 satisfies the energy balance
@@ -162,6 +176,28 @@ def average_force(forcing: Forcing, grid: Grid, k: int,
     return factor * forcing.spatial_field(grid)
 
 
+def nested_dissection(shape) -> np.ndarray:
+    """Row-major cell indices of a grid of ``shape``, nested-dissection
+    ordered.
+
+    A block is cut across its longer side by a separator two cells
+    wide; the lower half comes first, then the upper half, each ordered
+    the same way, then the separator.  Blocks at most four cells long
+    keep their natural order.
+    """
+    def order(block):
+        axis = int(np.argmax(block.shape))
+        n = block.shape[axis]
+        if n <= 4:
+            return [block.reshape(-1)]
+        low, cut, high = np.split(block, [(n - 2) // 2, (n + 2) // 2],
+                                  axis=axis)
+        return order(low) + order(high) + [cut.reshape(-1)]
+
+    return np.concatenate(order(np.arange(int(np.prod(shape)))
+                                .reshape(shape)))
+
+
 class FlowSystem:
     """The relaxed system's step operators, owned by one run.
 
@@ -169,7 +205,11 @@ class FlowSystem:
     leaves a velocity-only Helmholtz matrix with a grad-div term.  The
     advection-free LU is factored on the first step and lives as long
     as the object, so a run that returns drops its factorization.
+    ``order`` lists the matrix's unknowns in the order the LU sees
+    them.
     """
+
+    pressure_fields = 0         # pressure unknowns per cell
 
     def __init__(self, grid: Grid, params: FlowParams):
         self.grid = grid
@@ -183,13 +223,29 @@ class FlowSystem:
         self.lap = laplacian_matrix(grid, "dirichlet")
         self.base = sp.identity(grid.n_cells) / params.tau - self.lap
         self.lu = None
+        # Unknowns are stored field by field; the LU takes them cell by
+        # cell, in nested-dissection order.
+        fields = np.arange(d + self.pressure_fields) * grid.n_cells
+        self.order = (nested_dissection(grid.shape)[:, None]
+                      + fields).reshape(-1)
+
+    def matrix(self, adv=None):
+        """The step matrix in storage order, with ``adv`` frozen into
+        each velocity component's block when given."""
+        mom = self.base if adv is None else self.base + adv
+        return self._couple(sp.block_diag([mom] * self.grid.dim,
+                                          format="csr"))
 
     def factor(self, adv=None):
-        """LU of the step matrix, with ``adv`` frozen into each velocity
-        component's block when given."""
-        mom = self.base if adv is None else self.base + adv
-        return spla.splu(self._couple(
-            sp.block_diag([mom] * self.grid.dim, format="csr")))
+        """LU of :meth:`matrix`, its unknowns taken in ``order``."""
+        order = self.order
+        return spla.splu(self.matrix(adv)[order][:, order],
+                         permc_spec="NATURAL")
+
+    def _lu_solve(self, lu, b):
+        x = np.empty_like(b)
+        x[self.order] = lu.solve(b[self.order])
+        return x
 
     def _couple(self, mom):
         coef = self.params.tau / self.eps
@@ -202,7 +258,7 @@ class FlowSystem:
     def solve(self, lu, rhs, p_prev):
         """(u, p) for the momentum right-hand side ``rhs``."""
         g = (self.grad_mat @ p_prev.reshape(-1)).reshape(rhs.shape)
-        u = lu.solve((rhs - g).reshape(-1)).reshape(rhs.shape)
+        u = self._lu_solve(lu, (rhs - g).reshape(-1)).reshape(rhs.shape)
         return u, self.pressure(u, p_prev)
 
 
@@ -217,6 +273,8 @@ class SaddleSystem(FlowSystem):
     rows force p_0 = 0: the matrix is nonsingular and div u = 0 still
     holds exactly.  ``params.eps`` plays no role.
     """
+
+    pressure_fields = 1
 
     def __init__(self, grid: Grid, params: FlowParams):
         super().__init__(grid, params)
@@ -234,8 +292,8 @@ class SaddleSystem(FlowSystem):
 
     def solve(self, lu, rhs, p_prev):
         zero = np.zeros(self.grid.n_cells)
-        u, p = np.split(lu.solve(np.concatenate([rhs.reshape(-1), zero])),
-                        [rhs.size])
+        up = self._lu_solve(lu, np.concatenate([rhs.reshape(-1), zero]))
+        u, p = np.split(up, [rhs.size])
         return u.reshape(rhs.shape), (p - p.mean()).reshape(p_prev.shape)
 
 

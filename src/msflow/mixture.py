@@ -265,16 +265,23 @@ def entropy_hessian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
 def mobility_matrix(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     """Mobility matrix B = A0^{-1} G^{-1} of the entropy-variable flux.
 
-    Computed by two linear solves rather than explicit inversion.  The
+    G is c times a diagonal plus a rank-one term, so Sherman-Morrison
+    gives G^{-1} = (diag rho - rho rho^T) / c in closed form (the full
+    densities sum to one); its diagonal rho_i (1 - rho_i) is formed as
+    rho_i (rho_{N+1} + sum_{j != i} rho_j), so nothing cancels near a
+    vertex of the simplex.  One batched solve by A0 remains.  The
     product is symmetric positive definite up to roundoff; the result is
     symmetrized after an asymmetry check.
     """
     a0 = friction_matrix_reduced(rho, spec)
-    g = fraction_jacobian(rho, spec)
+    rho_full = full_densities(rho, spec)
+    _, c = molar_fractions(rho, spec)
     n = spec.n_reduced
-    eye = np.broadcast_to(np.eye(n), g.shape)
-    g_inv = np.linalg.solve(g, eye)
-    b = np.linalg.solve(a0, g_inv)
+    others = rho_full[..., -1:] + rho @ (1.0 - np.eye(n))
+    g_inv = -rho[..., :, None] * rho[..., None, :]
+    idx = np.arange(n)
+    g_inv[..., idx, idx] = rho * others
+    b = np.linalg.solve(a0, g_inv / c[..., None, None])
     bt = np.swapaxes(b, -1, -2)
     scale = np.abs(b).max()
     asym = np.abs(b - bt).max()

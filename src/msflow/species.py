@@ -16,13 +16,27 @@ A run builds the stencils once, in a ``SpeciesSystem``; no operator is
 assembled.  The nonlinear problem is solved by a frozen-coefficient
 outer loop: B, the advected densities and the inversion Jacobian are
 frozen at the current iterate, the time-difference term is linearized
-through the analytic Jacobian drho/dw = H^{-1}, and Jacobi-
-preconditioned CG solves H^{-1} delta / tau + D delta = -residual for
-the update.  D w = -sum_a dd_a (B dn_a w) + lambda (lap^T lap + I) w
-is the one diffusion apply that the residual also uses; it is
-symmetric because dd_a = -dn_a^T (odd ghosts are adjoint to even
-ones), so the system is symmetric positive definite.  A step is
-halved whenever the residual increases.
+through the analytic Jacobian drho/dw = H^{-1}, and preconditioned CG
+solves H^{-1} delta / tau + D delta = -residual for the update.
+D w = -sum_a dd_a (B dn_a w) + lambda (lap^T lap + I) w is the one
+diffusion apply that the residual also uses; it is symmetric because
+dd_a = -dn_a^T (odd ghosts are adjoint to even ones), so the system is
+symmetric positive definite.  A step is halved whenever the residual
+increases.
+
+The preconditioner is the exact inverse of the same operator at
+spatially constant coefficients (Concus & Golub, SIAM J. Numer. Anal.
+10, 1973): Cbar, the cell mean of H^{-1}/tau, and Bbar, the cell mean
+of B, stand in for the cellwise blocks.  Even ghosts make the DCT-II
+modes cos(pi k_a (i + 1/2) / n_a) eigenvectors of every stencil
+involved: the wide stencil -sum_a dd_a dn_a has the symbol
+sigma_k = sum_a (sin(pi k_a/n_a)/h_a)^2, and the compact Neumann
+Laplacian has -nu_k with nu_k = sum_a (2 sin(pi k_a/(2 n_a))/h_a)^2.
+The constant-coefficient operator is therefore the N x N matrix
+Cbar + sigma_k Bbar + lambda (nu_k^2 + 1) I per mode, inverted once
+per outer pass and applied between an orthonormal DCT-II and its
+inverse.  CG iterations then stay flat under grid refinement, where a
+Jacobi diagonal doubles them with each halving of h.
 
 Testing the converged equation against w itself and using convexity of
 the entropy density gives the per-step entropy balance
@@ -39,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -79,6 +94,7 @@ class SpeciesParams:
 @dataclass
 class SpeciesStepReport:
     iterations: int
+    cg_iterations: int         # summed over the outer passes
     final_residual: float
     entropy_before: float
     entropy_after: float
@@ -109,6 +125,8 @@ class SpeciesSystem:
 
     :meth:`diffusion` applies the operator that the residual and the CG
     solve share; the H2 block lap^T lap + I exists only when lambda > 0.
+    ``sigma`` and ``reg_symbol`` are the DCT-II symbols of the diffusion
+    stencil and of lambda (lap^T lap + I), per mode on the grid's shape.
     """
 
     def __init__(self, grid: Grid, spec: mixture.MixtureSpec,
@@ -117,15 +135,19 @@ class SpeciesSystem:
         self.dn = [deriv_matrix(grid, a, "neumann") for a in range(grid.dim)]
         self.dd = [deriv_matrix(grid, a, "dirichlet")
                    for a in range(grid.dim)]
-        # Entry (c, k) is dd[c, k] dn[k, c]: the coupling of cell c to
-        # itself through cell k's mobility in dd @ (B @ dn).
-        self.diag_weights = [dd.multiply(dn.T).tocsr()
-                             for dd, dn in zip(self.dd, self.dn)]
+        modes = np.meshgrid(*(np.pi * np.arange(n) / n for n in grid.shape),
+                            indexing="ij")
+        self.sigma = sum((np.sin(t) / h) ** 2
+                         for t, h in zip(modes, grid.spacing))
         self.lap = self.reg = None
+        self.reg_symbol = 0.0
         if params.lam > 0.0:
             self.lap = laplacian_matrix(grid, "neumann")
             self.reg = (self.lap.T @ self.lap
                         + sp.identity(grid.n_cells)).tocsr()
+            nu = sum((2.0 * np.sin(0.5 * t) / h) ** 2
+                     for t, h in zip(modes, grid.spacing))
+            self.reg_symbol = params.lam * (nu * nu + 1.0)
 
     def diffusion(self, b_blocks, w_pts) -> np.ndarray:
         """-div(B grad w) + lambda (lap^2 w + w), on (cells, N) points."""
@@ -141,8 +163,9 @@ class SpeciesSystem:
                 + self.diffusion(b_blocks, w_pts))
 
     def frozen_operator(self, minv_blocks, b_blocks):
-        """x -> H^{-1} x / tau + diffusion(B, x) on flattened points,
-        and its diagonal (the Jacobi preconditioner)."""
+        """x -> H^{-1} x / tau + diffusion(B, x) on flattened points, and
+        its preconditioner: the exact inverse at the cell-mean
+        coefficients, applied mode by mode in DCT-II space."""
         tau = self.params.tau
         cells, n, _ = minv_blocks.shape
 
@@ -151,14 +174,22 @@ class SpeciesSystem:
             return (np.einsum("cij,cj->ci", minv_blocks, x) / tau
                     + self.diffusion(b_blocks, x)).reshape(-1)
 
-        diag = np.diagonal(minv_blocks, axis1=1, axis2=2) / tau
-        b_diag = np.diagonal(b_blocks, axis1=1, axis2=2)
-        for weights in self.diag_weights:
-            diag -= weights @ b_diag
-        if self.reg is not None:
-            diag += self.params.lam * self.reg.diagonal()[:, None]
-        return (spla.LinearOperator((cells * n,) * 2, matvec, dtype=float),
-                diag.reshape(-1))
+        symbols = (minv_blocks.mean(axis=0) / tau
+                   + self.sigma[..., None, None] * b_blocks.mean(axis=0)
+                   + np.multiply.outer(self.reg_symbol, np.eye(n)))
+        inverse = np.linalg.inv(symbols)
+        shape, axes = self.grid.shape + (n,), tuple(range(self.grid.dim))
+
+        def precondition(r):
+            r_hat = scipy.fft.dctn(r.reshape(shape), type=2, norm="ortho",
+                                   axes=axes)
+            z_hat = np.einsum("...ij,...j->...i", inverse, r_hat)
+            return scipy.fft.idctn(z_hat, type=2, norm="ortho",
+                                   axes=axes).reshape(-1)
+
+        size = (cells * n,) * 2
+        return (spla.LinearOperator(size, matvec, dtype=float),
+                spla.LinearOperator(size, precondition, dtype=float))
 
 
 def species_step(system: SpeciesSystem, w_prev: np.ndarray,
@@ -197,7 +228,12 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
     r = system.residual(advect, w_pts, rho_pts, rho_prev_pts, b_blocks)
     res = quad_norm(r)
     residuals = [res]
-    iterations = 0
+    iterations = cg_iterations = 0
+
+    def count_cg(_):
+        nonlocal cg_iterations
+        cg_iterations += 1
+
     # Evaluating the residual divides a density difference by tau, so
     # its own roundoff is ~ eps |rho| / tau; below that level the
     # iteration cannot measure progress and is done.  A stagnated
@@ -212,11 +248,10 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
                 f"outer iteration stalled at residual {res:.3e} after "
                 f"{iterations} iterations", residuals)
         minv = np.linalg.inv(mixture.entropy_hessian(rho_pts, spec))
-        op, diag = system.frozen_operator(minv, b_blocks)
-        precond = spla.LinearOperator(
-            op.shape, matvec=lambda x, d=diag: x / d, dtype=float)
+        op, precond = system.frozen_operator(minv, b_blocks)
         delta, info = spla.cg(op, -r.reshape(-1), rtol=lin_rtol,
-                              atol=lin_atol, maxiter=4000, M=precond)
+                              atol=lin_atol, maxiter=4000, M=precond,
+                              callback=count_cg)
         if info != 0:
             raise SpeciesSolverError(
                 f"species linear solve failed (cg info={info})", residuals)
@@ -282,6 +317,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         entropy_before + tau * advective)
     report = SpeciesStepReport(
         iterations=iterations,
+        cg_iterations=cg_iterations,
         final_residual=res,
         entropy_before=entropy_before,
         entropy_after=entropy_after,

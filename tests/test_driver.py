@@ -148,6 +148,9 @@ def test_validate_rejects_bad_settings():
              diffusivities=(1.0, 1.0, 1.0), alpha0=0.2),
         dict(nx=3),
         dict(dim=2, ny=2),
+        dict(max_picard=0),
+        dict(max_outer=0),
+        dict(seed=-1),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigError):
@@ -458,7 +461,8 @@ def test_cli_rejects_unknown_key(capsys):
     pytest.param(["--set", override], id=override) for override in (
         "grid.nx=3", "scheme.flow_tol=0", "scheme.species_tol=-1",
         "scheme.alpha0=0.5", "forcing.preset=gusts", "init.preset=swirl",
-        "forcing.spatial=blob")
+        "forcing.spatial=blob", "scheme.max_picard=0", "scheme.max_outer=0",
+        "seed=-5")
 ] + [
     pytest.param([str(CONFIGS / "entropy-binary-1d.cfg"),
                   "--set", "init.amplitude=0.9"], id="init.amplitude=0.9"),
@@ -475,7 +479,7 @@ def test_cli_rejects_bad_value_in_one_line(args, capsys):
 def test_cli_reports_solver_failure_in_one_line(tmp_path, capsys):
     rc = cli.main(["run"] + _overrides([
         ("grid.nx", 16), ("scheme.t_final", "2e-3"), ("scheme.steps", 2),
-        ("init.preset", "cosine-binary"), ("scheme.max_outer", 0),
+        ("init.preset", "cosine-binary"), ("scheme.max_outer", 1),
         ("output.dir", str(tmp_path)),
     ]))
     err = capsys.readouterr().err

@@ -8,6 +8,7 @@ tests double as a check that the report numbers mean what they say.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import msflow.flow as flow_mod
 from msflow.flow import (
@@ -19,6 +20,7 @@ from msflow.flow import (
     SaddleSystem,
     average_force,
     flow_step,
+    nested_dissection,
 )
 from msflow.grid import (
     Grid,
@@ -320,3 +322,66 @@ def test_saddle_solve_matches_dense_mean_bordered_system(frozen):
     assert np.abs(got - ref[:3 * n]).max() <= 1e-12 * np.abs(ref).max()
     assert abs(p.mean()) <= 1e-14
     assert np.abs(div(g, u, "dirichlet")).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------
+# Nested-dissection ordering of the LU
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
+def test_nested_dissection_separates_the_halves(system_cls):
+    # The top-level cut of a 12 x 10 grid is rows 5 and 6; no nonzero
+    # of the step matrix, frozen advection included, couples a cell
+    # below the cut to one above it.  In the relaxed matrix a one-wide
+    # cut would not do: its grad-div term reaches two cells.
+    g = Grid.box((12, 10), (1.0, 1.5))
+    n, ny = g.n_cells, g.shape[1]
+    cells = nested_dissection(g.shape)
+    np.testing.assert_array_equal(np.sort(cells), np.arange(n))
+    np.testing.assert_array_equal(np.sort(cells[-2 * ny:] // ny),
+                                  [5] * ny + [6] * ny)
+    system = system_cls(g, FlowParams(tau=1e-2, eps=1e-3))
+    np.testing.assert_array_equal(np.sort(system.order),
+                                  np.arange(system.order.size))
+    rng = np.random.default_rng(8)
+    mat = system.matrix(advection_matrix(
+        g, rng.standard_normal((2,) + g.shape), "dirichlet")).tocsr()
+    fields = np.arange(system.order.size // n) * n
+    row = np.arange(n) // ny
+    low = (np.flatnonzero(row < 5)[:, None] + fields).reshape(-1)
+    high = (np.flatnonzero(row > 6)[:, None] + fields).reshape(-1)
+    assert mat[low][:, high].nnz == 0
+    assert mat[high][:, low].nnz == 0
+    if system_cls is FlowSystem:
+        above_5 = (np.flatnonzero(row > 5)[:, None] + fields).reshape(-1)
+        assert mat[low][:, above_5].nnz > 0
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
+def test_ordered_solve_matches_spsolve(system_cls, frozen):
+    rng = np.random.default_rng(5)
+    g = Grid.box((10, 12), (1.0, 1.5))
+    system = system_cls(g, FlowParams(tau=1e-2, eps=1e-3))
+    adv = (advection_matrix(g, rng.standard_normal((2,) + g.shape),
+                            "dirichlet") if frozen else None)
+    rhs = rng.standard_normal((2,) + g.shape)
+    u, p = system.solve(system.factor(adv), rhs, np.zeros(g.shape))
+    b = np.zeros(system.order.size)
+    b[:rhs.size] = rhs.reshape(-1)
+    ref = spla.spsolve(system.matrix(adv).tocsc(), b)
+    got = u.reshape(-1)
+    if system_cls is SaddleSystem:
+        ref[rhs.size:] -= ref[rhs.size:].mean()
+        got = np.concatenate([got, p.reshape(-1)])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
+def test_ordered_fill_is_below_colamd(system_cls):
+    g = Grid.box((32, 32), (1.0, 1.0))
+    system = system_cls(g, FlowParams(tau=1e-3, eps=1e-2))
+    ordered = system.factor()
+    colamd = spla.splu(system.matrix().tocsc(), permc_spec="COLAMD")
+    assert (ordered.L.nnz + ordered.U.nnz
+            < colamd.L.nnz + colamd.U.nnz)

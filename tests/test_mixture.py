@@ -217,6 +217,19 @@ def test_coefficient_matrices_spd(n_species):
     assert np.isfinite(np.linalg.cond(a0)).all()
 
 
+@pytest.mark.parametrize("n_species", [2, 3, 4, 5])
+def test_mobility_matches_explicit_inverses(n_species):
+    # The closed-form G^{-1} against the textbook A0^{-1} G^{-1}, also
+    # close to the simplex boundary.
+    rng = np.random.default_rng(500 + n_species)
+    spec = random_spec(rng, n_species)
+    pts = sample_simplex(rng, n_species, 200, margin=1e-6)
+    ref = (np.linalg.inv(friction_matrix_reduced(pts, spec))
+           @ np.linalg.inv(fraction_jacobian(pts, spec)))
+    err = np.abs(mobility_matrix(pts, spec) - ref).max(axis=(-2, -1))
+    assert (err <= 1e-8 * np.abs(ref).max(axis=(-2, -1))).all()
+
+
 @pytest.mark.parametrize("n_species", [2, 3, 4])
 def test_jacobian_consistency(n_species):
     # H must be the Jacobian of w with respect to the reduced
