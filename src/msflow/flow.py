@@ -218,8 +218,7 @@ class FlowSystem:
         d = grid.dim
         self.grad_mat = sp.vstack([deriv_matrix(grid, a, "neumann")
                                    for a in range(d)], format="csr")
-        self.div_mat = sp.hstack([deriv_matrix(grid, a, "dirichlet")
-                                  for a in range(d)], format="csr")
+        self.div_mat = (-self.grad_mat.T).tocsr()
         self.lap = laplacian_matrix(grid, "dirichlet")
         self.base = sp.identity(grid.n_cells) / params.tau - self.lap
         self.lu = None

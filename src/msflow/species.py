@@ -20,9 +20,14 @@ through the analytic Jacobian drho/dw = H^{-1}, and preconditioned CG
 solves H^{-1} delta / tau + D delta = -residual for the update.
 D w = -sum_a dd_a (B dn_a w) + lambda (lap^T lap + I) w is the one
 diffusion apply that the residual also uses; it is symmetric because
-dd_a = -dn_a^T (odd ghosts are adjoint to even ones), so the system is
-symmetric positive definite.  A step is halved whenever the residual
-increases.
+dd_a = -dn_a^T (odd ghosts are adjoint to even ones; the system builds
+dd_a as that transpose), so the system is symmetric positive definite.
+A step is halved whenever the residual increases.  The outer loop has
+one stopping rule: it ends when the residual, in the quadrature L2
+norm, is at most ``tol``.  The rule is reachable because the density
+inversion converges to a relative tolerance of 1e-14, so evaluating
+the residual adds noise of about |H^{-1}| 1e-14 / tau, far below
+``tol``.
 
 The preconditioner is the exact inverse of the same operator at
 spatially constant coefficients (Concus & Golub, SIAM J. Numer. Anal.
@@ -82,7 +87,6 @@ class SpeciesParams:
     lam: float = 0.0           # H2 regularization weight, 0 disables it
     tol: float = 1e-10         # nonlinear residual, quadrature L2 norm
     max_outer: int = 80
-    inversion_tol: float = 1e-12
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -133,8 +137,7 @@ class SpeciesSystem:
                  params: SpeciesParams):
         self.grid, self.spec, self.params = grid, spec, params
         self.dn = [deriv_matrix(grid, a, "neumann") for a in range(grid.dim)]
-        self.dd = [deriv_matrix(grid, a, "dirichlet")
-                   for a in range(grid.dim)]
+        self.dd = [(-d.T).tocsr() for d in self.dn]
         modes = np.meshgrid(*(np.pi * np.arange(n) / n for n in grid.shape),
                             indexing="ij")
         self.sigma = sum((np.sin(t) / h) ** 2
@@ -234,15 +237,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         nonlocal cg_iterations
         cg_iterations += 1
 
-    # Evaluating the residual divides a density difference by tau, so
-    # its own roundoff is ~ eps |rho| / tau; below that level the
-    # iteration cannot measure progress and is done.  A stagnated
-    # residual within a looser multiple of the same scale also counts
-    # as converged (linear-solve noise stacks on top of it).
-    noise_scale = np.finfo(float).eps * quad_norm(rho_pts) / tau
-    target = max(params.tol, 4.0 * noise_scale)
-    stall_floor = max(params.tol, 64.0 * noise_scale)
-    while res > target:
+    while res > params.tol:
         if iterations >= params.max_outer:
             raise SpeciesSolverError(
                 f"outer iteration stalled at residual {res:.3e} after "
@@ -259,13 +254,13 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         t = 1.0
         for _ in range(40):
             w_cand = w_pts + t * delta
-            rho_cand = mixture.densities_from_entropy(
-                w_cand, spec, rho_init=rho_pts, tol=params.inversion_tol)
+            rho_cand = mixture.densities_from_entropy(w_cand, spec,
+                                                      rho_init=rho_pts)
             b_cand = mixture.mobility_matrix(rho_cand, spec)
             r_cand = system.residual(advect, w_cand, rho_cand, rho_prev_pts,
                                      b_cand)
             res_cand = quad_norm(r_cand)
-            if res_cand <= res or res_cand <= target:
+            if res_cand <= res:
                 break
             t *= 0.5
         else:
@@ -276,19 +271,6 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         r, res = r_cand, res_cand
         residuals.append(res)
         iterations += 1
-        # Evaluating the residual recovers densities through the
-        # entropy-variable inversion, so each evaluation carries a
-        # density error up to |H^{-1}| * inversion_tol, divided by tau
-        # in the time term.  Below that bound the residual cannot be
-        # trusted to keep decreasing.
-        inv_noise = (params.inversion_tol / tau
-                     * float(np.abs(minv).sum(axis=-1).max())
-                     * np.sqrt(grid.cell_volume * grid.n_cells * n))
-        if (len(residuals) >= 6 and res > 0.5 * residuals[-6]
-                and res <= max(stall_floor, 4.0 * inv_noise)):
-            # Less than a factor-2 drop over five passes at evaluation
-            # noise level: the iteration is grinding on roundoff.
-            break
 
     rho_full = np.concatenate(
         [rho_pts, 1.0 - rho_pts.sum(axis=-1, keepdims=True)], axis=-1)

@@ -9,6 +9,7 @@ fixed seeds.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msflow import mixture
 from msflow.mixture import (
@@ -312,6 +313,37 @@ def test_inversion_extreme_but_feasible(binary_spec):
 def test_inversion_shape_check(binary_spec):
     with pytest.raises(MixtureDomainError):
         densities_from_entropy(np.zeros((4, 2)), binary_spec)
+
+
+@st.composite
+def mixed_scale_targets(draw):
+    """A random 2-4 species mixture and the entropy variables of a state
+    whose full densities are log-uniform between 1e-10 and 1."""
+    n_species = draw(st.integers(2, 4))
+    spec = random_spec(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       n_species)
+    exponents = draw(st.lists(st.floats(-10.0, 0.0), min_size=n_species,
+                              max_size=n_species))
+    rho_full = 10.0 ** np.array(exponents)
+    rho_full /= rho_full.sum()
+    return spec, entropy_vars(rho_full[None, :-1], spec)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(mixed_scale_targets())
+def test_inversion_meets_relative_tolerance(case):
+    # Every component matches its target to 1e-14 (1 + |w|), or to the
+    # quantization floor of the smallest density, from a strictly
+    # interior state.
+    spec, w = case
+    rho = densities_from_entropy(w, spec)
+    last = 1.0 - rho.sum(axis=-1)
+    assert (rho > 0.0).all() and (last > 0.0).all()
+    res = np.abs(entropy_vars(rho, spec) - w)
+    floor = 8.0 * np.finfo(float).eps / (
+        np.minimum(rho.min(axis=-1), last) * min(spec.molar_masses.min(), 1.0))
+    assert (res <= np.maximum(1e-14 * (1.0 + np.abs(w)),
+                              floor[:, None])).all()
 
 
 def test_sample_simplex_properties():

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from msflow.config import load_config
 from msflow.driver import run_simulation
@@ -36,8 +37,8 @@ from msflow.species import (
 )
 
 
-STANDARD_2D = (Path(__file__).resolve().parent.parent / "configs"
-               / "standard-2d.cfg")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STANDARD_2D = CONFIGS / "standard-2d.cfg"
 
 
 def cosine_binary_state(grid, spec, amplitude):
@@ -163,6 +164,41 @@ def test_cg_iterations_per_solve_do_not_grow_with_the_grid(n):
     row = run_simulation(cfg).ledger.rows[-1]
     assert row["species_iters"] >= 1
     assert row["cg_iters"] / row["species_iters"] <= 4.5
+
+
+def prescaled(frozen_operator):
+    """``frozen_operator`` with H^{-1}/tau formed before the matvec: the
+    same operator as the shipped H^{-1} x / tau, rounded differently."""
+    def operator(system, minv_blocks, b_blocks):
+        _, precond = frozen_operator(system, minv_blocks, b_blocks)
+        scaled = minv_blocks / system.params.tau
+
+        def matvec(x):
+            x = x.reshape(scaled.shape[:2])
+            return (np.einsum("cij,cj->ci", scaled, x)
+                    + system.diffusion(b_blocks, x)).reshape(-1)
+
+        return (spla.LinearOperator(precond.shape, matvec, dtype=float),
+                precond)
+    return operator
+
+
+@pytest.mark.parametrize("name", ["entropy-binary-1d", "entropy-ternary-1d"])
+def test_steps_stop_at_tolerance_whatever_the_rounding(monkeypatch, name):
+    # Every step of the shipped run ends at species_tol, and an equal CG
+    # operator that rounds differently takes the same outer passes on
+    # every step.  A stop on a noise floor above the tolerance fails
+    # both: it accepts residuals over species_tol, and where it fires
+    # depends on rounding order.
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    shipped = run_simulation(cfg).ledger.rows[1:]
+    monkeypatch.setattr(SpeciesSystem, "frozen_operator",
+                        prescaled(SpeciesSystem.frozen_operator))
+    scaled = run_simulation(cfg).ledger.rows[1:]
+    for rows in (shipped, scaled):
+        assert max(r["species_residual"] for r in rows) <= cfg.species_tol
+    assert ([r["species_iters"] for r in scaled]
+            == [r["species_iters"] for r in shipped])
 
 
 # ---------------------------------------------------------------------
