@@ -292,24 +292,25 @@ def mobility_matrix(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     return 0.5 * (b + bt)
 
 
+INVERSION_RTOL = 1e-14          # see densities_from_entropy
+
+
 def densities_from_entropy(w: np.ndarray, spec: MixtureSpec,
-                           rho_init: np.ndarray | None = None,
-                           tol: float = 1e-14,
-                           max_iter: int = 100) -> np.ndarray:
+                           rho_init: np.ndarray | None = None) -> np.ndarray:
     """Invert the entropy-variable map: find rho with w(rho) = w.
 
-    Damped Newton iteration on the reduced densities using the analytic
-    Jacobian H.  Steps are clipped so iterates stay inside the simplex
+    Damped Newton iteration, at most 100 passes, on the reduced densities
+    with the analytic Jacobian H.  Steps are clipped so iterates stay inside the simplex
     with margin 1e-14, and the step is halved (Armijo on the convex
     potential h(rho) - w.rho) whenever it fails to decrease it.  The
     returned state is strictly interior, which is how the time steppers
     obtain positivity without any clamping.
 
     Convergence is pointwise and relative: every component must satisfy
-    |w(rho) - w| <= tol * (1 + |w|).  The default 1e-14 lies just above
-    the roundoff of evaluating w(rho), so the density error, about
-    H^{-1} times the entropy-variable error, stays orders of magnitude
-    below the tolerance of a time step that divides densities by tau.
+    |w(rho) - w| <= INVERSION_RTOL * (1 + |w|).  INVERSION_RTOL = 1e-14
+    lies just above the roundoff of evaluating w(rho), so the density
+    error, about H^{-1} times the entropy-variable error, is a few
+    rounding units of the densities themselves.
 
     Targets whose solution has a component close to the resolution of
     double precision stop at the nearest representable density; such a
@@ -323,8 +324,6 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec,
     w : array_like, shape (..., N)
         Target entropy variables, any real values.
     rho_init : optional warm-start densities of the same shape.
-    tol : relative convergence tolerance, see above.
-    max_iter : iterations before raising ``InversionError``.
     """
     w = np.asarray(w, dtype=float)
     n = spec.n_reduced
@@ -344,10 +343,8 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec,
         # Convex potential whose gradient is w(rho) - w_target.
         return entropy_density(r, spec) - (flat_w * r).sum(axis=-1)
 
-    bound = tol * (1.0 + np.abs(flat_w))
-    iters = 0
-    for it in range(max_iter):
-        iters = it
+    bound = INVERSION_RTOL * (1.0 + np.abs(flat_w))
+    for iters in range(100):
         g = entropy_vars(rho, spec) - flat_w
         if np.all(np.abs(g) <= bound):
             return rho.reshape(w.shape)
@@ -355,12 +352,11 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec,
         step = -np.linalg.solve(hess, g[..., None])[..., 0]
         # Largest multiple of the step keeping every component and the
         # eliminated remainder at least `margin` away from zero.
-        t_max = np.full(npts, np.inf)
         neg = step < 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(neg, (rho - margin) / np.where(neg, -step, 1.0),
                               np.inf)
-        t_max = np.minimum(t_max, ratios.min(axis=-1))
+        t_max = ratios.min(axis=-1)
         ssum = step.sum(axis=-1)
         room = (1.0 - margin) - rho.sum(axis=-1)
         grow = ssum > 0.0

@@ -151,10 +151,21 @@ def test_validate_rejects_bad_settings():
         dict(max_picard=0),
         dict(max_outer=0),
         dict(seed=-1),
+        dict(species_tol=1e-13),
+        dict(steps=1_000_000),
+        dict(dim=2, lx=4.0, ly=4.0, species_tol=3e-12),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigError):
             SimConfig(**kwargs).validate()
+
+
+def test_validate_species_tol_floor_scales_with_tau_and_domain():
+    # The floor is 4 eps sqrt(|domain|) / tau: 8.9e-13 at tau = 1e-3 on
+    # the unit interval, four times that on a 4 x 4 square.
+    SimConfig(species_tol=1e-12).validate()
+    SimConfig(dim=2, lx=4.0, ly=4.0, species_tol=4e-12).validate()
+    SimConfig(steps=10, species_tol=1e-13).validate()
 
 
 def test_build_mixture_places_upper_triangle():
@@ -462,7 +473,7 @@ def test_cli_rejects_unknown_key(capsys):
         "grid.nx=3", "scheme.flow_tol=0", "scheme.species_tol=-1",
         "scheme.alpha0=0.5", "forcing.preset=gusts", "init.preset=swirl",
         "forcing.spatial=blob", "scheme.max_picard=0", "scheme.max_outer=0",
-        "seed=-5")
+        "seed=-5", "scheme.species_tol=1e-13")
 ] + [
     pytest.param([str(CONFIGS / "entropy-binary-1d.cfg"),
                   "--set", "init.amplitude=0.9"], id="init.amplitude=0.9"),

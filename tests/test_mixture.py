@@ -332,8 +332,8 @@ def mixed_scale_targets(draw):
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(mixed_scale_targets())
 def test_inversion_meets_relative_tolerance(case):
-    # Every component matches its target to 1e-14 (1 + |w|), or to the
-    # quantization floor of the smallest density, from a strictly
+    # Every component matches its target to INVERSION_RTOL (1 + |w|), or
+    # to the quantization floor of the smallest density, from a strictly
     # interior state.
     spec, w = case
     rho = densities_from_entropy(w, spec)
@@ -342,7 +342,7 @@ def test_inversion_meets_relative_tolerance(case):
     res = np.abs(entropy_vars(rho, spec) - w)
     floor = 8.0 * np.finfo(float).eps / (
         np.minimum(rho.min(axis=-1), last) * min(spec.molar_masses.min(), 1.0))
-    assert (res <= np.maximum(1e-14 * (1.0 + np.abs(w)),
+    assert (res <= np.maximum(mixture.INVERSION_RTOL * (1.0 + np.abs(w)),
                               floor[:, None])).all()
 
 

@@ -189,7 +189,10 @@ def test_steps_stop_at_tolerance_whatever_the_rounding(monkeypatch, name):
     # operator that rounds differently takes the same outer passes on
     # every step.  A stop on a noise floor above the tolerance fails
     # both: it accepts residuals over species_tol, and where it fires
-    # depends on rounding order.
+    # depends on rounding order.  The two operators' updates differ
+    # within the CG tolerance, 1% of species_tol, so a step whose last
+    # residual lands that close to species_tol may take one pass more
+    # in the other variant; the check allows that within 10%.
     cfg = load_config(CONFIGS / f"{name}.cfg")
     shipped = run_simulation(cfg).ledger.rows[1:]
     monkeypatch.setattr(SpeciesSystem, "frozen_operator",
@@ -197,8 +200,12 @@ def test_steps_stop_at_tolerance_whatever_the_rounding(monkeypatch, name):
     scaled = run_simulation(cfg).ledger.rows[1:]
     for rows in (shipped, scaled):
         assert max(r["species_residual"] for r in rows) <= cfg.species_tol
-    assert ([r["species_iters"] for r in scaled]
-            == [r["species_iters"] for r in shipped])
+    assert len(scaled) == len(shipped)
+    for a, b in zip(shipped, scaled):
+        if a["species_iters"] != b["species_iters"]:
+            short = min(a, b, key=lambda r: r["species_iters"])
+            assert abs(a["species_iters"] - b["species_iters"]) == 1
+            assert short["species_residual"] > 0.9 * cfg.species_tol
 
 
 # ---------------------------------------------------------------------
