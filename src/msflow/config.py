@@ -129,13 +129,14 @@ class SimConfig:
             grid = self.build_grid()
         except ValueError as exc:       # MixtureSpec's and the grid's too
             raise ConfigError(str(exc)) from exc
-        # The species residual divides densities of order one by tau.
+        # Both residuals divide states of order one by tau.
         floor = 4.0 * float(np.finfo(float).eps) * np.sqrt(
             grid.cell_volume * grid.n_cells) / (self.tau or np.inf)
-        if self.species_tol < floor:
-            raise ConfigError(
-                f"scheme.species_tol must be at least {floor:.3g} = 4 eps "
-                f"sqrt(|domain|) / tau, the rounding of the species residual")
+        for key in ("flow_tol", "species_tol"):
+            if getattr(self, key) < floor:
+                raise ConfigError(
+                    f"scheme.{key} must be at least {floor:.3g} = 4 eps "
+                    f"sqrt(|domain|) / tau, the rounding of its residual")
         if not 0.0 < self.alpha0 < 0.5 / self.species:
             raise ConfigError(
                 f"scheme.alpha0 must lie in (0, {0.5 / self.species:.4g})")

@@ -70,7 +70,6 @@ class SimLedger:
         self.clamp_events = 0
         self.cum_visc = 0.0
         self.cum_grad_sqrt_x = 0.0
-        self.entropy_initial_raw = None
 
     # -- helpers -------------------------------------------------------
 
@@ -103,11 +102,8 @@ class SimLedger:
 
     # -- recording -----------------------------------------------------
 
-    def record_initial(self, flow_state, rho: np.ndarray,
-                       entropy_raw: float | None = None) -> None:
+    def record_initial(self, flow_state, rho: np.ndarray) -> None:
         entropy, gsq, masses, min_density, closure = self._mixture_columns(rho)
-        self.entropy_initial_raw = (
-            entropy if entropy_raw is None else entropy_raw)
         e_kin = inner(self.grid, flow_state.u, flow_state.u)
         e_p = self.eps * inner(self.grid, flow_state.p, flow_state.p)
         row = dict(
@@ -201,16 +197,20 @@ class SimLedger:
 
         Energy:  |u^k|^2 + eps |p^k|^2 + sum_j tau |grad u^j|^2
                  <= initial + C_p^2 sum_j tau |f^j|^2 + slack,
-        with C_p the closed-form ``poincare_constant``.  Entropy:
-        H(rho^k) + dissipation sums <= H(rho^0) + 1 + advective sums
-        + slack.  Slack grows with the recorded residuals.
+        with C_p the closed-form ``poincare_constant`` and slack
+        sum_j (100 tol + energy_residual^j).  Entropy, the telescoped
+        per-step balance:
+        H(rho^k) + dissipation sums <= H(rho^0) + advective sums + slack,
+        with H(rho^0) the recorded initial entropy and slack
+        sum_j (100 tol + max(entropy_slack^j, 0)).
         """
         if not self.rows:
             raise ValueError("ledger is empty")
         cp = poincare_constant(self.grid)
         e0 = self.rows[0]["energy"] + self.rows[0]["pressure_energy"]
-        h_base = self.entropy_initial_raw + 1.0
-        force_sum = visc_sum = diss_sum = adv_sum = slack = 0.0
+        h0 = self.rows[0]["entropy"]
+        force_sum = visc_sum = diss_sum = adv_sum = 0.0
+        e_slack = h_slack = 0.0
         energy_margin = entropy_margin = np.inf
         first_violation = None
         for row in self.rows[1:]:
@@ -219,13 +219,14 @@ class SimLedger:
             diss_sum += self.tau * row["w_dissipation"]
             diss_sum += self.lam * self.tau * row["lambda_h2_sq"]
             adv_sum += self.tau * row["advective_flux"]
-            slack += 100.0 * self.tol + row["energy_residual"] + abs(
-                row["entropy_slack"])
+            e_slack += 100.0 * self.tol + row["energy_residual"]
+            h_slack += 100.0 * self.tol + max(row["entropy_slack"], 0.0)
             e_here = row["energy"] + row["pressure_energy"] + visc_sum
-            energy_margin = min(energy_margin, e0 + force_sum + slack - e_here)
+            energy_margin = min(energy_margin,
+                                e0 + force_sum + e_slack - e_here)
             h_here = row["entropy"] + diss_sum
             entropy_margin = min(entropy_margin,
-                                 h_base + adv_sum + slack - h_here)
+                                 h0 + adv_sum + h_slack - h_here)
             if first_violation is None and min(energy_margin,
                                                entropy_margin) < 0:
                 first_violation = row["step"]

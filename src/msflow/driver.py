@@ -144,9 +144,7 @@ def _prepare(config: SimConfig):
     rho0 = _to_field(lifted_pts[:, :-1], grid)
     w0_pts = mixture.entropy_vars(lifted_pts[:, :-1], spec)
     w0 = _to_field(w0_pts, grid)
-    entropy_raw = grid.cell_volume * float(np.sum(mixture.entropy_density(
-        rho_raw_pts[:, :-1], spec, allow_boundary=True)))
-    return grid, spec, flow0, w0, rho0, entropy_raw, forcing
+    return grid, spec, flow0, w0, rho0, forcing
 
 
 def _write_step_snapshots(config, grid, k, tau, flow, rho):
@@ -182,11 +180,11 @@ def _run(config: SimConfig, eps: float, keep_history: bool = False,
          write_outputs: bool = False) -> SimResult:
     """The time loop at relaxation ``eps``: a flow step, then a species
     step.  eps = 0 is the incompressible limit."""
-    grid, spec, flow, w, rho, entropy_raw, forcing = _prepare(config)
+    grid, spec, flow, w, rho, forcing = _prepare(config)
     tau = config.tau
     lam = config.lam_value
     ledger = SimLedger(grid, spec, tau, eps, lam, config.species_tol)
-    ledger.record_initial(flow, rho, entropy_raw)
+    ledger.record_initial(flow, rho)
     history = {"u": [], "rho": []} if keep_history else None
     if write_outputs:
         os.makedirs(config.out_dir, exist_ok=True)

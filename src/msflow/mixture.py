@@ -20,10 +20,12 @@ Notation used throughout this module:
     h       mixing entropy density, h = c * sum_i x_i log x_i
     w_i     entropy variable, w_i = log(x_i)/M_i - log(x_{N+1})/M_{N+1}
 
-The map rho -> w is a bijection from the open simplex onto R^N.  Its
-inverse is computed by a damped Newton iteration and is what guarantees
-positivity of densities in the time steppers: any w yields an interior
-state, so no clamping is ever applied inside solvers.
+The map rho -> w is a bijection from the open simplex onto R^N: given w,
+the closure sum_k x_k = 1 is one increasing, convex equation in
+log x_{N+1}, solved by a scalar Newton iteration per point.  The
+inverse is what guarantees positivity of densities in the time
+steppers: any w yields an interior state, so no clamping is ever
+applied inside solvers.
 
 Matrix-valued coefficients:
 
@@ -52,14 +54,6 @@ class MixtureDomainError(ValueError):
 
 class InversionError(RuntimeError):
     """Raised when the entropy-variable inversion fails to converge."""
-
-    def __init__(self, iterations: int, residual: float):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            f"entropy inversion did not converge: residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
 
 
 @dataclass(frozen=True)
@@ -295,35 +289,35 @@ def mobility_matrix(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
 INVERSION_RTOL = 1e-14          # see densities_from_entropy
 
 
-def densities_from_entropy(w: np.ndarray, spec: MixtureSpec,
-                           rho_init: np.ndarray | None = None) -> np.ndarray:
+def densities_from_entropy(w: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     """Invert the entropy-variable map: find rho with w(rho) = w.
 
-    Damped Newton iteration, at most 100 passes, on the reduced densities
-    with the analytic Jacobian H.  Steps are clipped so iterates stay inside the simplex
-    with margin 1e-14, and the step is halved (Armijo on the convex
-    potential h(rho) - w.rho) whenever it fails to decrease it.  The
-    returned state is strictly interior, which is how the time steppers
-    obtain positivity without any clamping.
+    With s = x_{N+1} the definition of w gives
+    x_i = exp(M_i w_i) s^{M_i / M_{N+1}}, so the closure sum_k x_k = 1 is
+    one increasing, convex equation in t = log s per point:
 
-    Convergence is pointwise and relative: every component must satisfy
-    |w(rho) - w| <= INVERSION_RTOL * (1 + |w|).  INVERSION_RTOL = 1e-14
-    lies just above the roundoff of evaluating w(rho), so the density
-    error, about H^{-1} times the entropy-variable error, is a few
-    rounding units of the densities themselves.
+        g(t) = e^t + sum_i exp(M_i w_i + t M_i / M_{N+1}) - 1 = 0.
 
-    Targets whose solution has a component close to the resolution of
-    double precision stop at the nearest representable density; such a
-    state is accepted if its entropy-variable residual is below the
-    quantization floor eps / min_component, otherwise
-    ``InversionError`` is raised (e.g. for targets that would need a
-    component below the interior margin).
+    Newton starts at t0 = min(0, min_i -M_{N+1} w_i), where the largest
+    term is exactly 1, so g(t0) >= 0 and the iterates fall monotonically
+    to the root.  Only points with g > 0 move; the loop ends at a bitwise
+    fixed point or after 100 passes.  The densities are
+    rho_i = M_i x_i / sum_k M_k x_k.
+
+    The result is accepted when every full component, 1 - sum_i rho_i
+    included, is at least 1e-14, so the state is strictly interior (which
+    is how the time steppers obtain positivity without any clamping), and
+    every component satisfies |w(rho) - w| <= INVERSION_RTOL (1 + |w|),
+    just above the roundoff of evaluating w(rho).  A component near the
+    resolution of double precision can only be matched to the quantization
+    floor eps / min_component of w across one ulp of it; such a residual
+    is accepted too.  Anything else raises ``InversionError``, e.g. a
+    target that would need a component below 1e-14.
 
     Parameters
     ----------
     w : array_like, shape (..., N)
         Target entropy variables, any real values.
-    rho_init : optional warm-start densities of the same shape.
     """
     w = np.asarray(w, dtype=float)
     n = spec.n_reduced
@@ -331,74 +325,40 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec,
         raise MixtureDomainError(
             f"expected {n} entropy variables, got {w.shape[-1]}"
         )
-    margin = 1e-14
     flat_w = w.reshape(-1, n)
-    npts = flat_w.shape[0]
-    if rho_init is None:
-        rho = np.full((npts, n), 1.0 / (n + 1))
-    else:
-        rho = np.asarray(rho_init, dtype=float).reshape(-1, n).copy()
-
-    def merit(r):
-        # Convex potential whose gradient is w(rho) - w_target.
-        return entropy_density(r, spec) - (flat_w * r).sum(axis=-1)
-
-    bound = INVERSION_RTOL * (1.0 + np.abs(flat_w))
+    m = spec.molar_masses
+    # Exponents M_i w_i + t M_i / M_{N+1} of all N+1 terms, the last one t.
+    mw = np.concatenate([m[:n] * flat_w, np.zeros((len(flat_w), 1))], axis=-1)
+    ratio = m / m[-1]
+    sum_and_slope = np.stack([np.ones_like(ratio), ratio], axis=-1)
+    t = np.minimum(0.0, (-m[-1] * flat_w).min(axis=-1))
     for iters in range(100):
-        g = entropy_vars(rho, spec) - flat_w
-        if np.all(np.abs(g) <= bound):
-            return rho.reshape(w.shape)
-        hess = entropy_hessian(rho, spec)
-        step = -np.linalg.solve(hess, g[..., None])[..., 0]
-        # Largest multiple of the step keeping every component and the
-        # eliminated remainder at least `margin` away from zero.
-        neg = step < 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(neg, (rho - margin) / np.where(neg, -step, 1.0),
-                              np.inf)
-        t_max = ratios.min(axis=-1)
-        ssum = step.sum(axis=-1)
-        room = (1.0 - margin) - rho.sum(axis=-1)
-        grow = ssum > 0.0
-        t_max = np.where(grow, np.minimum(t_max, room / np.where(
-            grow, ssum, 1.0)), t_max)
-        # Fraction-to-the-boundary: never land on the clip margin itself,
-        # otherwise the Hessian blows up and the iteration crawls.
-        t = np.minimum(1.0, 0.9 * t_max)
-        t = np.maximum(t, 0.0)
-        # Backtrack (Armijo on the potential), but only where the
-        # predicted decrease stands above the merit's roundoff floor;
-        # below that the comparison is noise and the plain clipped
-        # Newton step is the right move.
-        phi0 = merit(rho)
-        slope = (g * step).sum(axis=-1)
-        noise = 64.0 * np.finfo(float).eps * (1.0 + np.abs(phi0))
-        for _ in range(60):
-            cand = rho + t[:, None] * step
-            ok = (t * -slope <= noise) | (merit(cand)
-                                          <= phi0 + 1e-4 * t * slope)
-            if ok.all():
-                break
-            t = np.where(ok, t, 0.5 * t)
-        new = rho + t[:, None] * step
-        if np.array_equal(new, rho):
-            # Bitwise fixed point: no representable state does better.
+        x = np.exp(mw + t[:, None] * ratio)
+        total, slope = (x @ sum_and_slope).T       # g + 1 and g'
+        new = np.where(total > 1.0, t - (total - 1.0) / slope, t)
+        if np.array_equal(new, t):
             break
-        rho = new
-    # Stagnated (or ran out of iterations).  A target whose solution has
-    # a component of size r can only be matched to ~eps/r in entropy
-    # space: that is the quantization of w(rho) across one ulp of rho.
-    # Accept residuals below that floor; anything larger is a genuine
-    # failure (e.g. a component that would have to sit below the
-    # interior margin).
+        t = new
+    mx = m * np.exp(mw + t[:, None] * ratio)
+    rho = mx[:, :-1] / mx.sum(axis=-1, keepdims=True)
+    rho_full = np.concatenate([rho, 1.0 - rho.sum(axis=-1, keepdims=True)],
+                              axis=-1)
+    rmin = rho_full.min(axis=-1)
+    if not np.all(rmin >= 1e-14):
+        p, k = np.unravel_index(np.argmin(rho_full), rho_full.shape)
+        raise InversionError(
+            f"entropy inversion needs full density {k + 1} of {n + 1} at "
+            f"{rho_full[p, k]:.3e}, below the interior margin 1e-14")
     res = np.abs(entropy_vars(rho, spec) - flat_w)
-    rmin = np.maximum(np.minimum(rho.min(axis=-1), 1.0 - rho.sum(axis=-1)),
-                      margin)
-    mass_floor = min(float(np.min(spec.molar_masses)), 1.0)
+    mass_floor = min(float(np.min(m)), 1.0)
     rep_limit = 8.0 * np.finfo(float).eps / (rmin * mass_floor)
-    if np.all(res <= np.maximum(bound, rep_limit[:, None])):
-        return rho.reshape(w.shape)
-    raise InversionError(iters + 1, float(res.max()))
+    bound = np.maximum(INVERSION_RTOL * (1.0 + np.abs(flat_w)),
+                       rep_limit[:, None])
+    if not np.all(res <= bound):
+        raise InversionError(
+            f"entropy inversion did not converge: residual "
+            f"{float(res.max()):.3e} after {iters + 1} iterations")
+    return rho.reshape(w.shape)
 
 
 def lift_initial(rho_full: np.ndarray, alpha0: float) -> np.ndarray:

@@ -260,8 +260,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         t = 1.0
         for _ in range(40):
             w_cand = w_pts + t * delta
-            rho_cand = mixture.densities_from_entropy(w_cand, spec,
-                                                      rho_init=rho_pts)
+            rho_cand = mixture.densities_from_entropy(w_cand, spec)
             b_cand = mixture.mobility_matrix(rho_cand, spec)
             r_cand = system.residual(advect, w_cand, rho_cand, rho_prev_pts,
                                      b_cand)

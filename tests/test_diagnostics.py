@@ -222,3 +222,16 @@ def test_global_energy_bound_fires_at_the_raised_step(mini_2d_result):
     assert not report.energy_ok and report.entropy_ok
     assert report.energy_margin < 0.0
     assert report.first_violation == 1
+
+
+def test_global_entropy_bound_fires_at_the_raised_step(mini_2d_result):
+    # The slack of one step is 100 tol (1e-8) plus its recorded balance
+    # slack, so an entropy gain of 1e-5 cannot hide in it.
+    led = copy.deepcopy(mini_2d_result.ledger)
+    assert len(led.rows) == 3
+    led.rows[1]["entropy"] += 1e-5
+    report = led.check_global_bounds()
+    assert not report.ok
+    assert not report.entropy_ok and report.energy_ok
+    assert report.entropy_margin < 0.0
+    assert report.first_violation == 1

@@ -154,6 +154,8 @@ def test_validate_rejects_bad_settings():
         dict(species_tol=1e-13),
         dict(steps=1_000_000),
         dict(dim=2, lx=4.0, ly=4.0, species_tol=3e-12),
+        # tau = 1e-6 puts the floor at 8.9e-10, above the default flow_tol.
+        dict(dim=2, nx=16, ny=16, steps=3, t_final=3e-6, species_tol=1e-8),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigError):
@@ -166,6 +168,13 @@ def test_validate_species_tol_floor_scales_with_tau_and_domain():
     SimConfig(species_tol=1e-12).validate()
     SimConfig(dim=2, lx=4.0, ly=4.0, species_tol=4e-12).validate()
     SimConfig(steps=10, species_tol=1e-13).validate()
+    # flow_tol has the same floor: at tau = 1e-6 (8.9e-10) the Picard
+    # loop stalls near 1.4e-10 above the default 1e-10; at tau = 1e-5
+    # (8.9e-11) it converges.
+    small_tau = dict(dim=2, nx=16, ny=16, steps=3, species_tol=1e-8)
+    with pytest.raises(ConfigError, match="scheme.flow_tol must be"):
+        SimConfig(t_final=3e-6, **small_tau).validate()
+    SimConfig(t_final=3e-5, **small_tau).validate()
 
 
 def test_build_mixture_places_upper_triangle():
@@ -475,6 +484,10 @@ def test_cli_rejects_unknown_key(capsys):
         "forcing.spatial=blob", "scheme.max_picard=0", "scheme.max_outer=0",
         "seed=-5", "scheme.species_tol=1e-13")
 ] + [
+    pytest.param([str(CONFIGS / "standard-2d.cfg")] + [
+        arg for pair in ("grid.nx=16", "grid.ny=16", "scheme.steps=3",
+                         "scheme.t_final=3e-6", "scheme.species_tol=1e-8")
+        for arg in ("--set", pair)], id="flow_tol-below-floor"),
     pytest.param([str(CONFIGS / "entropy-binary-1d.cfg"),
                   "--set", "init.amplitude=0.9"], id="init.amplitude=0.9"),
     pytest.param([str(CONFIGS / "missing.cfg")], id="missing-config-file"),

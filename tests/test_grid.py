@@ -8,6 +8,7 @@ fields because the solvers rely on them holding exactly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msflow.grid import (
     Grid,
@@ -116,6 +117,45 @@ def test_summation_by_parts_inner_products():
     lhs = inner(g, grad(g, f, "neumann"), v)
     rhs = -inner(g, f, div(g, v, "dirichlet"))
     assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs))
+
+
+@st.composite
+def random_grid_fields(draw):
+    """A 1D or 2D grid with 4-24 cells and spacings 0.05-2 per axis, and
+    a seeded generator for the fields on it."""
+    dim = draw(st.integers(1, 2))
+    shape = draw(st.lists(st.integers(4, 24), min_size=dim, max_size=dim))
+    spacing = draw(st.lists(st.floats(0.05, 2.0), min_size=dim,
+                            max_size=dim))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return Grid(tuple(shape), tuple(spacing)), np.random.default_rng(seed)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(random_grid_fields())
+def test_summation_by_parts_on_random_grids(case):
+    g, rng = case
+    f = rng.standard_normal(g.shape)
+    v = rng.standard_normal((g.dim,) + g.shape)
+    gf, dv = grad(g, f, "neumann"), div(g, v, "dirichlet")
+    lhs, rhs = inner(g, gf, v), -inner(g, f, dv)
+    scale = norm_l2(g, gf) * norm_l2(g, v) + norm_l2(g, f) * norm_l2(g, dv)
+    assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(random_grid_fields())
+def test_advect_form_identities_on_random_grids(case):
+    g, rng = case
+    u = rng.standard_normal((g.dim,) + g.shape)
+    v = rng.standard_normal((2,) + g.shape)
+    w = rng.standard_normal((2,) + g.shape)
+    for bc in ("dirichlet", "neumann"):
+        scale = (norm_l2(g, skew_advect(g, u, v, bc)) * norm_l2(g, w)
+                 + norm_l2(g, skew_advect(g, u, w, bc)) * norm_l2(g, v))
+        b_vw = advect_form(g, u, v, w, bc)
+        assert abs(b_vw + advect_form(g, u, w, v, bc)) <= 1e-13 * scale
+        assert abs(advect_form(g, u, v, v, bc)) <= 1e-13 * scale
 
 
 def test_laplacian_matrices_symmetric():

@@ -279,16 +279,6 @@ def test_inversion_binary_closed_form(binary_spec):
         assert rho[0] == pytest.approx(expect, rel=1e-13)
 
 
-def test_inversion_warm_start(ternary_spec):
-    rng = np.random.default_rng(17)
-    pts = sample_simplex(rng, 3, 30)
-    w = entropy_vars(pts, ternary_spec)
-    jittered = np.clip(pts + 1e-3 * rng.standard_normal(pts.shape),
-                       1e-3, None)
-    back = densities_from_entropy(w, ternary_spec, rho_init=jittered)
-    assert np.abs(back - pts).max() <= 1e-10
-
-
 def test_inversion_raises_outside_representable_range(binary_spec):
     # A target this extreme would need a component below the interior
     # margin of the iteration; failing loudly is the contract.
@@ -317,9 +307,9 @@ def test_inversion_shape_check(binary_spec):
 
 @st.composite
 def mixed_scale_targets(draw):
-    """A random 2-4 species mixture and the entropy variables of a state
+    """A random 2-5 species mixture and the entropy variables of a state
     whose full densities are log-uniform between 1e-10 and 1."""
-    n_species = draw(st.integers(2, 4))
+    n_species = draw(st.integers(2, 5))
     spec = random_spec(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                        n_species)
     exponents = draw(st.lists(st.floats(-10.0, 0.0), min_size=n_species,
