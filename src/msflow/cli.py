@@ -128,7 +128,8 @@ def _cmd_check(cfg) -> int:
     ck.check(float(np.abs(back - pts).max()) <= 1e-10,
              "entropy-variable roundtrip",
              f"max err {np.abs(back - pts).max():.2e}")
-    for name, m in (("entropy hessian", mixture.entropy_hessian(pts, spec)),
+    hess = mixture.entropy_hessian(pts, spec)
+    for name, m in (("entropy hessian", hess),
                     ("fraction jacobian",
                      mixture.fraction_jacobian(pts, spec)),
                     ("mobility matrix", mixture.mobility_matrix(pts, spec))):
@@ -138,6 +139,10 @@ def _cmd_check(cfg) -> int:
         ck.check(sym <= 1e-8 * np.abs(m).max() and eig > 0.0,
                  f"{name} symmetric positive definite",
                  f"min eig {eig:.3e}")
+    defect = float(np.abs(mixture.density_jacobian(pts, spec) @ hess
+                          - np.eye(spec.n_reduced)).max())
+    ck.check(defect <= 1e-10, "density jacobian inverts the entropy hessian",
+             f"max defect {defect:.2e}")
     a0 = mixture.friction_matrix_reduced(pts, spec)
     conds = np.linalg.cond(a0)
     ck.check(bool(np.all(np.isfinite(conds))), "reduced friction invertible",

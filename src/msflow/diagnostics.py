@@ -202,7 +202,10 @@ class SimLedger:
         per-step balance:
         H(rho^k) + dissipation sums <= H(rho^0) + advective sums + slack,
         with H(rho^0) the recorded initial entropy and slack
-        sum_j (100 tol + max(entropy_slack^j, 0)).
+        sum_j (100 tol + max(entropy_slack^j, 0)).  A positive
+        entropy_slack is absorbed by that slack, so each step must also
+        keep its own balance: entropy_slack^j <= 100 tol.  The entropy
+        margin is the smallest margin of either check.
         """
         if not self.rows:
             raise ValueError("ledger is empty")
@@ -226,7 +229,8 @@ class SimLedger:
                                 e0 + force_sum + e_slack - e_here)
             h_here = row["entropy"] + diss_sum
             entropy_margin = min(entropy_margin,
-                                 h0 + adv_sum + h_slack - h_here)
+                                 h0 + adv_sum + h_slack - h_here,
+                                 100.0 * self.tol - row["entropy_slack"])
             if first_violation is None and min(energy_margin,
                                                entropy_margin) < 0:
                 first_violation = row["step"]

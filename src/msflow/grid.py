@@ -354,7 +354,7 @@ def write_snapshot(path, grid: Grid, name: str, time: float,
         "# spacing " + " ".join(repr(float(h)) for h in grid.spacing),
         f"# components {ncomp}",
     ]
-    lines.extend(" ".join(repr(float(v)) for v in row) for row in flat)
+    lines.extend(" ".join(map(repr, row)) for row in flat.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -35,9 +35,13 @@ Matrix-valued coefficients:
     G   Jacobian dw/dx' of entropy variables with respect to reduced
         molar fractions; symmetric positive definite.
     H   Jacobian dw/drho (Hessian of the entropy density h); symmetric
-        positive definite.
+        positive definite.  Its inverse drho/dw has a closed form.
     B   A0^{-1} G^{-1}, the mobility matrix multiplying grad w in the
-        species flux; symmetric positive definite.
+        species flux; symmetric positive definite, computed as the
+        inverse of G A0.
+
+No routine calls LAPACK per point: the N x N inverses are closed forms
+or ``spd_inverse``, unrolled over N and vectorized over the points.
 """
 
 from __future__ import annotations
@@ -102,22 +106,31 @@ class MixtureSpec:
         return self.molar_masses.size
 
 
-def _check_reduced(rho: np.ndarray, n_reduced: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape[-1] != n_reduced:
-        raise MixtureDomainError(
-            f"expected {n_reduced} reduced densities, got {rho.shape[-1]}"
-        )
-    if np.any(rho <= 0.0) or np.any(rho.sum(axis=-1) >= 1.0):
-        raise MixtureDomainError("density vector outside the open unit simplex")
-    return rho
-
-
 def full_densities(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    """Append the eliminated species: rho_{N+1} = 1 - sum rho_i."""
-    rho = _check_reduced(rho, spec.n_reduced)
-    last = 1.0 - rho.sum(axis=-1, keepdims=True)
-    return np.concatenate([rho, last], axis=-1)
+    """Append the eliminated species: rho_{N+1} = 1 - sum rho_i.
+
+    Raises ``MixtureDomainError`` unless rho lies in the open unit
+    simplex.  The sum is one product with a ones vector: on a last axis
+    of length 2-3 that is an order of magnitude cheaper than
+    ``sum(axis=-1)``.
+    """
+    rho = np.asarray(rho, dtype=float)
+    n = spec.n_reduced
+    if rho.shape[-1] != n:
+        raise MixtureDomainError(
+            f"expected {n} reduced densities, got {rho.shape[-1]}"
+        )
+    last = 1.0 - rho @ np.ones(n)
+    if np.any(rho <= 0.0) or np.any(last <= 0.0):
+        raise MixtureDomainError("density vector outside the open unit simplex")
+    return np.concatenate([rho, last[..., None]], axis=-1)
+
+
+def _fractions(rho_full: np.ndarray, spec: MixtureSpec):
+    """Molar fractions x and total concentration c from full densities."""
+    per_mole = rho_full / spec.molar_masses
+    c = per_mole @ np.ones(spec.n_species)
+    return per_mole / c[..., None], c
 
 
 def molar_fractions(rho: np.ndarray, spec: MixtureSpec):
@@ -130,11 +143,7 @@ def molar_fractions(rho: np.ndarray, spec: MixtureSpec):
     c : ndarray, shape (...)
         Total concentration c = sum_k rho_k / M_k.
     """
-    rho_full = full_densities(rho, spec)
-    per_mole = rho_full / spec.molar_masses
-    c = per_mole.sum(axis=-1)
-    x = per_mole / c[..., None]
-    return x, c
+    return _fractions(full_densities(rho, spec), spec)
 
 
 def entropy_density(rho: np.ndarray, spec: MixtureSpec,
@@ -145,41 +154,36 @@ def entropy_density(rho: np.ndarray, spec: MixtureSpec,
     (zero components, used for raw initial data before lifting); the
     integrand follows the convention x log x -> 0 as x -> 0.
     """
+    ones = np.ones(spec.n_species)
     if allow_boundary:
         rho = np.asarray(rho, dtype=float)
         last = 1.0 - rho.sum(axis=-1, keepdims=True)
         rho_full = np.concatenate([rho, last], axis=-1)
         if np.any(rho_full < -1e-13):
             raise MixtureDomainError("densities must be nonnegative")
-        rho_full = np.maximum(rho_full, 0.0)
-        per_mole = rho_full / spec.molar_masses
-        c = per_mole.sum(axis=-1)
-        x = per_mole / c[..., None]
-        return c * xlogy(x, x).sum(axis=-1)
+        x, c = _fractions(np.maximum(rho_full, 0.0), spec)
+        return c * (xlogy(x, x) @ ones)
     x, c = molar_fractions(rho, spec)
-    return c * (x * np.log(x)).sum(axis=-1)
+    return c * ((x * np.log(x)) @ ones)
 
 
-def entropy_vars(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    """Entropy variables w_i = log(x_i)/M_i - log(x_{N+1})/M_{N+1}."""
-    x, _ = molar_fractions(rho, spec)
+def _entropy_vars(x: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     m = spec.molar_masses
     logx = np.log(x)
     return logx[..., :-1] / m[:-1] - (logx[..., -1:] / m[-1])
 
 
-def _friction_coefficients(rho: np.ndarray, spec: MixtureSpec):
+def entropy_vars(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
+    """Entropy variables w_i = log(x_i)/M_i - log(x_{N+1})/M_{N+1}."""
+    return _entropy_vars(molar_fractions(rho, spec)[0], spec)
+
+
+def _friction_coefficients(c: np.ndarray, spec: MixtureSpec):
     """Pairwise coefficients d_ij = 1 / (c^2 M_i M_j D_ij), zero diagonal."""
-    x, c = molar_fractions(rho, spec)
     m = spec.molar_masses
-    n1 = spec.n_species
-    mm = np.outer(m, m)
-    denom = spec.diffusivities * mm
-    d = np.zeros(rho.shape[:-1] + (n1, n1))
-    offmask = ~np.eye(n1, dtype=bool)
-    inv_c2 = 1.0 / (c * c)
-    d[..., offmask] = inv_c2[..., None] / denom[offmask]
-    return d
+    denom = spec.diffusivities * np.outer(m, m)
+    np.fill_diagonal(denom, np.inf)             # d_ii = 0
+    return (1.0 / (c * c))[..., None, None] / denom
 
 
 def friction_matrix_full(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -189,12 +193,26 @@ def friction_matrix_full(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     The full density vector spans its null space: A rho_full = 0.
     """
     rho_full = full_densities(rho, spec)
-    d = _friction_coefficients(rho, spec)
+    d = _friction_coefficients(_fractions(rho_full, spec)[1], spec)
     a = -d * rho_full[..., :, None]
     diag = (d * rho_full[..., None, :]).sum(axis=-1)
     idx = np.arange(spec.n_species)
     a[..., idx, idx] = diag
     return a
+
+
+def _reduced_friction(rho_full: np.ndarray, c: np.ndarray,
+                      spec: MixtureSpec) -> np.ndarray:
+    n = spec.n_reduced
+    rho = rho_full[..., :n]
+    d = _friction_coefficients(c, spec)
+    dn = d[..., :n, n]
+    drel = d[..., :n, :n] - dn[..., :, None]
+    idx = np.arange(n)
+    drel[..., idx, idx] = 0.0                   # the sums run over k != i
+    a0 = -drel * rho[..., :, None]
+    a0[..., idx, idx] = np.einsum("...ik,...k->...i", drel, rho) + dn
+    return a0
 
 
 def friction_matrix_reduced(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -204,18 +222,8 @@ def friction_matrix_reduced(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     A0_ii = sum_{k != i, k <= N} (d_ik - d_{i,N+1}) rho_k + d_{i,N+1}.
     Invertible on the open simplex.
     """
-    n = spec.n_reduced
-    rho = _check_reduced(rho, n)
-    d = _friction_coefficients(rho, spec)
-    dn = d[..., :n, n]
-    drel = d[..., :n, :n] - dn[..., :, None]
-    a0 = -drel * rho[..., :, None]
-    idx = np.arange(n)
-    offsum = (drel * rho[..., None, :]).sum(axis=-1) - (
-        drel[..., idx, idx] * rho
-    )
-    a0[..., idx, idx] = offsum + dn
-    return a0
+    rho_full = full_densities(rho, spec)
+    return _reduced_friction(rho_full, _fractions(rho_full, spec)[1], spec)
 
 
 def fraction_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -224,14 +232,13 @@ def fraction_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     G_ij = c (1/rho_{N+1} + delta_ij / rho_i); symmetric positive definite.
     """
     n = spec.n_reduced
-    rho = _check_reduced(rho, n)
     rho_full = full_densities(rho, spec)
-    _, c = molar_fractions(rho, spec)
+    _, c = _fractions(rho_full, spec)
     g = np.broadcast_to(
-        (c / rho_full[..., -1])[..., None, None], rho.shape[:-1] + (n, n)
+        (c / rho_full[..., -1])[..., None, None], c.shape + (n, n)
     ).copy()
     idx = np.arange(n)
-    g[..., idx, idx] += c[..., None] / rho
+    g[..., idx, idx] += c[..., None] / rho_full[..., :n]
     return g
 
 
@@ -242,48 +249,105 @@ def entropy_hessian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
            - (1/c) (1/M_i - 1/M_{N+1}) (1/M_j - 1/M_{N+1}).
     """
     n = spec.n_reduced
-    rho = _check_reduced(rho, n)
     rho_full = full_densities(rho, spec)
-    _, c = molar_fractions(rho, spec)
+    _, c = _fractions(rho_full, spec)
     m = spec.molar_masses
     dm = 1.0 / m[:n] - 1.0 / m[-1]
     h = (1.0 / (m[-1] * rho_full[..., -1]))[..., None, None] - (
         np.outer(dm, dm) / c[..., None, None]
     )
-    h = np.broadcast_to(h, rho.shape[:-1] + (n, n)).copy()
+    h = np.broadcast_to(h, c.shape + (n, n)).copy()
     idx = np.arange(n)
-    h[..., idx, idx] += 1.0 / (m[:n] * rho)
+    h[..., idx, idx] += 1.0 / (m[:n] * rho_full[..., :n])
     return h
+
+
+def density_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
+    """Jacobian drho/dw = H^{-1} in closed form; symmetric PD.
+
+    With a_i = M_i rho_i and Mbar = sum_{k <= N+1} M_k rho_k,
+
+        H^{-1} = diag(a) - a rho^T - rho a^T + Mbar rho rho^T,
+
+    so the off-diagonal entries are rho_i rho_j (Mbar - M_i - M_j).  The
+    diagonal is formed as rho_i sum_{k != i} rho_k (M_i (1 - rho_i)
+    + rho_i M_k), with k over all N+1 species, a sum of positive terms,
+    so nothing cancels near a vertex of the simplex.
+    """
+    n = spec.n_reduced
+    m = spec.molar_masses
+    rho_full = full_densities(rho, spec)
+    rho = rho_full[..., :n]
+    others = 1.0 - np.eye(n + 1)[:, :n]         # column i: k != i
+    rest = rho_full @ others                    # 1 - rho_i
+    mass_rest = (m * rho_full) @ others         # sum_{k != i} M_k rho_k
+    mbar = mass_rest[..., :1] + m[0] * rho[..., :1]
+    jac = rho[..., :, None] * rho[..., None, :] * (
+        mbar[..., None] - (m[:n, None] + m[None, :n]))
+    idx = np.arange(n)
+    jac[..., idx, idx] = rho * (m[:n] * rest * rest + rho * mass_rest)
+    return jac
+
+
+def spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of symmetric positive definite blocks, shape (..., N, N).
+
+    An LDL^T factorization without pivoting, unrolled over N in Python
+    and vectorized over the leading axes; the inverse is
+    L^{-T} D^{-1} L^{-1}.  Only the lower triangle of ``a`` is read and
+    the result is exactly symmetric.  For N = 1 it is a reciprocal.
+    """
+    n = a.shape[-1]
+    if n == 1:
+        return 1.0 / a
+    low = [[a[..., i, j] for j in range(i + 1)] for i in range(n)]
+    diag = []
+    for j in range(n):
+        diag.append(low[j][j] - sum(low[j][k] ** 2 * diag[k]
+                                    for k in range(j)))
+        for i in range(j + 1, n):
+            low[i][j] = (low[i][j] - sum(low[i][k] * low[j][k] * diag[k]
+                                         for k in range(j))) / diag[j]
+    # L^{-1}, unit lower triangular, by forward substitution.
+    inv_l = [[1.0] * (i + 1) for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            inv_l[i][j] = -low[i][j] - sum(low[i][k] * inv_l[k][j]
+                                           for k in range(j + 1, i))
+    out = np.empty(a.shape)
+    for i in range(n):
+        for j in range(i + 1):
+            out[..., i, j] = out[..., j, i] = sum(
+                inv_l[k][i] * inv_l[k][j] / diag[k] for k in range(i, n))
+    return out
 
 
 def mobility_matrix(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     """Mobility matrix B = A0^{-1} G^{-1} of the entropy-variable flux.
 
-    G is c times a diagonal plus a rank-one term, so Sherman-Morrison
-    gives G^{-1} = (diag rho - rho rho^T) / c in closed form (the full
-    densities sum to one); its diagonal rho_i (1 - rho_i) is formed as
-    rho_i (rho_{N+1} + sum_{j != i} rho_j), so nothing cancels near a
-    vertex of the simplex.  One batched solve by A0 remains.  The
-    product is symmetric positive definite up to roundoff; the result is
-    symmetrized after an asymmetry check.
+    B is symmetric positive definite, and so is its inverse
+    B^{-1} = G A0.  G is c times a diagonal plus a rank-one term, so
+    (G A0)_ij = c (A0_ij / rho_i + sum_k A0_kj / rho_{N+1}), formed from
+    one evaluation of the full densities and of c.  The symmetry check
+    sits on G A0, which is symmetric up to roundoff: it must hold to a
+    relative 1e-8, and G A0 is then symmetrized and inverted with
+    ``spd_inverse``.
     """
-    a0 = friction_matrix_reduced(rho, spec)
-    rho_full = full_densities(rho, spec)
-    _, c = molar_fractions(rho, spec)
     n = spec.n_reduced
-    others = rho_full[..., -1:] + rho @ (1.0 - np.eye(n))
-    g_inv = -rho[..., :, None] * rho[..., None, :]
-    idx = np.arange(n)
-    g_inv[..., idx, idx] = rho * others
-    b = np.linalg.solve(a0, g_inv / c[..., None, None])
-    bt = np.swapaxes(b, -1, -2)
-    scale = np.abs(b).max()
-    asym = np.abs(b - bt).max()
+    rho_full = full_densities(rho, spec)
+    _, c = _fractions(rho_full, spec)
+    a0 = _reduced_friction(rho_full, c, spec)
+    col = sum(a0[..., k, :] for k in range(n)) / rho_full[..., -1:]
+    g_a0 = c[..., None, None] * (a0 / rho_full[..., :n, None]
+                                 + col[..., None, :])
+    g_a0_t = np.swapaxes(g_a0, -1, -2)
+    scale = np.abs(g_a0).max()
+    asym = np.abs(g_a0 - g_a0_t).max()
     if asym > 1e-8 * scale:
         raise FloatingPointError(
             f"mobility matrix lost symmetry: rel asymmetry {asym / scale:.3e}"
         )
-    return 0.5 * (b + bt)
+    return spd_inverse(0.5 * (g_a0 + g_a0_t))
 
 
 INVERSION_RTOL = 1e-14          # see densities_from_entropy
@@ -340,16 +404,15 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec) -> np.ndarray:
             break
         t = new
     mx = m * np.exp(mw + t[:, None] * ratio)
-    rho = mx[:, :-1] / mx.sum(axis=-1, keepdims=True)
-    rho_full = np.concatenate([rho, 1.0 - rho.sum(axis=-1, keepdims=True)],
-                              axis=-1)
+    rho = mx[:, :-1] / (mx @ sum_and_slope[:, :1])
+    rho_full = np.concatenate([rho, 1.0 - rho @ np.ones((n, 1))], axis=-1)
     rmin = rho_full.min(axis=-1)
     if not np.all(rmin >= 1e-14):
         p, k = np.unravel_index(np.argmin(rho_full), rho_full.shape)
         raise InversionError(
             f"entropy inversion needs full density {k + 1} of {n + 1} at "
             f"{rho_full[p, k]:.3e}, below the interior margin 1e-14")
-    res = np.abs(entropy_vars(rho, spec) - flat_w)
+    res = np.abs(_entropy_vars(_fractions(rho_full, spec)[0], spec) - flat_w)
     mass_floor = min(float(np.min(m)), 1.0)
     rep_limit = 8.0 * np.finfo(float).eps / (rmin * mass_floor)
     bound = np.maximum(INVERSION_RTOL * (1.0 + np.abs(flat_w)),

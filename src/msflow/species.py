@@ -16,7 +16,7 @@ A run builds the stencils once, in a ``SpeciesSystem``; no operator is
 assembled.  The nonlinear problem is solved by a frozen-coefficient
 outer loop: B, the advected densities and the inversion Jacobian are
 frozen at the current iterate, the time-difference term is linearized
-through the analytic Jacobian drho/dw = H^{-1}, and preconditioned CG
+through the closed-form Jacobian drho/dw = H^{-1}, and preconditioned CG
 solves H^{-1} delta / tau + D delta = -residual for the update.
 D w = -sum_a dd_a (B dn_a w) + lambda (lap^T lap + I) w is the one
 diffusion apply that the residual also uses; it is symmetric because
@@ -44,9 +44,11 @@ involved: the wide stencil -sum_a dd_a dn_a has the symbol
 sigma_k = sum_a (sin(pi k_a/n_a)/h_a)^2, and the compact Neumann
 Laplacian has -nu_k with nu_k = sum_a (2 sin(pi k_a/(2 n_a))/h_a)^2.
 The constant-coefficient operator is therefore the N x N matrix
-Cbar + sigma_k Bbar + lambda (nu_k^2 + 1) I per mode, inverted once
-per outer pass and applied between an orthonormal DCT-II and its
-inverse.  CG iterations then stay flat under grid refinement, where a
+Cbar + sigma_k Bbar + lambda (nu_k^2 + 1) I per mode.  It is
+symmetric positive definite, so each outer pass inverts all modes at
+once with ``mixture.spd_inverse`` (a reciprocal at N = 1, no LAPACK
+call), and the inverse is applied between an orthonormal DCT-II and
+its inverse.  CG iterations then stay flat under grid refinement, where a
 Jacobi diagonal doubles them with each halving of h.
 
 Testing the converged equation against w itself and using convexity of
@@ -186,7 +188,7 @@ class SpeciesSystem:
         symbols = (minv_blocks.mean(axis=0) / tau
                    + self.sigma[..., None, None] * b_blocks.mean(axis=0)
                    + np.multiply.outer(self.reg_symbol, np.eye(n)))
-        inverse = np.linalg.inv(symbols)
+        inverse = mixture.spd_inverse(symbols)
         shape, axes = self.grid.shape + (n,), tuple(range(self.grid.dim))
 
         def precondition(r):
@@ -248,7 +250,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
             raise SpeciesSolverError(
                 f"outer iteration stalled at residual {res:.3e} after "
                 f"{iterations} iterations", residuals)
-        minv = np.linalg.inv(mixture.entropy_hessian(rho_pts, spec))
+        minv = mixture.density_jacobian(rho_pts, spec)
         op, precond = system.frozen_operator(minv, b_blocks)
         delta, info = spla.cg(op, -r.reshape(-1), rtol=lin_rtol,
                               atol=lin_atol, maxiter=4000, M=precond,
@@ -277,8 +279,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         residuals.append(res)
         iterations += 1
 
-    rho_full = np.concatenate(
-        [rho_pts, 1.0 - rho_pts.sum(axis=-1, keepdims=True)], axis=-1)
+    rho_full = mixture.full_densities(rho_pts, spec)
     vol = grid.cell_volume
     entropy_before = vol * float(
         np.sum(mixture.entropy_density(rho_prev_pts, spec)))

@@ -235,3 +235,17 @@ def test_global_entropy_bound_fires_at_the_raised_step(mini_2d_result):
     assert not report.entropy_ok and report.energy_ok
     assert report.entropy_margin < 0.0
     assert report.first_violation == 1
+
+
+def test_entropy_check_fires_on_a_step_that_raises_entropy(mini_2d_result):
+    # The telescoped slack absorbs a positive entropy_slack, so a solver
+    # that raises the entropy is caught by the per-step gate
+    # entropy_slack <= 100 tol.
+    led = copy.deepcopy(mini_2d_result.ledger)
+    assert len(led.rows) == 3
+    led.rows[2]["entropy_slack"] = 101.0 * led.tol
+    report = led.check_global_bounds()
+    assert not report.ok
+    assert not report.entropy_ok and report.energy_ok
+    assert report.entropy_margin < 0.0
+    assert report.first_violation == 2

@@ -7,6 +7,8 @@ tests draw random interior states and random mixture descriptions with
 fixed seeds.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +28,10 @@ from msflow.mixture import (
     mobility_matrix,
     fraction_jacobian,
     entropy_hessian,
+    density_jacobian,
     molar_fractions,
     sample_simplex,
+    spd_inverse,
 )
 
 from conftest import random_spec
@@ -334,6 +338,61 @@ def test_inversion_meets_relative_tolerance(case):
         np.minimum(rho.min(axis=-1), last) * min(spec.molar_masses.min(), 1.0))
     assert (res <= np.maximum(mixture.INVERSION_RTOL * (1.0 + np.abs(w)),
                               floor[:, None])).all()
+
+
+def _exact_density_jacobian(rho_full, m):
+    """H^{-1} from the defining formula of H, in rational arithmetic on
+    the given float densities and masses, rounded once at the end."""
+    r = [Fraction(v) for v in rho_full]
+    m = [Fraction(v) for v in m]
+    n = len(r) - 1
+    c = sum(rk / mk for rk, mk in zip(r, m))
+    dm = [1 / m[i] - 1 / m[n] for i in range(n)]
+    a = [[(1 / (m[i] * r[i]) if i == j else 0) + 1 / (m[n] * r[n])
+          - dm[i] * dm[j] / c for j in range(n)]
+         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):                # Gauss-Jordan; H is SPD
+        a[col] = [v / a[col][col] for v in a[col]]
+        for row in range(n):
+            if row != col:
+                f = a[row][col]
+                a[row] = [v - f * p for v, p in zip(a[row], a[col])]
+    return np.array([[float(v) for v in row[n:]] for row in a])
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(mixed_scale_targets())
+def test_density_jacobian_inverts_the_entropy_hessian(case):
+    # Against LAPACK the agreement is limited by cond(H) eps, which
+    # reaches 1e-6 on these states; against the exact inverse the
+    # closed form keeps every entry to roundoff of its own scale.
+    spec, w = case
+    rho = densities_from_entropy(w, spec)
+    h = entropy_hessian(rho, spec)[0]
+    jac = density_jacobian(rho, spec)[0]
+    assert np.array_equal(jac, jac.T)
+    bound = 1e-10 + 8.0 * np.finfo(float).eps * np.linalg.cond(h)
+    assert np.abs(jac @ h - np.eye(len(h))).max() <= bound
+    ref = np.linalg.inv(h)
+    assert np.abs(jac - ref).max() <= bound * np.abs(ref).max()
+    exact = _exact_density_jacobian(full_densities(rho, spec)[0],
+                                    spec.molar_masses)
+    scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+    assert (np.abs(jac - exact) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lead", [(50,), (6, 7)])
+def test_spd_inverse_matches_lapack(n, lead):
+    rng = np.random.default_rng(10 * n + len(lead))
+    x = rng.standard_normal(lead + (n, n))
+    a = x @ np.swapaxes(x, -1, -2) + 0.1 * np.eye(n)
+    inv = spd_inverse(a)
+    ref = np.linalg.inv(a)
+    assert inv.shape == a.shape
+    assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+    err = np.abs(inv - ref).max(axis=(-2, -1))
+    assert (err <= 1e-10 * np.abs(ref).max(axis=(-2, -1))).all()
 
 
 def test_sample_simplex_properties():
