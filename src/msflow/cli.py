@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``run <config>``: advance the relaxed solver, write ledger CSV and
-  snapshots, check global bounds.
+  snapshots, check global bounds.  ``-v`` also prints one line per
+  step with its iteration counts and whether each solve started from
+  the extrapolated guess.
 * ``sweep-eps <config> --eps 1e-1,1e-2``: relaxation sweep against the
   incompressible reference.
 * ``check <config>``: fast invariant suite (algebra, operator
@@ -21,6 +23,7 @@ the last two print one line on stderr.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -64,6 +67,9 @@ def _build_parser():
         p.add_argument("--set", dest="overrides", action="append",
                        default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
+        if name == "run":
+            p.add_argument("-v", "--verbose", action="store_true",
+                           help="print the iteration counts of each step")
         if name == "sweep-eps":
             p.add_argument("--eps", required=True,
                            help="comma-separated relaxation values")
@@ -82,8 +88,20 @@ class _Checker:
             self.failures += 1
 
 
-def _cmd_run(cfg) -> int:
-    result = run_simulation(cfg, write_outputs=True)
+def _cmd_run(cfg, verbose: bool = False) -> int:
+    # The driver logs one INFO line per completed step.
+    log = logging.getLogger("msflow")
+    level = log.level
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    if verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
+    try:
+        result = run_simulation(cfg, write_outputs=True)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     last = result.ledger.rows[-1]
     print(f"steps completed: {last['step']}  t = {last['time']:.6g}")
     print(f"energy {last['energy']:.6e}  entropy {last['entropy']:.6e}  "
@@ -239,7 +257,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.overrides)
         if args.command == "sweep-eps":
             return _cmd_sweep(cfg, args.eps)
-        return {"run": _cmd_run, "check": _cmd_check,
+        if args.command == "run":
+            return _cmd_run(cfg, args.verbose)
+        return {"check": _cmd_check,
                 "compare-ref": _cmd_compare}[args.command](cfg)
     except (ConfigError, FlowSolverError, SpeciesSolverError) as exc:
         print(f"msflow: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -80,12 +80,12 @@ class SimLedger:
             return DISPLAY_FLOOR
         return value
 
+    def _points(self, rho: np.ndarray) -> np.ndarray:
+        return np.moveaxis(rho, 0, -1).reshape(-1, self.spec.n_reduced)
+
     def _mixture_columns(self, rho: np.ndarray):
         n = self.spec.n_reduced
-        rho_pts = np.moveaxis(rho, 0, -1).reshape(-1, n)
-        vol = self.grid.cell_volume
-        entropy = vol * float(np.sum(mixture.entropy_density(rho_pts,
-                                                             self.spec)))
+        rho_pts = self._points(rho)
         x, _ = mixture.molar_fractions(rho_pts, self.spec)
         sqrt_x = np.moveaxis(
             np.sqrt(x).reshape(self.grid.shape + (n + 1,)), -1, 0)
@@ -93,17 +93,19 @@ class SimLedger:
         for comp in sqrt_x:
             g = grad(self.grid, comp, "neumann")
             gsq += inner(self.grid, g, g)
-        rho_full_pts = np.concatenate(
-            [rho_pts, 1.0 - rho_pts.sum(axis=-1, keepdims=True)], axis=-1)
-        masses = vol * rho_full_pts.sum(axis=0)
+        rho_full_pts = mixture.full_densities(rho_pts, self.spec)
+        masses = self.grid.cell_volume * rho_full_pts.sum(axis=0)
         min_density = float(rho_full_pts.min())
         closure = float(np.abs(rho_full_pts.sum(axis=-1) - 1.0).max())
-        return entropy, gsq, masses, min_density, closure
+        return gsq, masses, min_density, closure
 
     # -- recording -----------------------------------------------------
 
     def record_initial(self, flow_state, rho: np.ndarray) -> None:
-        entropy, gsq, masses, min_density, closure = self._mixture_columns(rho)
+        """Row 0: the initial state, its mixing entropy computed here."""
+        entropy = self.grid.cell_volume * float(np.sum(
+            mixture.entropy_density(self._points(rho), self.spec)))
+        gsq, masses, min_density, closure = self._mixture_columns(rho)
         e_kin = inner(self.grid, flow_state.u, flow_state.u)
         e_p = self.eps * inner(self.grid, flow_state.p, flow_state.p)
         row = dict(
@@ -117,6 +119,7 @@ class SimLedger:
             entropy_slack=0.0, control_term=0.0, advective_flux=0.0,
             lambda_h2_sq=0.0, f_l2_sq=0.0,
             flow_iters=0, species_iters=0, cg_iters=0,
+            flow_refactors=0, flow_guess=0, species_guess=0,
             flow_residual=0.0, species_residual=0.0,
             cum_visc_dissipation=0.0, cum_grad_sqrt_x=0.0,
         )
@@ -126,7 +129,9 @@ class SimLedger:
 
     def record_step(self, k: int, flow_state, flow_report, f_avg,
                     rho: np.ndarray, species_report) -> None:
-        entropy, gsq, masses, min_density, closure = self._mixture_columns(rho)
+        """Row k; the entropy column is the species step's
+        ``entropy_after``, the mixing entropy of ``rho``."""
+        gsq, masses, min_density, closure = self._mixture_columns(rho)
         visc = 2.0 * self.tau * grad_sq_norm(self.grid, flow_state.u)
         self.cum_visc += 0.5 * visc          # accumulates tau |grad u|^2
         self.cum_grad_sqrt_x += self.tau * gsq
@@ -135,7 +140,7 @@ class SimLedger:
             energy=inner(self.grid, flow_state.u, flow_state.u),
             pressure_energy=self.eps * inner(self.grid, flow_state.p,
                                              flow_state.p),
-            visc_dissipation=visc, entropy=entropy,
+            visc_dissipation=visc, entropy=species_report.entropy_after,
             w_dissipation=species_report.dissipation,
             grad_sqrt_x_sq=gsq,
             div_u_l2=flow_report.div_u_l2,
@@ -151,6 +156,9 @@ class SimLedger:
             flow_iters=flow_report.picard_iterations,
             species_iters=species_report.iterations,
             cg_iters=species_report.cg_iterations,
+            flow_refactors=flow_report.refactorizations,
+            flow_guess=int(flow_report.from_guess),
+            species_guess=int(species_report.from_guess),
             flow_residual=flow_report.final_residual,
             species_residual=species_report.final_residual,
             cum_visc_dissipation=self.cum_visc,
@@ -173,7 +181,8 @@ class SimLedger:
             "min_density", "closure_defect", "energy_residual",
             "pressure_eq_residual", "entropy_slack", "control_term",
             "advective_flux", "lambda_h2_sq", "f_l2_sq", "flow_iters",
-            "species_iters", "cg_iters", "flow_residual", "species_residual",
+            "species_iters", "cg_iters", "flow_refactors", "flow_guess",
+            "species_guess", "flow_residual", "species_residual",
             "cum_visc_dissipation", "cum_grad_sqrt_x",
         ]
         return cols

@@ -110,6 +110,8 @@ class FlowState:
 @dataclass
 class FlowStepReport:
     picard_iterations: int
+    refactorizations: int       # passes with the advection frozen in the LU
+    from_guess: bool            # the loop started from the caller's guess
     final_residual: float
     energy_identity_residual: float
     div_u_l2: float
@@ -296,15 +298,22 @@ class SaddleSystem(FlowSystem):
         return u.reshape(rhs.shape), (p - p.mean()).reshape(p_prev.shape)
 
 
-def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray):
+def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
+              guess=None):
     """Advance velocity and pressure by one implicit step of ``system``.
 
     Picard iteration with the advection of the current iterate lagged
     on the right-hand side, so every pass reuses the system's
     advection-free LU; a pass after one that failed to halve the
     residual freezes the advection in the matrix and refactorizes.
-    Returns (new_state, FlowStepReport).  Raises FlowSolverError if the
-    iteration exceeds its budget; there is no silent capping.
+
+    The loop starts from the velocity ``guess`` (with the pressure that
+    ``system`` pairs with it) when one is given and its residual is
+    strictly below the residual at the previous state; otherwise it
+    starts from the previous state, so a rejected guess leaves the step
+    bitwise as it is without one.  Returns (new_state, FlowStepReport).
+    Raises FlowSolverError if the iteration exceeds its budget; there
+    is no silent capping.
     """
     grid, params = system.grid, system.params
     tau, eps = params.tau, system.eps
@@ -315,19 +324,29 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray):
     if system.lu is None:
         system.lu = system.factor()
 
-    u, p = u_prev.copy(), system.pressure(u_prev, p_prev)
-    residuals = []
-    iterations = 0
-    while True:
+    def residual(u, p):
+        """The lagged advection at (u, p) and the step's residual norm."""
         adv = skew_advect(grid, u, u, "dirichlet")
         r = (u - u_prev) / tau + adv - f_avg
         r += (system.grad_mat @ p.reshape(-1)).reshape(u.shape)
         for a in range(grid.dim):
             r[a] -= (system.lap @ u[a].reshape(-1)).reshape(grid.shape)
-        res = norm_l2(grid, r)
-        residuals.append(res)
-        if res <= params.tol:
-            break
+        return adv, norm_l2(grid, r)
+
+    u, p = u_prev.copy(), system.pressure(u_prev, p_prev)
+    adv, res = residual(u, p)
+    from_guess = False
+    if guess is not None:
+        u_g = np.array(guess, dtype=float)
+        if u_g.shape != u_prev.shape:
+            raise GridError("guess shape does not match the velocity field")
+        p_g = system.pressure(u_g, p_prev)
+        adv_g, res_g = residual(u_g, p_g)
+        if res_g < res:
+            u, p, adv, res, from_guess = u_g, p_g, adv_g, res_g, True
+    residuals = [res]
+    iterations = refactorizations = 0
+    while res > params.tol:
         if iterations >= params.max_picard:
             raise FlowSolverError(
                 f"Picard iteration stalled at residual {res:.3e} after "
@@ -337,11 +356,14 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray):
             # Advection too strong for the lagged right-hand side:
             # freeze it in the matrix and refactorize for this pass.
             lu = system.factor(advection_matrix(grid, u, "dirichlet"))
+            refactorizations += 1
         else:
             rhs = rhs - adv
             lu = system.lu
         u, p = system.solve(lu, rhs, p_prev)
         iterations += 1
+        adv, res = residual(u, p)
+        residuals.append(res)
 
     # The pressure equation's residual; with it the energy balance
     # below is an identity for both systems.
@@ -356,7 +378,9 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray):
                - 2.0 * tau * inner(grid, p, defect))
     report = FlowStepReport(
         picard_iterations=iterations,
-        final_residual=residuals[-1],
+        refactorizations=refactorizations,
+        from_guess=from_guess,
+        final_residual=res,
         energy_identity_residual=abs(lhs - rhs_val),
         div_u_l2=norm_l2(grid, divu),
         pressure_eq_residual=norm_l2(grid, defect),

@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 
 class MixtureDomainError(ValueError):
@@ -146,25 +145,10 @@ def molar_fractions(rho: np.ndarray, spec: MixtureSpec):
     return _fractions(full_densities(rho, spec), spec)
 
 
-def entropy_density(rho: np.ndarray, spec: MixtureSpec,
-                    allow_boundary: bool = False) -> np.ndarray:
-    """Mixing entropy density h(rho) = c * sum_i x_i log x_i.
-
-    With ``allow_boundary`` the input may touch the closed simplex
-    (zero components, used for raw initial data before lifting); the
-    integrand follows the convention x log x -> 0 as x -> 0.
-    """
-    ones = np.ones(spec.n_species)
-    if allow_boundary:
-        rho = np.asarray(rho, dtype=float)
-        last = 1.0 - rho.sum(axis=-1, keepdims=True)
-        rho_full = np.concatenate([rho, last], axis=-1)
-        if np.any(rho_full < -1e-13):
-            raise MixtureDomainError("densities must be nonnegative")
-        x, c = _fractions(np.maximum(rho_full, 0.0), spec)
-        return c * (xlogy(x, x) @ ones)
+def entropy_density(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
+    """Mixing entropy density h(rho) = c * sum_i x_i log x_i."""
     x, c = molar_fractions(rho, spec)
-    return c * ((x * np.log(x)) @ ones)
+    return c * ((x * np.log(x)) @ np.ones(spec.n_species))
 
 
 def _entropy_vars(x: np.ndarray, spec: MixtureSpec) -> np.ndarray:

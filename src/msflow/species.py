@@ -107,6 +107,7 @@ class SpeciesParams:
 class SpeciesStepReport:
     iterations: int
     cg_iterations: int         # summed over the outer passes
+    from_guess: bool           # the loop started from the caller's guess
     final_residual: float
     entropy_before: float
     entropy_after: float
@@ -204,12 +205,20 @@ class SpeciesSystem:
 
 
 def species_step(system: SpeciesSystem, w_prev: np.ndarray,
-                 rho_prev: np.ndarray, u: np.ndarray):
+                 rho_prev: np.ndarray, u: np.ndarray, guess=None,
+                 entropy_before=None):
     """Advance the species by one implicit step with velocity ``u``.
 
     ``rho_prev`` must be the densities matching ``w_prev`` (the driver
     carries both so the time-difference term uses exactly the stored
-    state).  Returns (w_new, rho_new, SpeciesStepReport).
+    state).  The outer loop starts from the entropy variables ``guess``
+    when one is given, its densities invert, and its residual is
+    strictly below the residual at the previous state; otherwise it
+    starts from (``w_prev``, ``rho_prev``), so a rejected guess leaves
+    the step bitwise as it is without one.  ``entropy_before`` is the
+    mixing entropy of ``rho_prev`` when the caller already has it (the
+    previous step's ``entropy_after``); it is computed when None.
+    Returns (w_new, rho_new, SpeciesStepReport).
     """
     grid, spec, params = system.grid, system.spec, system.params
     n = spec.n_reduced
@@ -232,12 +241,25 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
     lin_atol = 1e-2 * params.tol / sqrt_cell
     lin_rtol = 1e-2 * params.tol
 
-    def quad_norm(r):
-        return sqrt_cell * float(np.linalg.norm(r))
+    def evaluate(w, rho):
+        """Mobility, residual and its quadrature norm at (w, rho(w))."""
+        b = mixture.mobility_matrix(rho, spec)
+        r = system.residual(advect, w, rho, rho_prev_pts, b)
+        return b, r, sqrt_cell * float(np.linalg.norm(r))
 
-    b_blocks = mixture.mobility_matrix(rho_pts, spec)
-    r = system.residual(advect, w_pts, rho_pts, rho_prev_pts, b_blocks)
-    res = quad_norm(r)
+    b_blocks, r, res = evaluate(w_pts, rho_pts)
+    from_guess = False
+    if guess is not None:
+        w_g = _to_points(np.array(guess, dtype=float), n, grid)
+        try:
+            rho_g = mixture.densities_from_entropy(w_g, spec)
+        except mixture.InversionError:
+            pass            # not admissible: start from the previous state
+        else:
+            b_g, r_g, res_g = evaluate(w_g, rho_g)
+            if res_g < res:
+                w_pts, rho_pts, b_blocks, r, res = w_g, rho_g, b_g, r_g, res_g
+                from_guess = True
     residuals = [res]
     iterations = cg_iterations = 0
 
@@ -263,10 +285,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         for _ in range(40):
             w_cand = w_pts + t * delta
             rho_cand = mixture.densities_from_entropy(w_cand, spec)
-            b_cand = mixture.mobility_matrix(rho_cand, spec)
-            r_cand = system.residual(advect, w_cand, rho_cand, rho_prev_pts,
-                                     b_cand)
-            res_cand = quad_norm(r_cand)
+            b_cand, r_cand, res_cand = evaluate(w_cand, rho_cand)
             if res_cand <= res:
                 break
             t *= 0.5
@@ -281,8 +300,9 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
 
     rho_full = mixture.full_densities(rho_pts, spec)
     vol = grid.cell_volume
-    entropy_before = vol * float(
-        np.sum(mixture.entropy_density(rho_prev_pts, spec)))
+    if entropy_before is None:
+        entropy_before = vol * float(
+            np.sum(mixture.entropy_density(rho_prev_pts, spec)))
     entropy_after = vol * float(np.sum(mixture.entropy_density(rho_pts, spec)))
 
     dissipation = 0.0
@@ -306,6 +326,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
     report = SpeciesStepReport(
         iterations=iterations,
         cg_iterations=cg_iterations,
+        from_guess=from_guess,
         final_residual=res,
         entropy_before=entropy_before,
         entropy_after=entropy_after,

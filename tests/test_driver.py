@@ -276,6 +276,33 @@ def test_run_simulation_shapes_and_history(small_2d_config):
         assert row["species_residual"] <= small_2d_config.species_tol
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_extrapolation_is_exact_for_polynomials_of_its_order(order):
+    rng = np.random.default_rng(order)
+    coeffs = rng.standard_normal((order + 1, 3))
+    states = [sum(c * t ** j for j, c in enumerate(coeffs))
+              for t in range(order + 2)]
+    np.testing.assert_allclose(driver.extrapolate(states[:-1]), states[-1],
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_extrapolated_start_saves_passes(monkeypatch):
+    cfg = load_config(CONFIGS / "standard-2d.cfg", [
+        "grid.nx=32", "grid.ny=32", "scheme.steps=20",
+        "scheme.t_final=0.02"])
+    warm = run_simulation(cfg).ledger.rows[1:]
+    monkeypatch.setattr(driver, "EXTRAPOLATION_ORDER", 0)
+    cold = run_simulation(cfg).ledger.rows[1:]
+    for key in ("flow_guess", "species_guess"):
+        assert sum(r[key] for r in cold) == 0
+        assert sum(r[key] for r in warm) > 0
+    for key in ("flow_iters", "species_iters"):
+        assert sum(r[key] for r in warm) < sum(r[key] for r in cold)
+    for row in warm:
+        assert row["flow_residual"] <= cfg.flow_tol
+        assert row["species_residual"] <= cfg.species_tol
+
+
 def test_run_simulation_zero_steps():
     cfg = SimConfig(dim=1, nx=8, steps=0)
     res = run_simulation(cfg)
@@ -371,6 +398,25 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert (out_dir / "ledger.csv").is_file()
     for name in ("u_000001.txt", "p_000001.txt", "rho_000002.txt"):
         assert (out_dir / name).is_file()
+
+
+def test_cli_run_verbose_prints_one_line_per_step(tmp_path, capsys):
+    args = ["run"] + _overrides([
+        ("grid.dim", 2), ("grid.nx", 8), ("grid.ny", 8),
+        ("scheme.t_final", "3e-3"), ("scheme.steps", 3),
+        ("init.preset", "vortex-2d"), ("output.dir", str(tmp_path)),
+    ])
+    assert cli.main(args) == 0
+    quiet = capsys.readouterr().out
+    assert cli.main(args + ["-v"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "\n".join(lines[3:]) + "\n" == quiet
+    for k, line in enumerate(lines[:3], start=1):
+        assert line.startswith(f"step {k}: flow_iters ")
+        for key in ("flow_refactors", "species_iters", "cg_iters",
+                    "flow_guess", "species_guess"):
+            assert f" {key} " in line
+    assert "flow_guess 1 species_guess 1" in lines[2]
 
 
 def test_cli_check_passes_on_defaults(capsys):
@@ -516,11 +562,11 @@ def test_solver_failure_keeps_ledger_up_to_last_step(tmp_path, monkeypatch):
     real_step = driver.species_step
     calls = []
 
-    def failing_step(*args):
+    def failing_step(*args, **kwargs):
         calls.append(1)
         if len(calls) == 3:
             raise SpeciesSolverError("injected failure")
-        return real_step(*args)
+        return real_step(*args, **kwargs)
 
     monkeypatch.setattr(driver, "species_step", failing_step)
     cfg = SimConfig(nx=16, steps=5, t_final=5e-3, preset="cosine-binary",

@@ -254,11 +254,34 @@ def test_stall_fallback_refactorizes_and_converges(monkeypatch, system_cls):
     # further ones are fallback passes, which differ from it by the
     # frozen advection: nonzero and skew.
     assert len(factored) >= 2
+    assert report.refactorizations == len(factored) - 1
     frozen = (factored[1] - factored[0]).toarray()
     assert np.abs(frozen).max() > 0.0
     assert np.abs(frozen + frozen.T).max() <= 1e-12 * np.abs(frozen).max()
     # The pressure equation (div u = 0 for the constrained system).
     assert report.pressure_eq_residual <= 1e-10
+
+
+@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
+def test_guess_is_taken_only_below_the_previous_residual(system_cls):
+    # A guess with a larger residual than the previous state is dropped
+    # and the step is bitwise the one taken without a guess; the
+    # converged velocity as a guess is taken and saves passes.
+    g = Grid.box((12, 12), (1.0, 1.0))
+    state = FlowState(stream_velocity(g, 0.4), np.zeros(g.shape))
+    params = FlowParams(tau=1e-3, eps=1e-2)
+    f = average_force(Forcing("constant", (0.1, 0.2)), g, 1, params.tau)
+    system = system_cls(g, params)
+    cold, cold_report = flow_step(system, state, f)
+    warm, warm_report = flow_step(system, state, f, guess=1e3 * state.u)
+    assert not cold_report.from_guess
+    assert warm_report == cold_report
+    np.testing.assert_array_equal(warm.u, cold.u)
+    np.testing.assert_array_equal(warm.p, cold.p)
+    new, report = flow_step(system, state, f, guess=cold.u)
+    assert report.from_guess
+    assert report.picard_iterations < cold_report.picard_iterations
+    assert report.final_residual <= params.tol
 
 
 def test_step_is_deterministic():

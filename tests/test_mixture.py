@@ -94,16 +94,6 @@ def test_entropy_density_oracles(binary_spec):
     assert h == pytest.approx(-np.log(3.0), abs=1e-14)
 
 
-def test_entropy_density_boundary_convention(binary_spec):
-    # x log x -> 0: a pure species has zero mixing entropy.
-    h = entropy_density(np.array([0.0]), binary_spec, allow_boundary=True)
-    assert h == 0.0
-    h = entropy_density(np.array([1.0]), binary_spec, allow_boundary=True)
-    assert h == 0.0
-    with pytest.raises(MixtureDomainError):
-        entropy_density(np.array([-0.1]), binary_spec, allow_boundary=True)
-
-
 def test_full_friction_matrix_oracle(binary_spec):
     # Equal masses, D12 = 1, rho' = [0.5]: c = 1, d12 = 1, so
     # A = [[0.5, -0.5], [-0.5, 0.5]].

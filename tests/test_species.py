@@ -311,6 +311,39 @@ def test_iteration_budget_error(binary_spec):
     assert len(err.value.residuals) == 1
 
 
+@pytest.mark.parametrize("kind", ["large-residual", "not-invertible"])
+def test_rejected_guess_leaves_the_step_bitwise_unchanged(binary_spec, kind):
+    # A guess whose densities do not invert (x_2 = e^-40 is below the
+    # interior margin) or whose residual exceeds the previous state's is
+    # dropped: the step is the one taken without a guess.
+    g = Grid.box((16,), (1.0,))
+    w, rho = cosine_binary_state(g, binary_spec, 0.2)
+    system = SpeciesSystem(g, binary_spec, SpeciesParams(tau=1e-3))
+    if kind == "large-residual":
+        guess = w + 2.0
+    else:
+        guess = np.where(np.arange(16) % 2 == 0, 40.0, -40.0)[None]
+    w0, r0, cold = species_step(system, w, rho, still(g))
+    w1, r1, warm = species_step(system, w, rho, still(g), guess=guess)
+    assert not cold.from_guess
+    assert warm == cold
+    np.testing.assert_array_equal(w1, w0)
+    np.testing.assert_array_equal(r1, r0)
+
+
+def test_guess_near_the_solution_is_taken(binary_spec):
+    g = Grid.box((16,), (1.0,))
+    w, rho = cosine_binary_state(g, binary_spec, 0.2)
+    system = SpeciesSystem(g, binary_spec, SpeciesParams(tau=1e-3))
+    w0, _, cold = species_step(system, w, rho, still(g))
+    _, _, warm = species_step(system, w, rho, still(g),
+                              guess=w0 + 1e-6 * (w0 - w),
+                              entropy_before=cold.entropy_before)
+    assert warm.from_guess
+    assert warm.iterations < cold.iterations
+    assert warm.final_residual <= system.params.tol
+
+
 def test_step_is_deterministic(binary_spec):
     g = Grid.box((16,), (1.0,))
     w, rho = cosine_binary_state(g, binary_spec, 0.2)
