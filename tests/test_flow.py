@@ -282,6 +282,8 @@ def test_guess_is_taken_only_below_the_previous_residual(system_cls):
     assert report.from_guess
     assert report.picard_iterations < cold_report.picard_iterations
     assert report.final_residual <= params.tol
+    with pytest.raises(GridError, match="guess shape"):
+        flow_step(system, state, f, guess=cold.u[:, :4])
 
 
 def test_step_is_deterministic():
