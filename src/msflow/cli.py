@@ -106,8 +106,9 @@ def _cmd_run(cfg, verbose: bool = False) -> int:
     print(f"steps completed: {last['step']}  t = {last['time']:.6g}")
     print(f"energy {last['energy']:.6e}  entropy {last['entropy']:.6e}  "
           f"min density {last['min_density']:.3e}")
-    worst_e = max(r["energy_residual"] for r in result.ledger.rows)
-    worst_s = max(r["entropy_slack"] for r in result.ledger.rows)
+    steps = result.ledger.rows[1:]      # row 0 is the initial state
+    worst_e = max((r["energy_residual"] for r in steps), default=0.0)
+    worst_s = max((r["entropy_slack"] for r in steps), default=0.0)
     print(f"max energy-identity residual {worst_e:.3e}  "
           f"max entropy slack {worst_s:+.3e}")
     bounds = result.ledger.check_global_bounds()

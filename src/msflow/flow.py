@@ -14,12 +14,12 @@ which turns the velocity solve into a Helmholtz system with a grad-div
 term of strength tau/eps.  The incompressible limit eps = 0
 (``SaddleSystem``) keeps the pressure as an unknown of a saddle system
 that imposes div u = 0, with the pressure pinned at one cell and
-shifted to zero mean after each solve.  Both go through one Picard loop,
-``flow_step``, with the advection term lagged on the right-hand side,
-so every pass reuses the advection-free LU that the system factors on
-its first step and keeps for the run; if that iteration stops
-contracting, the advection operator is frozen into the matrix and
-refactorized for the offending pass.
+shifted to zero mean after each pass.  Both go through one Picard loop,
+``flow_step``, in correction form x <- x - LU^-1 r, r the residual of
+the iterate (Moler, J. ACM 14, 1967).  Every pass reuses the advection-
+free LU that the system factors on its first step and keeps for the
+run, which lags the advection; if that stops contracting, the advection
+is frozen into the matrix and refactorized for the offending pass.
 
 Each system factors its matrix in one fixed order of the unknowns,
 computed once: the components of a cell are adjacent, and the cells
@@ -33,7 +33,7 @@ central difference); a one-wide cut would leave the halves coupled
 through it.  The saddle matrix couples only neighbours, but its zero
 pressure diagonal needs row pivoting, and with one-wide cuts the
 pivots spread the fill: at 64 x 64 it triples.  Row pivoting stays
-on, and ``solve`` permutes the right-hand side and the solution.
+on, and ``correct`` permutes the residual and the correction.
 
 Because the advection operator is exactly skew-adjoint and the discrete
 gradient and divergence are exact negative adjoints, the converged step
@@ -253,13 +253,12 @@ class FlowSystem:
         return (mom - coef * (self.grad_mat @ self.div_mat)).tocsc()
 
     def pressure(self, u, p_prev):
-        """The pressure that goes with velocity ``u`` before a solve."""
+        """The pressure that goes with velocity ``u``."""
         return p_prev - (self.params.tau / self.eps) * div(self.grid, u)
 
-    def solve(self, lu, rhs, p_prev):
-        """(u, p) for the momentum right-hand side ``rhs``."""
-        g = (self.grad_mat @ p_prev.reshape(-1)).reshape(rhs.shape)
-        u = self._lu_solve(lu, (rhs - g).reshape(-1)).reshape(rhs.shape)
+    def correct(self, lu, u, p, r, p_prev):
+        """u - LU^-1 r and its pressure, for the residual ``r`` at (u, p)."""
+        u = u - self._lu_solve(lu, r.reshape(-1)).reshape(u.shape)
         return u, self.pressure(u, p_prev)
 
 
@@ -268,7 +267,7 @@ class SaddleSystem(FlowSystem):
 
     The pressure stays an unknown of a saddle matrix that couples the
     momentum block to the divergence constraint.  A 1 on the pressure
-    diagonal of cell 0 pins the pressure's free constant; each solve
+    diagonal of cell 0 pins the pressure's free constant; each pass
     then shifts it to zero mean.  With odd ghosts the discrete
     divergence of any velocity sums to zero, so the summed constraint
     rows force p_0 = 0: the matrix is nonsingular and div u = 0 still
@@ -280,32 +279,35 @@ class SaddleSystem(FlowSystem):
     def __init__(self, grid: Grid, params: FlowParams):
         super().__init__(grid, params)
         self.eps = 0.0
+        pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(grid.n_cells,) * 2)
+        # The constraint rows [D, pin] of the matrix and the residual.
+        self.constraint = sp.hstack([self.div_mat, pin], format="csr")
 
     def _couple(self, mom):
-        n = self.grid.n_cells
-        pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
-        return sp.bmat([[mom, self.grad_mat], [self.div_mat, pin]],
-                       format="csc")
+        return sp.vstack([sp.hstack([mom, self.grad_mat]), self.constraint],
+                         format="csc")
 
     def pressure(self, u, p_prev):
-        # Only a solve determines the constrained pressure.
+        # Only a correction moves the constrained pressure.
         return p_prev.copy()
 
-    def solve(self, lu, rhs, p_prev):
-        zero = np.zeros(self.grid.n_cells)
-        up = self._lu_solve(lu, np.concatenate([rhs.reshape(-1), zero]))
-        u, p = np.split(up, [rhs.size])
-        return u.reshape(rhs.shape), (p - p.mean()).reshape(p_prev.shape)
+    def correct(self, lu, u, p, r, p_prev):
+        x = np.concatenate([u.reshape(-1), p.reshape(-1)])
+        b = np.concatenate([r.reshape(-1), self.constraint @ x])
+        u_new, p = np.split(x - self._lu_solve(lu, b), [u.size])
+        return u_new.reshape(u.shape), (p - p.mean()).reshape(p_prev.shape)
 
 
 def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
               guess=None):
     """Advance velocity and pressure by one implicit step of ``system``.
 
-    Picard iteration with the advection of the current iterate lagged
-    on the right-hand side, so every pass reuses the system's
-    advection-free LU; a pass after one that failed to halve the
-    residual freezes the advection in the matrix and refactorizes.
+    Picard iteration in correction form: ``system.correct`` subtracts
+    the LU's solve of the residual that the loop forms for its stopping
+    test, so the LU's rounding touches only the correction.  The
+    advection-free LU lags the advection; a pass after one that failed
+    to halve the residual freezes the advection in the matrix and
+    refactorizes.
 
     The loop starts from the velocity ``guess`` (with the pressure that
     ``system`` pairs with it) when one is given and its residual is
@@ -325,25 +327,24 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
         system.lu = system.factor()
 
     def residual(u, p):
-        """The lagged advection at (u, p) and the step's residual norm."""
-        adv = skew_advect(grid, u, u, "dirichlet")
-        r = (u - u_prev) / tau + adv - f_avg
+        """The step's momentum residual at (u, p) and its norm."""
+        r = (u - u_prev) / tau + skew_advect(grid, u, u, "dirichlet") - f_avg
         r += (system.grad_mat @ p.reshape(-1)).reshape(u.shape)
         for a in range(grid.dim):
             r[a] -= (system.lap @ u[a].reshape(-1)).reshape(grid.shape)
-        return adv, norm_l2(grid, r)
+        return r, norm_l2(grid, r)
 
     u, p = u_prev.copy(), system.pressure(u_prev, p_prev)
-    adv, res = residual(u, p)
+    r, res = residual(u, p)
     from_guess = False
     if guess is not None:
         u_g = np.array(guess, dtype=float)
         if u_g.shape != u_prev.shape:
             raise GridError("guess shape does not match the velocity field")
         p_g = system.pressure(u_g, p_prev)
-        adv_g, res_g = residual(u_g, p_g)
+        r_g, res_g = residual(u_g, p_g)
         if res_g < res:
-            u, p, adv, res, from_guess = u_g, p_g, adv_g, res_g, True
+            u, p, r, res, from_guess = u_g, p_g, r_g, res_g, True
     residuals = [res]
     iterations = refactorizations = 0
     while res > params.tol:
@@ -351,18 +352,16 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
             raise FlowSolverError(
                 f"Picard iteration stalled at residual {res:.3e} after "
                 f"{iterations} iterations", residuals)
-        rhs = f_avg + u_prev / tau
         if len(residuals) >= 2 and residuals[-1] > 0.5 * residuals[-2]:
-            # Advection too strong for the lagged right-hand side:
-            # freeze it in the matrix and refactorize for this pass.
+            # Advection too strong for the lagged pass: freeze it in
+            # the matrix and refactorize for this pass.
             lu = system.factor(advection_matrix(grid, u, "dirichlet"))
             refactorizations += 1
         else:
-            rhs = rhs - adv
             lu = system.lu
-        u, p = system.solve(lu, rhs, p_prev)
+        u, p = system.correct(lu, u, p, r, p_prev)
         iterations += 1
-        adv, res = residual(u, p)
+        r, res = residual(u, p)
         residuals.append(res)
 
     # The pressure equation's residual; with it the energy balance

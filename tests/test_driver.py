@@ -1,5 +1,6 @@
 """Config parsing, initial presets, time loop, reference solver, CLI."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,15 @@ from msflow.driver import (
     run_simulation,
     sweep_epsilon,
 )
-from msflow.flow import SaddleSystem
+from msflow.flow import (
+    FlowParams,
+    FlowSolverError,
+    FlowSystem,
+    Forcing,
+    SaddleSystem,
+    average_force,
+    flow_step,
+)
 from msflow.grid import _ADJOINT_BC, deriv_matrix, div, norm_l2
 from msflow.mixture import entropy_vars, mobility_matrix
 from msflow.species import SpeciesSolverError
@@ -327,6 +336,34 @@ def test_reference_2d_divergence_free_to_roundoff(small_2d_config):
     assert any(np.abs(u).max() > 0 for u in ref.history["u"])
 
 
+def test_reference_divergence_is_at_roundoff():
+    # The correction form keeps the LU's rounding out of the constraint:
+    # the largest div_u_l2 is 7.9e-16 here, where passes that solve for
+    # (u, p) afresh leave 2.3e-13.
+    cfg = load_config(CONFIGS / "standard-2d.cfg", [
+        "grid.nx=32", "grid.ny=32", "scheme.steps=10",
+        "scheme.t_final=0.01"])
+    ref = reference_incompressible(cfg)
+    assert max(r["div_u_l2"] for r in ref.ledger.rows[1:]) <= 1e-14
+
+
+def test_flow_residual_floor_of_the_first_step():
+    # The smallest residual that 40 passes reach on step 1 of
+    # standard-2d at 16^2: 5.1e-14 in correction form, where passes
+    # that solve for the iterate afresh stall at 3.2e-13.
+    cfg = load_config(CONFIGS / "standard-2d.cfg",
+                      ["grid.nx=16", "grid.ny=16"])
+    grid, spec = cfg.build_grid(), cfg.build_mixture()
+    state, _ = initial_conditions(cfg, grid, spec)
+    forcing = Forcing(cfg.forcing_preset, (cfg.fx, cfg.fy),
+                      cfg.forcing_spatial, cfg.omega)
+    system = FlowSystem(grid, FlowParams(tau=cfg.tau, eps=cfg.eps,
+                                         tol=1e-16, max_picard=40))
+    with pytest.raises(FlowSolverError) as err:
+        flow_step(system, state, average_force(forcing, grid, 1, cfg.tau))
+    assert min(err.value.residuals) <= 1.5e-13
+
+
 def test_sweep_requires_two_values(small_2d_config):
     with pytest.raises(ValueError, match="at least two eps"):
         sweep_epsilon(small_2d_config, [1e-2])
@@ -419,6 +456,28 @@ def test_cli_run_verbose_prints_one_line_per_step(tmp_path, capsys):
     assert "flow_guess 1 species_guess 1" in lines[2]
 
 
+def test_cli_run_prints_the_worst_step_entropy_slack(tmp_path, capsys):
+    # Row 0, the initial state, has slack 0; the printed maximum is
+    # over the steps, whose slacks are all negative here.
+    rc = cli.main(["run", str(CONFIGS / "entropy-binary-1d.cfg")]
+                  + _overrides([("scheme.steps", 4),
+                                ("scheme.t_final", "4e-3"),
+                                ("output.dir", str(tmp_path))]))
+    assert rc == 0
+    out = capsys.readouterr().out
+    with open(tmp_path / "ledger.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    worst = max(float(r["entropy_slack"]) for r in rows[1:])
+    assert len(rows) == 5 and worst < 0.0
+    assert f"max entropy slack {worst:+.3e}\n" in out
+    # No step: one line, with no residual and no slack.
+    rc = cli.main(["run"] + _overrides([("scheme.steps", 0),
+                                        ("output.dir", str(tmp_path))]))
+    assert rc == 0
+    assert ("max energy-identity residual 0.000e+00  "
+            "max entropy slack +0.000e+00\n") in capsys.readouterr().out
+
+
 def test_cli_check_passes_on_defaults(capsys):
     rc = cli.main(["check"] + _overrides([
         ("grid.nx", 16), ("scheme.steps", 4), ("scheme.t_final", "4e-3"),
@@ -473,6 +532,29 @@ def test_cli_check_fails_on_non_skew_advection(monkeypatch, capsys):
 def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
     # An identity pressure block turns the saddle system into a penalty
     # that no longer enforces div u = 0; the reference check must see it.
+    # The constraint rows serve the matrix and the residual alike.
+    init = SaddleSystem.__init__
+
+    def penalized(self, grid, params):
+        init(self, grid, params)
+        self.constraint = sp.hstack(
+            [self.div_mat, sp.identity(grid.n_cells)], format="csr")
+
+    monkeypatch.setattr(SaddleSystem, "__init__", penalized)
+    rc = cli.main(["check", str(CONFIGS / "standard-2d.cfg")] + _overrides([
+        ("grid.nx", 16), ("grid.ny", 16),
+    ]))
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL incompressible reference divergence-free" in out
+    assert "1 failure(s)" in out
+
+
+def test_cli_check_exits_3_when_the_saddle_matrix_disagrees(monkeypatch,
+                                                           capsys):
+    # The penalty in the matrix only: its LU no longer inverts the
+    # residual's operator, the corrections stop contracting and the
+    # reference step fails in one line instead of accepting a wrong step.
     def penalized(self, mom):
         n = self.grid.n_cells
         return sp.bmat([[mom, self.grad_mat],
@@ -482,10 +564,10 @@ def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
     rc = cli.main(["check", str(CONFIGS / "standard-2d.cfg")] + _overrides([
         ("grid.nx", 16), ("grid.ny", 16),
     ]))
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "FAIL incompressible reference divergence-free" in out
-    assert "1 failure(s)" in out
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.strip().splitlines()) == 1
+    assert "stalled" in err
 
 
 def test_cli_compare_ref_runs(tmp_path, capsys):
