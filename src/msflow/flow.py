@@ -15,13 +15,18 @@ term of strength tau/eps.  The incompressible limit eps = 0
 (``SaddleSystem``) keeps the pressure as an unknown of a saddle system
 that imposes div u = 0, with the pressure pinned at one cell and
 shifted to zero mean after each pass.  Both go through one Picard loop,
-``flow_step``, in correction form x <- x - LU^-1 r, r the residual of
-the iterate (Moler, J. ACM 14, 1967).  Every pass reuses the advection-
-free LU that the system factors on its first step and keeps for the
-run, which lags the advection; if that stops contracting, the advection
-is frozen into the matrix and refactorized for the offending pass.
+``flow_step``, in correction form x <- x - A^-1 r, r the residual of
+the iterate (Moler, J. ACM 14, 1967).  Every pass applies the inverse
+of the advection-free matrix A, which the system builds on its first
+step and keeps for the run, and so lags the advection; if that stops
+contracting, the advection is frozen into the matrix and a sparse LU
+of it is factored for the offending pass.
 
-Each system factors its matrix in one fixed order of the unknowns,
+The relaxed A has constant coefficients, and ``SpectralInverse``
+inverts it exactly with fast sine/cosine transforms and a capacitance
+matrix on the wall cells, with no factorization of A.  The saddle
+system LU-factors its matrix, and every frozen-advection pass
+LU-factors its own; each LU takes the unknowns in one fixed order,
 computed once: the components of a cell are adjacent, and the cells
 follow a nested dissection of the grid (George, SIAM J. Numer. Anal.
 10, 1973).  The longer side of a block is cut by a separator, the two
@@ -50,9 +55,13 @@ computed and reported every step.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -68,6 +77,8 @@ from .grid import (
     norm_l2,
     skew_advect,
 )
+
+log = logging.getLogger(__name__)
 
 
 class FlowSolverError(RuntimeError):
@@ -110,7 +121,7 @@ class FlowState:
 @dataclass
 class FlowStepReport:
     picard_iterations: int
-    refactorizations: int       # passes with the advection frozen in the LU
+    refactorizations: int       # passes with the advection frozen in an LU
     from_guess: bool            # the loop started from the caller's guess
     final_residual: float
     energy_identity_residual: float
@@ -200,14 +211,156 @@ def nested_dissection(shape) -> np.ndarray:
                                 .reshape(shape)))
 
 
+def _dst(x, axis):
+    return sfft.dst(x, type=2, axis=axis, norm="ortho")
+
+
+def _dct(x, axis):
+    return sfft.dct(x, type=2, axis=axis, norm="ortho")
+
+
+def _idst(x, axis):
+    return sfft.idst(x, type=2, axis=axis, norm="ortho")
+
+
+def _idct(x, axis):
+    return sfft.idct(x, type=2, axis=axis, norm="ortho")
+
+
+class SpectralInverse:
+    """Exact inverse of the advection-free relaxed step matrix
+    A = I/tau - lap - (tau/eps) G D, by fast sine/cosine transforms and
+    a boundary capacitance matrix.
+
+    The free-slip model M differs from A only in the tangential second
+    differences, which take even ghosts instead of odd ones.  Then u_a
+    is diagonal under DST-II along axis a and DCT-II along the others,
+    and D maps DST mode k to DCT mode k with the factor
+    s = sin(k pi/n)/h.  In the frame of modes k = 0..n on every axis
+    (component a's DST modes sit at k >= 1, its DCT modes at k < n), M
+    is p I + c s s^T per mode, with p = 1/tau + 4 sin^2(k pi/2n)/h^2
+    summed over the axes and c = tau/eps.  Sherman-Morrison inverts it
+    as (I - c s s^T / (p + c |s|^2)) / p, which has no cancellation at
+    small eps.
+
+    A = M + U W U^T, where U picks the k = 2 nx + 2 ny cells next to
+    the walls tangential to their component (u_x's on the y walls, u_y's
+    on the x walls) and W = 2/h^2 with h the spacing across the wall;
+    in 1D, k = 0 and M = A.  Woodbury gives A^-1 r = M^-1 (r - U z) with
+    z = K^-1 U^T M^-1 r, where the capacitance matrix
+    K = W^-1 + U^T M^-1 U is symmetric positive definite (Buzbee, Dorr,
+    George and Golub, SIAM J. Numer. Anal. 8, 1971).  K is built from
+    the 1D transform matrices, one separable block per pair of
+    components, and inverted once through its Cholesky factor.  A
+    solve takes one forward and one inverse transform per component;
+    the wall terms cost O(n^2).  ``walls`` lists U's cells in storage
+    order.
+    """
+
+    def __init__(self, grid: Grid, tau: float, eps: float):
+        d = grid.dim
+        self.fields = (d,) + grid.shape
+        c = tau / eps
+        self.s, p = [], 1.0 / tau
+        for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+            k = np.arange(n + 1).reshape((-1,) + (1,) * (d - 1 - a))
+            s = np.sin(np.pi * k / n) / h
+            s[-1] = 0.0                 # sin(pi) is not 0 in floating point
+            self.s.append(s)
+            p = p + (2.0 / h * np.sin(0.5 * np.pi * k / n)) ** 2
+        self.inv_p = 1.0 / p
+        self.coef = c / (p + c * sum(s * s for s in self.s))
+        self.slots = [tuple(slice(1, None) if b == a else slice(0, -1)
+                            for b in range(d)) for a in range(d)]
+        self.walls = np.zeros(0, dtype=int)
+        if d == 2:
+            (nx, ny), (hx, hy) = grid.shape, grid.spacing
+            # Per axis: the orthonormal DST-II matrix, and the DCT-II
+            # columns of the two end cells.
+            self._dst_mat = [_dst(np.eye(n), 0) for n in grid.shape]
+            self._end_cols = [_dct(np.eye(n)[:, [0, -1]], 0)
+                              for n in grid.shape]
+            cells = np.arange(2 * grid.n_cells).reshape(self.fields)
+            self.walls = np.concatenate([cells[0][:, [0, -1]].reshape(-1),
+                                         cells[1][[0, -1]].reshape(-1)])
+            cap = self.capacitance()
+            cap[np.diag_indices_from(cap)] += np.repeat(
+                [0.5 * hy * hy, 0.5 * hx * hx], [2 * nx, 2 * ny])
+            self._cap_inv = sla.cho_solve(sla.cho_factor(cap, lower=True),
+                                          np.eye(len(cap)))
+        self.k = self.walls.size
+
+    def _spectral(self, f):
+        """M^-1 in the transform frame."""
+        g = self.coef * sum(s * fa for s, fa in zip(self.s, f))
+        return np.stack([fa - s * g for s, fa in zip(self.s, f)]) * self.inv_p
+
+    def _forward(self, r):
+        out = np.zeros((len(r),) + self.inv_p.shape)
+        for a, slot in enumerate(self.slots):
+            x = _dst(r[a], a)
+            for b in range(x.ndim):
+                if b != a:
+                    x = _dct(x, b)
+            out[a][slot] = x
+        return out
+
+    def _backward(self, f):
+        out = np.empty(self.fields)
+        for a, slot in enumerate(self.slots):
+            x = _idst(f[a][slot], a)
+            for b in range(x.ndim):
+                if b != a:
+                    x = _idct(x, b)
+            out[a] = x
+        return out
+
+    def capacitance(self):
+        """U^T M^-1 U, one separable block per pair of components."""
+        (sx, sy), (ex, ey) = self._dst_mat, self._end_cols
+        # Per component, the transform of a unit wall cell along each
+        # axis of the frame: u_x varies along x and ends on the y walls.
+        dst_rows, dct_rows = ((1, 0), (0, 0)), ((0, 1), (0, 0))
+        factors = [(np.pad(sx, dst_rows), np.pad(ey, dct_rows)),
+                   (np.pad(ex, dct_rows), np.pad(sy, dst_rows))]
+        blocks = [[None, None], [None, None]]
+        for a in range(2):
+            for b in range(a, 2):
+                lam = self.inv_p * ((a == b) - self.s[a] * self.s[b]
+                                    * self.coef)
+                (fa0, fa1), (fb0, fb1) = factors[a], factors[b]
+                blk = np.einsum("ki,lj,kl,km,ln->ijmn", fa0, fa1, lam,
+                                fb0, fb1, optimize=True)
+                blocks[a][b] = blk.reshape(fa0.shape[1] * fa1.shape[1], -1)
+                blocks[b][a] = blocks[a][b].T
+        return np.block(blocks)
+
+    def solve(self, r):
+        """A^-1 r for ``r`` flat in storage order."""
+        f = self._forward(r.reshape(self.fields))
+        y = self._spectral(f)
+        if self.k:
+            (sx, sy), (ex, ey) = self._dst_mat, self._end_cols
+            nx = sx.shape[0]
+            # z = K^-1 U^T M^-1 r, then the transform of r - U z.
+            z = self._cap_inv @ np.concatenate([
+                (sx.T @ (y[0][self.slots[0]] @ ey)).reshape(-1),
+                (ex.T @ y[1][self.slots[1]] @ sy).reshape(-1)])
+            f[0][self.slots[0]] -= sx @ z[:2 * nx].reshape(nx, 2) @ ey.T
+            f[1][self.slots[1]] -= ex @ z[2 * nx:].reshape(2, -1) @ sy.T
+            y = self._spectral(f)
+        return self._backward(y).reshape(-1)
+
+
 class FlowSystem:
     """The relaxed system's step operators, owned by one run.
 
     The pressure is eliminated, p = p_prev - (tau/eps) div u, which
-    leaves a velocity-only Helmholtz matrix with a grad-div term.  The
-    advection-free LU is factored on the first step and lives as long
-    as the object, so a run that returns drops its factorization.
-    ``order`` lists the matrix's unknowns in the order the LU sees
+    leaves a velocity-only Helmholtz matrix with a grad-div term.  Its
+    advection-free inverse, a :class:`SpectralInverse`, is built on the
+    first step and lives as long as the object, so a run that returns
+    drops it.  Only a pass with frozen advection factors a sparse LU;
+    ``order`` lists the matrix's unknowns in the order that LU sees
     them.
     """
 
@@ -223,7 +376,7 @@ class FlowSystem:
         self.div_mat = (-self.grad_mat.T).tocsr()
         self.lap = laplacian_matrix(grid, "dirichlet")
         self.base = sp.identity(grid.n_cells) / params.tau - self.lap
-        self.lu = None
+        self.inverse = None     # the lagged passes' inverse, once built
         # Unknowns are stored field by field; the LU takes them cell by
         # cell, in nested-dissection order.
         fields = np.arange(d + self.pressure_fields) * grid.n_cells
@@ -243,9 +396,21 @@ class FlowSystem:
         return spla.splu(self.matrix(adv)[order][:, order],
                          permc_spec="NATURAL")
 
-    def _lu_solve(self, lu, b):
+    def lagged_inverse(self):
+        """The inverse of the advection-free :meth:`matrix`."""
+        start = time.perf_counter()
+        inv = SpectralInverse(self.grid, self.params.tau, self.eps)
+        log.info("flow inverse: sine/cosine transforms with a %d-cell "
+                 "capacitance matrix, setup %.3f s", inv.k,
+                 time.perf_counter() - start)
+        return inv
+
+    def _solve(self, inv, b):
+        """inv^-1 b in storage order; an LU takes ``order``."""
+        if isinstance(inv, SpectralInverse):
+            return inv.solve(b)
         x = np.empty_like(b)
-        x[self.order] = lu.solve(b[self.order])
+        x[self.order] = inv.solve(b[self.order])
         return x
 
     def _couple(self, mom):
@@ -256,9 +421,10 @@ class FlowSystem:
         """The pressure that goes with velocity ``u``."""
         return p_prev - (self.params.tau / self.eps) * div(self.grid, u)
 
-    def correct(self, lu, u, p, r, p_prev):
-        """u - LU^-1 r and its pressure, for the residual ``r`` at (u, p)."""
-        u = u - self._lu_solve(lu, r.reshape(-1)).reshape(u.shape)
+    def correct(self, inv, u, p, r, p_prev):
+        """u - inv^-1 r and its pressure, for the residual ``r`` at (u, p);
+        ``inv`` is the lagged inverse or a frozen-advection LU."""
+        u = u - self._solve(inv, r.reshape(-1)).reshape(u.shape)
         return u, self.pressure(u, p_prev)
 
 
@@ -287,14 +453,21 @@ class SaddleSystem(FlowSystem):
         return sp.vstack([sp.hstack([mom, self.grad_mat]), self.constraint],
                          format="csc")
 
+    def lagged_inverse(self):
+        start = time.perf_counter()
+        lu = self.factor()
+        log.info("flow inverse: sparse LU of the saddle matrix, setup %.3f s",
+                 time.perf_counter() - start)
+        return lu
+
     def pressure(self, u, p_prev):
         # Only a correction moves the constrained pressure.
         return p_prev.copy()
 
-    def correct(self, lu, u, p, r, p_prev):
+    def correct(self, inv, u, p, r, p_prev):
         x = np.concatenate([u.reshape(-1), p.reshape(-1)])
         b = np.concatenate([r.reshape(-1), self.constraint @ x])
-        u_new, p = np.split(x - self._lu_solve(lu, b), [u.size])
+        u_new, p = np.split(x - self._solve(inv, b), [u.size])
         return u_new.reshape(u.shape), (p - p.mean()).reshape(p_prev.shape)
 
 
@@ -303,11 +476,11 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     """Advance velocity and pressure by one implicit step of ``system``.
 
     Picard iteration in correction form: ``system.correct`` subtracts
-    the LU's solve of the residual that the loop forms for its stopping
-    test, so the LU's rounding touches only the correction.  The
-    advection-free LU lags the advection; a pass after one that failed
-    to halve the residual freezes the advection in the matrix and
-    refactorizes.
+    the solve of the residual that the loop forms for its stopping
+    test, so the solve's rounding touches only the correction.  The
+    advection-free inverse lags the advection; a pass after one that
+    failed to halve the residual freezes the advection in the matrix
+    and factors a sparse LU of it.
 
     The loop starts from the velocity ``guess`` (with the pressure that
     ``system`` pairs with it) when one is given and its residual is
@@ -323,8 +496,8 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     f_avg = np.asarray(f_avg, dtype=float)
     if f_avg.shape != u_prev.shape:
         raise GridError("forcing shape does not match the velocity field")
-    if system.lu is None:
-        system.lu = system.factor()
+    if system.inverse is None:
+        system.inverse = system.lagged_inverse()
 
     def residual(u, p):
         """The step's momentum residual at (u, p) and its norm."""
@@ -355,11 +528,11 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
         if len(residuals) >= 2 and residuals[-1] > 0.5 * residuals[-2]:
             # Advection too strong for the lagged pass: freeze it in
             # the matrix and refactorize for this pass.
-            lu = system.factor(advection_matrix(grid, u, "dirichlet"))
+            inv = system.factor(advection_matrix(grid, u, "dirichlet"))
             refactorizations += 1
         else:
-            lu = system.lu
-        u, p = system.correct(lu, u, p, r, p_prev)
+            inv = system.inverse
+        u, p = system.correct(inv, u, p, r, p_prev)
         iterations += 1
         r, res = residual(u, p)
         residuals.append(res)

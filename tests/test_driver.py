@@ -1,6 +1,7 @@
 """Config parsing, initial presets, time loop, reference solver, CLI."""
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,24 @@ def test_validate_species_tol_floor_scales_with_tau_and_domain():
     with pytest.raises(ConfigError, match="scheme.flow_tol must be"):
         SimConfig(t_final=3e-6, **small_tau).validate()
     SimConfig(t_final=3e-5, **small_tau).validate()
+
+
+def test_validate_flow_tol_relaxed_floor():
+    # The relaxed pressure's rounding puts 0.09 eps_mach tau/(eps h^2)
+    # under the flow residual: 8.2e-11 at eps = 1e-6 on 64^2 with
+    # tau = 1e-3, where standard-2d converges (201 passes), and 8.2e-10
+    # at eps = 1e-7, where it stalls at 8.0e-10.
+    SimConfig(dim=2, eps=1e-6).validate()
+    with pytest.raises(ConfigError, match="at least 8.19e-10 = 0.09 eps"):
+        SimConfig(dim=2, eps=1e-7).validate()
+    SimConfig(dim=2, eps=1e-7, flow_tol=1e-9).validate()
+    SimConfig(dim=2, nx=16, ny=16, eps=1e-7).validate()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    load_config(path)
 
 
 def test_build_mixture_places_upper_triangle():
@@ -447,13 +466,16 @@ def test_cli_run_verbose_prints_one_line_per_step(tmp_path, capsys):
     quiet = capsys.readouterr().out
     assert cli.main(args + ["-v"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "\n".join(lines[3:]) + "\n" == quiet
-    for k, line in enumerate(lines[:3], start=1):
+    assert "\n".join(lines[4:]) + "\n" == quiet
+    # One line names the flow inverse the run built, then one per step.
+    assert re.fullmatch(r"flow inverse: sine/cosine transforms with a 32-cell "
+                        r"capacitance matrix, setup \d+\.\d{3} s", lines[0])
+    for k, line in enumerate(lines[1:4], start=1):
         assert line.startswith(f"step {k}: flow_iters ")
         for key in ("flow_refactors", "species_iters", "cg_iters",
                     "flow_guess", "species_guess"):
             assert f" {key} " in line
-    assert "flow_guess 1 species_guess 1" in lines[2]
+    assert "flow_guess 1 species_guess 1" in lines[3]
 
 
 def test_cli_run_prints_the_worst_step_entropy_slack(tmp_path, capsys):
@@ -618,6 +640,8 @@ def test_cli_rejects_unknown_key(capsys):
         for arg in ("--set", pair)], id="flow_tol-below-floor"),
     pytest.param([str(CONFIGS / "entropy-binary-1d.cfg"),
                   "--set", "init.amplitude=0.9"], id="init.amplitude=0.9"),
+    pytest.param([str(CONFIGS / "standard-2d.cfg"), "--set",
+                  "scheme.eps=1e-7"], id="flow_tol-below-relaxed-floor"),
     pytest.param([str(CONFIGS / "missing.cfg")], id="missing-config-file"),
 ])
 def test_cli_rejects_bad_value_in_one_line(args, capsys):
