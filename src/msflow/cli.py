@@ -233,7 +233,7 @@ def _cmd_check(cfg) -> int:
     ref_rows = reference_incompressible(small).ledger.rows[1:]
     worst_div = max((r["div_u_l2"] for r in ref_rows), default=0.0)
     worst_ref = max((r["energy_residual"] for r in ref_rows), default=0.0)
-    ck.check(worst_div <= 1e-10 and worst_ref <= 100 * cfg.flow_tol,
+    ck.check(worst_div <= 1e-12 and worst_ref <= 100 * cfg.flow_tol,
              "incompressible reference divergence-free",
              f"max div {worst_div:.2e}, max energy residual {worst_ref:.2e}")
 

@@ -13,7 +13,7 @@ equation is eliminated exactly,
 which turns the velocity solve into a Helmholtz system with a grad-div
 term of strength tau/eps.  The incompressible limit eps = 0
 (``SaddleSystem``) keeps the pressure as an unknown of a saddle system
-that imposes div u = 0, with the pressure pinned at one cell and
+that imposes div u = 0; the pressure is fixed up to a constant and
 shifted to zero mean after each pass.  Both go through one Picard loop,
 ``flow_step``, in correction form x <- x - A^-1 r, r the residual of
 the iterate (Moler, J. ACM 14, 1967).  Every pass applies the inverse
@@ -22,18 +22,19 @@ step and keeps for the run, and so lags the advection; if that stops
 contracting, the advection is frozen into the matrix and a sparse LU
 of it is factored for the offending pass.
 
-The relaxed A has constant coefficients, and ``SpectralInverse``
-inverts it exactly with fast sine/cosine transforms and a capacitance
-matrix on the wall cells, with no factorization of A.  The saddle
-system LU-factors its matrix, and every frozen-advection pass
-LU-factors its own; each LU takes the unknowns in one fixed order,
-computed once: the components of a cell are adjacent, and the cells
-follow a nested dissection of the grid (George, SIAM J. Numer. Anal.
-10, 1973).  The longer side of a block is cut by a separator, the two
-halves are ordered recursively and the separator last, so the LU's
-fill stays inside the separators instead of spreading along a band.
-The separators are two cells wide because G D, the grad-div term of
-the relaxed matrix, couples cells two apart (a central difference of a
+The advection-free matrices have constant coefficients, and
+``SpectralInverse`` inverts both exactly with fast sine/cosine
+transforms and a capacitance matrix on the wall cells, with no
+factorization: at eps = 0 its per-mode inverse becomes a projection
+onto divergence-free velocities.  Only a frozen-advection pass
+LU-factors its matrix, with the unknowns in one fixed order, computed
+once: the components of a cell are adjacent, and the cells follow a
+nested dissection of the grid (George, SIAM J. Numer. Anal. 10, 1973).
+The longer side of a block is cut by a separator, the two halves are
+ordered recursively and the separator last, so the LU's fill stays
+inside the separators instead of spreading along a band.  The
+separators are two cells wide because G D, the grad-div term of the
+relaxed matrix, couples cells two apart (a central difference of a
 central difference); a one-wide cut would leave the halves coupled
 through it.  The saddle matrix couples only neighbours, but its zero
 pressure diagonal needs row pivoting, and with one-wide cuts the
@@ -230,18 +231,28 @@ def _idct(x, axis):
 class SpectralInverse:
     """Exact inverse of the advection-free relaxed step matrix
     A = I/tau - lap - (tau/eps) G D, by fast sine/cosine transforms and
-    a boundary capacitance matrix.
+    a boundary capacitance matrix; at eps = 0, of the saddle matrix.
 
     The free-slip model M differs from A only in the tangential second
     differences, which take even ghosts instead of odd ones.  Then u_a
     is diagonal under DST-II along axis a and DCT-II along the others,
     and D maps DST mode k to DCT mode k with the factor
     s = sin(k pi/n)/h.  In the frame of modes k = 0..n on every axis
-    (component a's DST modes sit at k >= 1, its DCT modes at k < n), M
-    is p I + c s s^T per mode, with p = 1/tau + 4 sin^2(k pi/2n)/h^2
-    summed over the axes and c = tau/eps.  Sherman-Morrison inverts it
-    as (I - c s s^T / (p + c |s|^2)) / p, which has no cancellation at
-    small eps.
+    (component a's DST modes sit at k >= 1, its DCT modes and the
+    pressure's at k < n), M is p I + c s s^T per mode, with
+    p = 1/tau + 4 sin^2(k pi/2n)/h^2 summed over the axes and
+    c = tau/eps.  Sherman-Morrison inverts it as (I - coef s s^T) / p
+    with coef = c / (p + c |s|^2), which has no cancellation at small
+    eps.
+
+    ``solve`` also takes the stacked residual [r; c] of the step
+    matrix that keeps the pressure, [[M, G], [D, I/c]]; per mode G is
+    -s and D is s^T, so the coupling g = coef (s^T r - p c) gives the
+    velocity (r_a - s_a g) / p and the pressure -g.  At eps = 0 this is
+    the saddle matrix and coef = 1/|s|^2: the velocity block becomes
+    the projection (I - s s^T/|s|^2) / p onto divergence-free fields.
+    At the constant mode, where s = 0, coef is 0: the pressure comes
+    out with zero mean, and the mean of c, which no D u has, is dropped.
 
     A = M + U W U^T, where U picks the k = 2 nx + 2 ny cells next to
     the walls tangential to their component (u_x's on the y walls, u_y's
@@ -249,18 +260,18 @@ class SpectralInverse:
     in 1D, k = 0 and M = A.  Woodbury gives A^-1 r = M^-1 (r - U z) with
     z = K^-1 U^T M^-1 r, where the capacitance matrix
     K = W^-1 + U^T M^-1 U is symmetric positive definite (Buzbee, Dorr,
-    George and Golub, SIAM J. Numer. Anal. 8, 1971).  K is built from
-    the 1D transform matrices, one separable block per pair of
+    George and Golub, SIAM J. Numer. Anal. 8, 1971); U^T M^-1 U is the
+    velocity block, positive semidefinite at eps = 0 too.  K is built
+    from the 1D transform matrices, one separable block per pair of
     components, and inverted once through its Cholesky factor.  A
-    solve takes one forward and one inverse transform per component;
-    the wall terms cost O(n^2).  ``walls`` lists U's cells in storage
+    solve takes one forward and one inverse transform per field; the
+    wall terms cost O(n^2).  ``walls`` lists U's cells in storage
     order.
     """
 
     def __init__(self, grid: Grid, tau: float, eps: float):
         d = grid.dim
         self.fields = (d,) + grid.shape
-        c = tau / eps
         self.s, p = [], 1.0 / tau
         for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
             k = np.arange(n + 1).reshape((-1,) + (1,) * (d - 1 - a))
@@ -268,10 +279,17 @@ class SpectralInverse:
             s[-1] = 0.0                 # sin(pi) is not 0 in floating point
             self.s.append(s)
             p = p + (2.0 / h * np.sin(0.5 * np.pi * k / n)) ** 2
-        self.inv_p = 1.0 / p
-        self.coef = c / (p + c * sum(s * s for s in self.s))
+        self.p, self.inv_p = p, 1.0 / p
+        s_sq = sum(s * s for s in self.s)
+        if eps > 0:
+            c = tau / eps
+            self.coef = c / (p + c * s_sq)
+        else:                           # the limit 1/|s|^2, 0 where s = 0
+            self.coef = np.divide(1.0, s_sq, out=np.zeros_like(s_sq),
+                                  where=s_sq > 0)
         self.slots = [tuple(slice(1, None) if b == a else slice(0, -1)
                             for b in range(d)) for a in range(d)]
+        self.cosine = (slice(0, -1),) * d   # the pressure's DCT modes
         self.walls = np.zeros(0, dtype=int)
         if d == 2:
             (nx, ny), (hx, hy) = grid.shape, grid.spacing
@@ -290,10 +308,13 @@ class SpectralInverse:
                                           np.eye(len(cap)))
         self.k = self.walls.size
 
-    def _spectral(self, f):
-        """M^-1 in the transform frame."""
-        g = self.coef * sum(s * fa for s, fa in zip(self.s, f))
-        return np.stack([fa - s * g for s, fa in zip(self.s, f)]) * self.inv_p
+    def _spectral(self, f, q):
+        """M^-1 in the transform frame: the velocity and the coupling g,
+        with ``q`` the pressure equation's residual or None."""
+        sf = sum(s * fa for s, fa in zip(self.s, f))
+        g = self.coef * (sf if q is None else sf - self.p * q)
+        y = np.stack([fa - s * g for s, fa in zip(self.s, f)]) * self.inv_p
+        return y, g
 
     def _forward(self, r):
         out = np.zeros((len(r),) + self.inv_p.shape)
@@ -335,10 +356,18 @@ class SpectralInverse:
                 blocks[b][a] = blocks[a][b].T
         return np.block(blocks)
 
-    def solve(self, r):
-        """A^-1 r for ``r`` flat in storage order."""
-        f = self._forward(r.reshape(self.fields))
-        y = self._spectral(f)
+    def solve(self, b):
+        """A^-1 b for ``b`` flat in storage order; when ``b`` stacks a
+        pressure equation residual c after the momentum residual r, the
+        stacked step matrix's solve, velocity then pressure."""
+        n = int(np.prod(self.fields))
+        f = self._forward(b[:n].reshape(self.fields))
+        q = None
+        if b.size > n:
+            q = np.zeros(self.inv_p.shape)
+            q[self.cosine] = sfft.dctn(b[n:].reshape(self.fields[1:]),
+                                       type=2, norm="ortho")
+        y, g = self._spectral(f, q)
         if self.k:
             (sx, sy), (ex, ey) = self._dst_mat, self._end_cols
             nx = sx.shape[0]
@@ -348,8 +377,12 @@ class SpectralInverse:
                 (ex.T @ y[1][self.slots[1]] @ sy).reshape(-1)])
             f[0][self.slots[0]] -= sx @ z[:2 * nx].reshape(nx, 2) @ ey.T
             f[1][self.slots[1]] -= ex @ z[2 * nx:].reshape(2, -1) @ sy.T
-            y = self._spectral(f)
-        return self._backward(y).reshape(-1)
+            y, g = self._spectral(f, q)
+        u = self._backward(y).reshape(-1)
+        if q is None:
+            return u
+        p = sfft.idctn(-g[self.cosine], type=2, norm="ortho")
+        return np.concatenate([u, p.reshape(-1)])
 
 
 class FlowSystem:
@@ -432,12 +465,18 @@ class SaddleSystem(FlowSystem):
     """The incompressible limit eps = 0: div u = 0 holds exactly.
 
     The pressure stays an unknown of a saddle matrix that couples the
-    momentum block to the divergence constraint.  A 1 on the pressure
-    diagonal of cell 0 pins the pressure's free constant; each pass
-    then shifts it to zero mean.  With odd ghosts the discrete
-    divergence of any velocity sums to zero, so the summed constraint
-    rows force p_0 = 0: the matrix is nonsingular and div u = 0 still
-    holds exactly.  ``params.eps`` plays no role.
+    momentum block to the divergence constraint.  Each pass stacks the
+    constraint residual D u under the momentum residual and subtracts
+    the solve; the lagged passes' :class:`SpectralInverse`, built at
+    eps = 0, returns a zero-mean pressure correction.  The saddle
+    :meth:`matrix`, which a frozen-advection pass LU-factors, pins the
+    pressure's free constant instead, with a 1 on the pressure diagonal
+    of cell 0.  With odd ghosts the discrete divergence of any velocity
+    sums to zero, so the summed constraint rows force that correction's
+    p_0 = 0: the matrix is nonsingular, div u = 0 still holds exactly,
+    and the correction differs from the transform's by a constant,
+    which the zero-mean shift after each pass removes.  ``params.eps``
+    plays no role.
     """
 
     pressure_fields = 1
@@ -446,29 +485,22 @@ class SaddleSystem(FlowSystem):
         super().__init__(grid, params)
         self.eps = 0.0
         pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(grid.n_cells,) * 2)
-        # The constraint rows [D, pin] of the matrix and the residual.
+        # The constraint rows [D, pin] of the matrix.
         self.constraint = sp.hstack([self.div_mat, pin], format="csr")
 
     def _couple(self, mom):
         return sp.vstack([sp.hstack([mom, self.grad_mat]), self.constraint],
                          format="csc")
 
-    def lagged_inverse(self):
-        start = time.perf_counter()
-        lu = self.factor()
-        log.info("flow inverse: sparse LU of the saddle matrix, setup %.3f s",
-                 time.perf_counter() - start)
-        return lu
-
     def pressure(self, u, p_prev):
         # Only a correction moves the constrained pressure.
         return p_prev.copy()
 
     def correct(self, inv, u, p, r, p_prev):
-        x = np.concatenate([u.reshape(-1), p.reshape(-1)])
-        b = np.concatenate([r.reshape(-1), self.constraint @ x])
-        u_new, p = np.split(x - self._solve(inv, b), [u.size])
-        return u_new.reshape(u.shape), (p - p.mean()).reshape(p_prev.shape)
+        b = np.concatenate([r.reshape(-1), self.div_mat @ u.reshape(-1)])
+        du, dp = np.split(self._solve(inv, b), [u.size])
+        p = p - dp.reshape(p.shape)
+        return u - du.reshape(u.shape), p - p.mean()
 
 
 def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import msflow.flow as flow_mod
 from msflow import cli, driver
 from msflow.config import ConfigError, SimConfig, load_config, \
     parse_config_text
@@ -23,6 +24,7 @@ from msflow.flow import (
     FlowSystem,
     Forcing,
     SaddleSystem,
+    SpectralInverse,
     average_force,
     flow_step,
 )
@@ -366,6 +368,27 @@ def test_reference_divergence_is_at_roundoff():
     assert max(r["div_u_l2"] for r in ref.ledger.rows[1:]) <= 1e-14
 
 
+def test_reference_run_without_stall_factors_nothing(monkeypatch):
+    # The lagged passes invert the saddle matrix by transforms; only a
+    # stalled pass would factor its frozen-advection LU.
+    calls = []
+    orig = flow_mod.spla.splu
+
+    def recording_splu(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(flow_mod.spla, "splu", recording_splu)
+    cfg = load_config(CONFIGS / "standard-2d.cfg", [
+        "grid.nx=16", "grid.ny=16", "scheme.steps=5", "scheme.t_final=5e-3"])
+    ref = reference_incompressible(cfg)
+    rows = ref.ledger.rows[1:]
+    assert all(r["flow_iters"] > 0 and r["flow_refactors"] == 0
+               for r in rows)
+    assert max(r["div_u_l2"] for r in rows) <= 1e-14
+    assert calls == []
+
+
 def test_flow_residual_floor_of_the_first_step():
     # The smallest residual that 40 passes reach on step 1 of
     # standard-2d at 16^2: 5.1e-14 in correction form, where passes
@@ -552,17 +575,18 @@ def test_cli_check_fails_on_non_skew_advection(monkeypatch, capsys):
 
 
 def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
-    # An identity pressure block turns the saddle system into a penalty
-    # that no longer enforces div u = 0; the reference check must see it.
-    # The constraint rows serve the matrix and the residual alike.
-    init = SaddleSystem.__init__
+    # A penalty 1e-7 p in the constraint residual that ``correct``
+    # stacks: the transform inverse then drives D u to -1e-7 p instead
+    # of 0, and the reference check must see it.  The energy identity
+    # still holds to 4e-10, so only the divergence bound can fail.
+    def penalized(self, inv, u, p, r, p_prev):
+        c = self.div_mat @ u.reshape(-1) + 1e-7 * p.reshape(-1)
+        du, dp = np.split(self._solve(inv, np.concatenate(
+            [r.reshape(-1), c])), [u.size])
+        p = p - dp.reshape(p.shape)
+        return u - du.reshape(u.shape), p - p.mean()
 
-    def penalized(self, grid, params):
-        init(self, grid, params)
-        self.constraint = sp.hstack(
-            [self.div_mat, sp.identity(grid.n_cells)], format="csr")
-
-    monkeypatch.setattr(SaddleSystem, "__init__", penalized)
+    monkeypatch.setattr(SaddleSystem, "correct", penalized)
     rc = cli.main(["check", str(CONFIGS / "standard-2d.cfg")] + _overrides([
         ("grid.nx", 16), ("grid.ny", 16),
     ]))
@@ -574,15 +598,20 @@ def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
 
 def test_cli_check_exits_3_when_the_saddle_matrix_disagrees(monkeypatch,
                                                            capsys):
-    # The penalty in the matrix only: its LU no longer inverts the
-    # residual's operator, the corrections stop contracting and the
-    # reference step fails in one line instead of accepting a wrong step.
+    # The penalty in the matrix only: the lagged passes' transform
+    # inverse, built at eps = tau, and the fallback LU both invert the
+    # saddle matrix with an identity pressure block, not the residual's
+    # operator.  The corrections stop contracting and the reference
+    # step fails in one line instead of accepting a wrong step.
     def penalized(self, mom):
         n = self.grid.n_cells
         return sp.bmat([[mom, self.grad_mat],
                         [self.div_mat, sp.identity(n)]], format="csc")
 
     monkeypatch.setattr(SaddleSystem, "_couple", penalized)
+    monkeypatch.setattr(SaddleSystem, "lagged_inverse", lambda self:
+                        SpectralInverse(self.grid, self.params.tau,
+                                        self.params.tau))
     rc = cli.main(["check", str(CONFIGS / "standard-2d.cfg")] + _overrides([
         ("grid.nx", 16), ("grid.ny", 16),
     ]))

@@ -251,19 +251,15 @@ def test_stall_fallback_refactorizes_and_converges(monkeypatch, system_cls):
     system = system_cls(g, params)
     new, report = flow_step(system, state, np.zeros((2,) + g.shape))
     assert report.final_residual <= 1e-10
-    # The saddle LU-factors its advection-free matrix for the lagged
-    # passes; the relaxed system inverts it by transforms.  Every other
-    # factorization is a fallback pass, which differs from that matrix
-    # by the frozen advection: nonzero and skew.
-    lagged = 1 if system_cls is SaddleSystem else 0
-    frozen = factored[lagged:]
-    assert len(frozen) >= 1
-    assert report.refactorizations == len(frozen)
+    # Both systems invert the advection-free matrix by transforms for
+    # the lagged passes, so every factorization is a fallback pass,
+    # which differs from that matrix by the frozen advection: nonzero
+    # and skew.
+    assert len(factored) >= 1
+    assert report.refactorizations == len(factored)
     order = system.order
     base = system.matrix()[order][:, order]
-    for mat in factored[:lagged]:
-        assert (mat != base).nnz == 0
-    for mat in frozen:
+    for mat in factored:
         diff = (mat - base).toarray()
         assert np.abs(diff).max() > 0.0
         assert np.abs(diff + diff.T).max() <= 1e-12 * np.abs(diff).max()
@@ -334,7 +330,8 @@ def test_saddle_matrix_keeps_operator_sparsity(monkeypatch):
 @pytest.mark.parametrize("frozen", [False, True])
 def test_saddle_solve_matches_dense_mean_bordered_system(frozen):
     # Oracle: the saddle system with the pressure mean fixed by a dense
-    # border of ones, solved densely.
+    # border of ones, solved densely.  The lagged passes take the
+    # transform inverse, the frozen-advection passes the pinned LU.
     rng = np.random.default_rng(4)
     g = Grid.box((8, 6), (1.0, 1.5))
     n = g.n_cells
@@ -352,8 +349,8 @@ def test_saddle_solve_matches_dense_mean_bordered_system(frozen):
     ref = np.linalg.solve(dense, np.concatenate([rhs.reshape(-1),
                                                  np.zeros(n + 1)]))
     zero = np.zeros(g.shape)
-    u, p = system.correct(system.factor(adv), np.zeros_like(rhs), zero,
-                          -rhs, zero)
+    inv = system.factor(adv) if frozen else system.lagged_inverse()
+    u, p = system.correct(inv, np.zeros_like(rhs), zero, -rhs, zero)
     got = np.concatenate([u.reshape(-1), p.reshape(-1)])
     assert np.abs(got - ref[:3 * n]).max() <= 1e-12 * np.abs(ref).max()
     assert abs(p.mean()) <= 1e-14
@@ -448,6 +445,23 @@ def test_spectral_inverse_matches_spsolve(shape, lengths, eps):
     assert np.abs(inv.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_spectral_inverse_solves_the_stacked_relaxed_matrix():
+    # With the pressure equation's residual stacked under the momentum
+    # residual, the solve is that of [[A0, G], [D, (eps/tau) I]], A0 the
+    # velocity block: the step matrix before the pressure is eliminated.
+    rng = np.random.default_rng(10)
+    g = Grid.box((10, 12), (1.0, 1.5))
+    tau, eps = 1e-3, 1e-2
+    system = FlowSystem(g, FlowParams(tau=tau, eps=eps))
+    stacked = sp.bmat([[sp.block_diag([system.base] * 2), system.grad_mat],
+                       [system.div_mat, eps / tau * sp.identity(g.n_cells)]],
+                      format="csc")
+    rhs = rng.standard_normal(3 * g.n_cells)
+    ref = spla.spsolve(stacked, rhs)
+    got = SpectralInverse(g, tau, eps).solve(rhs)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_capacitance_matches_unit_solves():
     # K = U^T M^-1 U with M the free-slip model: the step matrix less
     # 2/h^2 on each wall cell, h the spacing across that wall.  Each
@@ -466,6 +480,32 @@ def test_capacitance_matches_unit_solves():
     cap = inv.capacitance()
     assert np.abs(cap - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.abs(cap - cap.T).max() <= 1e-15 * np.abs(cap).max()
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-1])
+@pytest.mark.parametrize("shape, lengths", [((10, 12), (1.0, 1.5)),
+                                            ((16,), (1.0,))],
+                         ids=["2d", "1d"])
+def test_saddle_spectral_inverse_matches_spsolve(shape, lengths, tau):
+    # At eps = 0 the transform inverse solves the saddle system for the
+    # stacked residual [r; D u]; the pinned matrix's solution differs
+    # from it only in the pressure's constant, which the mean removes.
+    rng = np.random.default_rng(9)
+    g = Grid.box(shape, lengths)
+    system = SaddleSystem(g, FlowParams(tau=tau, eps=1e-2))
+    inv = system.lagged_inverse()
+    assert isinstance(inv, SpectralInverse)
+    u = rng.standard_normal((g.dim,) + g.shape)
+    p = rng.standard_normal(g.shape)
+    p -= p.mean()
+    r = rng.standard_normal(u.shape)
+    u_new, p_new = system.correct(inv, u, p, r, np.zeros(g.shape))
+    ref = spla.spsolve(system.matrix(), np.concatenate(
+        [r.reshape(-1), system.div_mat @ u.reshape(-1)]))
+    ref[u.size:] -= ref[u.size:].mean()
+    got = np.concatenate([(u - u_new).reshape(-1), (p - p_new).reshape(-1)])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(div(g, u_new, "dirichlet")).max() <= 1e-12
 
 
 def test_relaxed_steps_without_stall_factor_nothing(monkeypatch):
