@@ -27,9 +27,18 @@ class ConfigError(ValueError):
 RELAXED_FLOOR = 0.09
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing nan and inf: every comparison with NaN is
+    false, so the checks in ``validate`` would let it through."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_float_list(text: str):
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        return [_finite(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"expected a list of numbers, got {text!r}") from exc
 
@@ -168,25 +177,25 @@ _KEYMAP = {
     "grid.dim": ("dim", int),
     "grid.nx": ("nx", int),
     "grid.ny": ("ny", int),
-    "grid.lx": ("lx", float),
-    "grid.ly": ("ly", float),
-    "scheme.t_final": ("t_final", float),
+    "grid.lx": ("lx", _finite),
+    "grid.ly": ("ly", _finite),
+    "scheme.t_final": ("t_final", _finite),
     "scheme.steps": ("steps", int),
-    "scheme.eps": ("eps", float),
+    "scheme.eps": ("eps", _finite),
     "scheme.lambda": ("lam", lambda s: "tau" if s.strip() == "tau"
-                      else float(s)),
-    "scheme.alpha0": ("alpha0", float),
-    "scheme.flow_tol": ("flow_tol", float),
-    "scheme.species_tol": ("species_tol", float),
+                      else _finite(s)),
+    "scheme.alpha0": ("alpha0", _finite),
+    "scheme.flow_tol": ("flow_tol", _finite),
+    "scheme.species_tol": ("species_tol", _finite),
     "scheme.max_picard": ("max_picard", int),
     "scheme.max_outer": ("max_outer", int),
     "init.preset": ("preset", str.strip),
-    "init.amplitude": ("amplitude", float),
-    "init.velocity_amplitude": ("velocity_amplitude", float),
+    "init.amplitude": ("amplitude", _finite),
+    "init.velocity_amplitude": ("velocity_amplitude", _finite),
     "forcing.preset": ("forcing_preset", str.strip),
-    "forcing.fx": ("fx", float),
-    "forcing.fy": ("fy", float),
-    "forcing.omega": ("omega", float),
+    "forcing.fx": ("fx", _finite),
+    "forcing.fy": ("fy", _finite),
+    "forcing.omega": ("omega", _finite),
     "forcing.spatial": ("forcing_spatial", str.strip),
     "output.dir": ("out_dir", str.strip),
     "output.csv": ("csv_name", str.strip),

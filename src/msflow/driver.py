@@ -184,9 +184,11 @@ def reference_incompressible(config: SimConfig, keep_history: bool = False
 
     The same time loop, time step, advection form and species stepper
     as the relaxed solver, on the eps = 0 limit; the configured eps
-    plays no role.  In 1D the constraint together with the wall
-    condition forces zero velocity, so species evolve by pure
-    cross-diffusion.
+    plays no role.  In 1D, on an even number of cells, the constraint
+    together with the wall condition forces zero velocity (to rounding
+    under a force), so species evolve by pure cross-diffusion.  On an
+    odd number the central divergence does not see the checkerboard
+    velocity, and a force can drive it.
     """
     return _run(config, 0.0, keep_history)
 

@@ -19,27 +19,14 @@ shifted to zero mean after each pass.  Both go through one Picard loop,
 the iterate (Moler, J. ACM 14, 1967).  Every pass applies the inverse
 of the advection-free matrix A, which the system builds on its first
 step and keeps for the run, and so lags the advection; if that stops
-contracting, the advection is frozen into the matrix and a sparse LU
-of it is factored for the offending pass.
+contracting, the advection is frozen at the current velocity and the
+pass solves that matrix by GMRES, preconditioned by A^-1.
 
 The advection-free matrices have constant coefficients, and
 ``SpectralInverse`` inverts both exactly with fast sine/cosine
 transforms and a capacitance matrix on the wall cells, with no
 factorization: at eps = 0 its per-mode inverse becomes a projection
-onto divergence-free velocities.  Only a frozen-advection pass
-LU-factors its matrix, with the unknowns in one fixed order, computed
-once: the components of a cell are adjacent, and the cells follow a
-nested dissection of the grid (George, SIAM J. Numer. Anal. 10, 1973).
-The longer side of a block is cut by a separator, the two halves are
-ordered recursively and the separator last, so the LU's fill stays
-inside the separators instead of spreading along a band.  The
-separators are two cells wide because G D, the grad-div term of the
-relaxed matrix, couples cells two apart (a central difference of a
-central difference); a one-wide cut would leave the halves coupled
-through it.  The saddle matrix couples only neighbours, but its zero
-pressure diagonal needs row pivoting, and with one-wide cuts the
-pivots spread the fill: at 64 x 64 it triples.  Row pivoting stays
-on, and ``correct`` permutes the residual and the correction.
+onto divergence-free velocities.
 
 Because the advection operator is exactly skew-adjoint and the discrete
 gradient and divergence are exact negative adjoints, the converged step
@@ -69,7 +56,6 @@ import scipy.sparse.linalg as spla
 from .grid import (
     Grid,
     GridError,
-    advection_matrix,
     deriv_matrix,
     div,
     grad_sq_norm,
@@ -122,7 +108,7 @@ class FlowState:
 @dataclass
 class FlowStepReport:
     picard_iterations: int
-    refactorizations: int       # passes with the advection frozen in an LU
+    refactorizations: int       # passes with the advection frozen, by GMRES
     from_guess: bool            # the loop started from the caller's guess
     final_residual: float
     energy_identity_residual: float
@@ -188,28 +174,6 @@ def average_force(forcing: Forcing, grid: Grid, k: int,
         w = forcing.omega
         factor = (np.cos(w * t0) - np.cos(w * t1)) / (w * tau)
     return factor * forcing.spatial_field(grid)
-
-
-def nested_dissection(shape) -> np.ndarray:
-    """Row-major cell indices of a grid of ``shape``, nested-dissection
-    ordered.
-
-    A block is cut across its longer side by a separator two cells
-    wide; the lower half comes first, then the upper half, each ordered
-    the same way, then the separator.  Blocks at most four cells long
-    keep their natural order.
-    """
-    def order(block):
-        axis = int(np.argmax(block.shape))
-        n = block.shape[axis]
-        if n <= 4:
-            return [block.reshape(-1)]
-        low, cut, high = np.split(block, [(n - 2) // 2, (n + 2) // 2],
-                                  axis=axis)
-        return order(low) + order(high) + [cut.reshape(-1)]
-
-    return np.concatenate(order(np.arange(int(np.prod(shape)))
-                                .reshape(shape)))
 
 
 def _dst(x, axis):
@@ -385,6 +349,15 @@ class SpectralInverse:
         return np.concatenate([u, p.reshape(-1)])
 
 
+# GMRES on a frozen-advection pass: the relative tolerance, at which
+# the solve matches a sparse direct one to about 1e-13 (1e-12 lets it
+# drift to 1.7e-12), and a budget far above the 9-25 iterations that a
+# stalled pass takes from 16^2 to 256^2.
+GMRES_RTOL = 1e-13
+GMRES_RESTART = 40
+GMRES_MAXITER = 5           # restart cycles
+
+
 class FlowSystem:
     """The relaxed system's step operators, owned by one run.
 
@@ -392,45 +365,21 @@ class FlowSystem:
     leaves a velocity-only Helmholtz matrix with a grad-div term.  Its
     advection-free inverse, a :class:`SpectralInverse`, is built on the
     first step and lives as long as the object, so a run that returns
-    drops it.  Only a pass with frozen advection factors a sparse LU;
-    ``order`` lists the matrix's unknowns in the order that LU sees
-    them.
+    drops it.  A pass with frozen advection solves by GMRES on it.
     """
-
-    pressure_fields = 0         # pressure unknowns per cell
 
     def __init__(self, grid: Grid, params: FlowParams):
         self.grid = grid
         self.params = params
         self.eps = params.eps
-        d = grid.dim
         self.grad_mat = sp.vstack([deriv_matrix(grid, a, "neumann")
-                                   for a in range(d)], format="csr")
+                                   for a in range(grid.dim)], format="csr")
         self.div_mat = (-self.grad_mat.T).tocsr()
         self.lap = laplacian_matrix(grid, "dirichlet")
-        self.base = sp.identity(grid.n_cells) / params.tau - self.lap
         self.inverse = None     # the lagged passes' inverse, once built
-        # Unknowns are stored field by field; the LU takes them cell by
-        # cell, in nested-dissection order.
-        fields = np.arange(d + self.pressure_fields) * grid.n_cells
-        self.order = (nested_dissection(grid.shape)[:, None]
-                      + fields).reshape(-1)
-
-    def matrix(self, adv=None):
-        """The step matrix in storage order, with ``adv`` frozen into
-        each velocity component's block when given."""
-        mom = self.base if adv is None else self.base + adv
-        return self._couple(sp.block_diag([mom] * self.grid.dim,
-                                          format="csr"))
-
-    def factor(self, adv=None):
-        """LU of :meth:`matrix`, its unknowns taken in ``order``."""
-        order = self.order
-        return spla.splu(self.matrix(adv)[order][:, order],
-                         permc_spec="NATURAL")
 
     def lagged_inverse(self):
-        """The inverse of the advection-free :meth:`matrix`."""
+        """The inverse of the advection-free step matrix."""
         start = time.perf_counter()
         inv = SpectralInverse(self.grid, self.params.tau, self.eps)
         log.info("flow inverse: sine/cosine transforms with a %d-cell "
@@ -438,67 +387,76 @@ class FlowSystem:
                  time.perf_counter() - start)
         return inv
 
-    def _solve(self, inv, b):
-        """inv^-1 b in storage order; an LU takes ``order``."""
-        if isinstance(inv, SpectralInverse):
-            return inv.solve(b)
-        x = np.empty_like(b)
-        x[self.order] = inv.solve(b[self.order])
-        return x
+    def frozen_solve(self, u):
+        """The solve of the step matrix with the advection frozen at
+        ``u``, by GMRES right-preconditioned with ``inverse`` (Saad and
+        Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
 
-    def _couple(self, mom):
-        coef = self.params.tau / self.eps
-        return (mom - coef * (self.grad_mat @ self.div_mat)).tocsc()
+        With P the advection-free matrix and N the frozen advection of
+        each velocity component, GMRES solves (I + [N (P^-1 y)_u; 0]) y
+        = b and the solve returns P^-1 y.  That is (P + [N; 0])^-1 b
+        because P^-1 is exact; at eps = 0, up to the mean of the
+        constraint residual, which P^-1 drops.  A solve that misses its
+        tolerance raises FlowSolverError with GMRES's relative residuals.
+        """
+        grid, inv, n = self.grid, self.inverse.solve, u.size
+
+        def apply(y):
+            out = y.copy()
+            v = inv(y)[:n].reshape(u.shape)
+            out[:n] += skew_advect(grid, u, v, "dirichlet").reshape(-1)
+            return out
+
+        def solve(b):
+            history = []
+            op = spla.LinearOperator((b.size, b.size), matvec=apply,
+                                     dtype=float)
+            y, info = spla.gmres(op, b, rtol=GMRES_RTOL, atol=0.0,
+                                 restart=GMRES_RESTART,
+                                 maxiter=GMRES_MAXITER,
+                                 callback=history.append,
+                                 callback_type="pr_norm")
+            if info != 0:
+                raise FlowSolverError(
+                    f"frozen-advection solve failed (gmres info={info})",
+                    history)
+            return inv(y)
+
+        return solve
 
     def pressure(self, u, p_prev):
         """The pressure that goes with velocity ``u``."""
         return p_prev - (self.params.tau / self.eps) * div(self.grid, u)
 
-    def correct(self, inv, u, p, r, p_prev):
-        """u - inv^-1 r and its pressure, for the residual ``r`` at (u, p);
-        ``inv`` is the lagged inverse or a frozen-advection LU."""
-        u = u - self._solve(inv, r.reshape(-1)).reshape(u.shape)
+    def correct(self, solve, u, p, r, p_prev):
+        """u - A^-1 r and its pressure, for the residual ``r`` at (u, p);
+        ``solve`` applies A^-1 to a flat vector."""
+        u = u - solve(r.reshape(-1)).reshape(u.shape)
         return u, self.pressure(u, p_prev)
 
 
 class SaddleSystem(FlowSystem):
     """The incompressible limit eps = 0: div u = 0 holds exactly.
 
-    The pressure stays an unknown of a saddle matrix that couples the
-    momentum block to the divergence constraint.  Each pass stacks the
-    constraint residual D u under the momentum residual and subtracts
-    the solve; the lagged passes' :class:`SpectralInverse`, built at
-    eps = 0, returns a zero-mean pressure correction.  The saddle
-    :meth:`matrix`, which a frozen-advection pass LU-factors, pins the
-    pressure's free constant instead, with a 1 on the pressure diagonal
-    of cell 0.  With odd ghosts the discrete divergence of any velocity
-    sums to zero, so the summed constraint rows force that correction's
-    p_0 = 0: the matrix is nonsingular, div u = 0 still holds exactly,
-    and the correction differs from the transform's by a constant,
-    which the zero-mean shift after each pass removes.  ``params.eps``
+    The pressure stays an unknown of a saddle system that couples the
+    momentum equation to the divergence constraint.  Each pass stacks
+    the constraint residual D u under the momentum residual and
+    subtracts the solve; the :class:`SpectralInverse`, built at
+    eps = 0, returns a zero-mean pressure correction.  ``params.eps``
     plays no role.
     """
-
-    pressure_fields = 1
 
     def __init__(self, grid: Grid, params: FlowParams):
         super().__init__(grid, params)
         self.eps = 0.0
-        pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(grid.n_cells,) * 2)
-        # The constraint rows [D, pin] of the matrix.
-        self.constraint = sp.hstack([self.div_mat, pin], format="csr")
-
-    def _couple(self, mom):
-        return sp.vstack([sp.hstack([mom, self.grad_mat]), self.constraint],
-                         format="csc")
 
     def pressure(self, u, p_prev):
         # Only a correction moves the constrained pressure.
         return p_prev.copy()
 
-    def correct(self, inv, u, p, r, p_prev):
+    def correct(self, solve, u, p, r, p_prev):
         b = np.concatenate([r.reshape(-1), self.div_mat @ u.reshape(-1)])
-        du, dp = np.split(self._solve(inv, b), [u.size])
+        du, dp = np.split(solve(b), [u.size])
         p = p - dp.reshape(p.shape)
         return u - du.reshape(u.shape), p - p.mean()
 
@@ -511,16 +469,17 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     the solve of the residual that the loop forms for its stopping
     test, so the solve's rounding touches only the correction.  The
     advection-free inverse lags the advection; a pass after one that
-    failed to halve the residual freezes the advection in the matrix
-    and factors a sparse LU of it.
+    failed to halve the residual freezes the advection at the current
+    velocity and solves by GMRES (:meth:`FlowSystem.frozen_solve`).
 
     The loop starts from the velocity ``guess`` (with the pressure that
     ``system`` pairs with it) when one is given and its residual is
     strictly below the residual at the previous state; otherwise it
     starts from the previous state, so a rejected guess leaves the step
     bitwise as it is without one.  Returns (new_state, FlowStepReport).
-    Raises FlowSolverError if the iteration exceeds its budget; there
-    is no silent capping.
+    Raises FlowSolverError if the iteration exceeds its budget, its
+    residual is not finite or a frozen-advection solve fails; there is
+    no silent capping.
     """
     grid, params = system.grid, system.params
     tau, eps = params.tau, system.eps
@@ -552,19 +511,23 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
             u, p, r, res, from_guess = u_g, p_g, r_g, res_g, True
     residuals = [res]
     iterations = refactorizations = 0
-    while res > params.tol:
+    while not res <= params.tol:
+        if not np.isfinite(res):
+            raise FlowSolverError(
+                f"flow residual is {res} after {iterations} iterations",
+                residuals)
         if iterations >= params.max_picard:
             raise FlowSolverError(
                 f"Picard iteration stalled at residual {res:.3e} after "
                 f"{iterations} iterations", residuals)
         if len(residuals) >= 2 and residuals[-1] > 0.5 * residuals[-2]:
-            # Advection too strong for the lagged pass: freeze it in
-            # the matrix and refactorize for this pass.
-            inv = system.factor(advection_matrix(grid, u, "dirichlet"))
+            # Advection too strong for the lagged pass: freeze it for
+            # this pass.
+            solve = system.frozen_solve(u)
             refactorizations += 1
         else:
-            inv = system.inverse
-        u, p = system.correct(inv, u, p, r, p_prev)
+            solve = system.inverse.solve
+        u, p = system.correct(solve, u, p, r, p_prev)
         iterations += 1
         r, res = residual(u, p)
         residuals.append(res)

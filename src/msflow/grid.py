@@ -248,8 +248,9 @@ def skew_advect(grid: Grid, u: np.ndarray, v: np.ndarray,
                 bc: str) -> np.ndarray:
     """Skew advection 0.5 [ (u.grad) v + div(u v) ] of each component of v.
 
-    Applies :func:`advection_matrix` with the derivative stencils,
-    without assembling it.
+    ``bc`` is the ghost rule of the advected field v; the conservative
+    part takes its adjoint rule, so the operator is exactly
+    skew-adjoint in the quadrature inner product.
     """
     u = _check_field(grid, u, "vector")
     v = _check_field(grid, v, "components")
@@ -260,29 +261,6 @@ def skew_advect(grid: Grid, u: np.ndarray, v: np.ndarray,
         out += ua * (deriv_matrix(grid, a, bc) @ cols)
         out += deriv_matrix(grid, a, _ADJOINT_BC[bc]) @ (ua * cols)
     return 0.5 * out.T.reshape(v.shape)
-
-
-def advection_matrix(grid: Grid, u: np.ndarray, bc: str) -> sp.csr_matrix:
-    """Matrix of the skew advection operator on flattened scalar fields.
-
-    Represents v -> 0.5 [ (u.grad) v + div(u v) ] with the ghost rule of
-    the advected field ``bc`` and its adjoint rule on the conservative
-    part; the result is exactly skew-adjoint in the quadrature inner
-    product.  Assembled only where it is factorized; everywhere else
-    :func:`skew_advect` applies it.
-    """
-    u = _check_field(grid, u, "vector")
-    adj = _ADJOINT_BC[bc]
-    mats = []
-    for a in range(grid.dim):
-        ua = sp.diags(u[a].reshape(-1))
-        d_own = deriv_matrix(grid, a, bc)
-        d_adj = deriv_matrix(grid, a, adj)
-        mats.append(0.5 * (ua @ d_own + d_adj @ ua))
-    out = mats[0]
-    for m in mats[1:]:
-        out = out + m
-    return out.tocsr()
 
 
 def grad_sq_norm(grid: Grid, u: np.ndarray) -> float:

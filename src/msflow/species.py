@@ -25,14 +25,15 @@ dd_a as that transpose), so the system is symmetric positive definite.
 A step is halved whenever the residual increases.  The outer loop has
 one stopping rule: it ends when the residual, in the quadrature L2
 norm, is at most ``tol``, and raises ``SpeciesSolverError`` after
-``max_outer`` passes.  The rule is reachable only while ``tol`` lies
-above the rounding floor of evaluating the residual: the time
-difference divides densities, known to their rounding and to the
-inversion's relative 1e-14, by tau, and the diffusion apply rounds at
-about eps |B| |w| / h^2.  On the shipped 1D configs at tau = 1e-3 the
-floor lies between 1 and 4 eps / tau; the diffusion part, measured at
-0.05-0.09 eps / h^2, stays below 1e-10 up to about 2,000 cells per
-axis.  ``SimConfig.validate`` rejects a species_tol below
+``max_outer`` passes or on a residual that is not finite.  The rule
+is reachable only while ``tol`` lies above the rounding floor of
+evaluating the residual: the time difference divides densities, known
+to their rounding and to the inversion's relative 1e-14, by tau, and
+the diffusion apply rounds at about eps |B| |w| / h^2.  On the
+shipped 1D configs at tau = 1e-3 the floor lies between 1 and
+4 eps / tau; the diffusion part, measured at 0.05-0.09 eps / h^2,
+stays below 1e-10 up to about 2,000 cells per axis.
+``SimConfig.validate`` rejects a species_tol below
 4 eps sqrt(|domain|) / tau.
 
 The preconditioner is the exact inverse of the same operator at
@@ -267,7 +268,11 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         nonlocal cg_iterations
         cg_iterations += 1
 
-    while res > params.tol:
+    while not res <= params.tol:
+        if not np.isfinite(res):
+            raise SpeciesSolverError(
+                f"species residual is {res} after {iterations} iterations",
+                residuals)
         if iterations >= params.max_outer:
             raise SpeciesSolverError(
                 f"outer iteration stalled at residual {res:.3e} after "

@@ -8,7 +8,9 @@ under captured output.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from msflow.grid import skew_advect
 from msflow.mixture import MixtureSpec
 
 _ACCEPTANCE_LINES = []
@@ -55,3 +57,11 @@ def random_spec(rng, n_species):
     d[iu] = vals
     d = d + d.T
     return MixtureSpec(masses, d)
+
+
+def assembled_advection(grid, u, bc):
+    """Matrix of v -> skew_advect(grid, u, v, bc) on flattened scalar
+    fields, one column per unit field."""
+    n = grid.n_cells
+    cols = skew_advect(grid, u, np.eye(n).reshape((n,) + grid.shape), bc)
+    return sp.csr_matrix(cols.reshape(n, n).T)

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import msflow.flow as flow_mod
 from msflow import cli, driver
@@ -341,6 +340,10 @@ def test_run_simulation_zero_steps():
 
 
 def test_reference_1d_keeps_velocity_zero():
+    # On an even grid the only velocity with zero central divergence is
+    # zero.  Unforced, the steps never move it; a constant force moves
+    # the pressure and leaves the velocity at the transforms' rounding
+    # (5.4e-20), where 25 cells leave a checkerboard of 7.9e-6.
     cfg = SimConfig(dim=1, nx=24, t_final=4e-3, steps=4,
                     preset="cosine-binary", amplitude=0.15)
     ref = reference_incompressible(cfg, keep_history=True)
@@ -348,6 +351,10 @@ def test_reference_1d_keeps_velocity_zero():
         assert np.all(u == 0.0)
     for row in ref.ledger.rows:
         assert row["div_u_l2"] == 0.0
+    cfg.forcing_preset, cfg.fx = "constant", 0.5
+    ref = reference_incompressible(cfg, keep_history=True)
+    assert max(np.abs(u).max() for u in ref.history["u"]) <= 1e-15
+    assert max(row["div_u_l2"] for row in ref.ledger.rows) <= 1e-15
 
 
 def test_reference_2d_divergence_free_to_roundoff(small_2d_config):
@@ -579,10 +586,10 @@ def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
     # stacks: the transform inverse then drives D u to -1e-7 p instead
     # of 0, and the reference check must see it.  The energy identity
     # still holds to 4e-10, so only the divergence bound can fail.
-    def penalized(self, inv, u, p, r, p_prev):
+    def penalized(self, solve, u, p, r, p_prev):
         c = self.div_mat @ u.reshape(-1) + 1e-7 * p.reshape(-1)
-        du, dp = np.split(self._solve(inv, np.concatenate(
-            [r.reshape(-1), c])), [u.size])
+        du, dp = np.split(solve(np.concatenate([r.reshape(-1), c])),
+                          [u.size])
         p = p - dp.reshape(p.shape)
         return u - du.reshape(u.shape), p - p.mean()
 
@@ -598,17 +605,12 @@ def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
 
 def test_cli_check_exits_3_when_the_saddle_matrix_disagrees(monkeypatch,
                                                            capsys):
-    # The penalty in the matrix only: the lagged passes' transform
-    # inverse, built at eps = tau, and the fallback LU both invert the
-    # saddle matrix with an identity pressure block, not the residual's
-    # operator.  The corrections stop contracting and the reference
-    # step fails in one line instead of accepting a wrong step.
-    def penalized(self, mom):
-        n = self.grid.n_cells
-        return sp.bmat([[mom, self.grad_mat],
-                        [self.div_mat, sp.identity(n)]], format="csc")
-
-    monkeypatch.setattr(SaddleSystem, "_couple", penalized)
+    # The penalty in the inverse only: the transform inverse, built at
+    # eps = tau, inverts the saddle matrix with an identity pressure
+    # block, not the residual's operator, and the frozen-advection
+    # passes precondition with it too.  The corrections stop
+    # contracting and the reference step fails in one line instead of
+    # accepting a wrong step.
     monkeypatch.setattr(SaddleSystem, "lagged_inverse", lambda self:
                         SpectralInverse(self.grid, self.params.tau,
                                         self.params.tau))
@@ -661,7 +663,8 @@ def test_cli_rejects_unknown_key(capsys):
         "grid.nx=3", "scheme.flow_tol=0", "scheme.species_tol=-1",
         "scheme.alpha0=0.5", "forcing.preset=gusts", "init.preset=swirl",
         "forcing.spatial=blob", "scheme.max_picard=0", "scheme.max_outer=0",
-        "seed=-5", "scheme.species_tol=1e-13")
+        "seed=-5", "scheme.species_tol=1e-13", "forcing.fx=nan",
+        "scheme.eps=nan", "scheme.lambda=inf", "mixture.molar_masses=1,inf")
 ] + [
     pytest.param([str(CONFIGS / "standard-2d.cfg")] + [
         arg for pair in ("grid.nx=16", "grid.ny=16", "scheme.steps=3",

@@ -21,18 +21,35 @@ from msflow.flow import (
     SpectralInverse,
     average_force,
     flow_step,
-    nested_dissection,
 )
 from msflow.grid import (
     Grid,
     GridError,
-    advection_matrix,
     deriv_matrix,
     div,
     grad_sq_norm,
     inner,
     norm_l2,
 )
+
+from conftest import assembled_advection
+
+
+def step_matrix(system, u=None):
+    """The step matrix of ``system`` in storage order, with the advection
+    frozen at ``u`` when given; the saddle matrix pins the pressure of
+    cell 0, so the oracles compare pressures up to their means."""
+    g, tau = system.grid, system.params.tau
+    mom = sp.identity(g.n_cells) / tau - system.lap
+    if u is not None:
+        mom = mom + assembled_advection(g, u, "dirichlet")
+    vel = sp.block_diag([mom] * g.dim)
+    if isinstance(system, SaddleSystem):
+        pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(g.n_cells,) * 2)
+        return sp.bmat([[vel, system.grad_mat], [system.div_mat, pin]],
+                       format="csc")
+    return (vel - tau / system.eps
+            * (system.grad_mat @ system.div_mat)).tocsc()
 
 
 def stream_velocity(grid, amplitude):
@@ -230,41 +247,73 @@ def test_iteration_budget_error():
     assert len(err.value.residuals) == 1
 
 
-@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
-def test_stall_fallback_refactorizes_and_converges(monkeypatch, system_cls):
+@pytest.mark.parametrize("system_cls, passes", [(FlowSystem, 12),
+                                                (SaddleSystem, 11)],
+                         ids=["FlowSystem", "SaddleSystem"])
+def test_stall_fallback_refactorizes_and_converges(monkeypatch, system_cls,
+                                                   passes):
     # Advection strong enough that the lagged right-hand-side fixed
-    # point stops contracting: the step must fall back to freezing the
-    # advection operator in the matrix (visible as a sparse
-    # factorization) and still converge, for the relaxed and the
-    # constrained system alike.
+    # point stops contracting: the step must fall back to a pass with
+    # the advection frozen, solved by GMRES on the transform inverse
+    # with no factorization, and still converge, for the relaxed and
+    # the constrained system alike.  The pass counts are those of a
+    # sparse direct solve of the frozen matrix.
     g = Grid.box((16, 16), (1.0, 1.0))
-    factored = []
-    orig = flow_mod.spla.splu
+    factored, solved = [], []
+    orig_splu, orig_gmres = spla.splu, spla.gmres
 
-    def recording_splu(mat, *args, **kwargs):
-        factored.append(mat.copy())
-        return orig(mat, *args, **kwargs)
+    def recording_splu(*args, **kwargs):
+        factored.append(args)
+        return orig_splu(*args, **kwargs)
+
+    def recording_gmres(*args, **kwargs):
+        x, info = orig_gmres(*args, **kwargs)
+        solved.append(info)
+        return x, info
 
     monkeypatch.setattr(flow_mod.spla, "splu", recording_splu)
+    monkeypatch.setattr(flow_mod.spla, "gmres", recording_gmres)
     state = FlowState(stream_velocity(g, 5.0), np.zeros(g.shape))
     params = FlowParams(tau=0.1, eps=1e-2, tol=1e-10, max_picard=60)
     system = system_cls(g, params)
     new, report = flow_step(system, state, np.zeros((2,) + g.shape))
     assert report.final_residual <= 1e-10
-    # Both systems invert the advection-free matrix by transforms for
-    # the lagged passes, so every factorization is a fallback pass,
-    # which differs from that matrix by the frozen advection: nonzero
-    # and skew.
-    assert len(factored) >= 1
-    assert report.refactorizations == len(factored)
-    order = system.order
-    base = system.matrix()[order][:, order]
-    for mat in factored:
-        diff = (mat - base).toarray()
-        assert np.abs(diff).max() > 0.0
-        assert np.abs(diff + diff.T).max() <= 1e-12 * np.abs(diff).max()
+    assert (report.picard_iterations, report.refactorizations) == (passes, 1)
+    assert solved == [0]
+    assert factored == []
     # The pressure equation (div u = 0 for the constrained system).
     assert report.pressure_eq_residual <= 1e-10
+
+
+@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
+def test_frozen_solve_failure_raises(monkeypatch, system_cls):
+    # One GMRES iteration cannot reach the tolerance: the stalled step
+    # fails in the frozen-advection solve, with its residual history.
+    monkeypatch.setattr(flow_mod, "GMRES_RESTART", 1)
+    monkeypatch.setattr(flow_mod, "GMRES_MAXITER", 1)
+    g = Grid.box((16, 16), (1.0, 1.0))
+    state = FlowState(stream_velocity(g, 5.0), np.zeros(g.shape))
+    system = system_cls(g, FlowParams(tau=0.1, eps=1e-2, max_picard=60))
+    with pytest.raises(FlowSolverError,
+                       match="frozen-advection solve failed") as err:
+        flow_step(system, state, np.zeros((2,) + g.shape))
+    assert len(err.value.residuals) == 1
+    assert err.value.residuals[0] > flow_mod.GMRES_RTOL
+
+
+@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
+def test_nan_residual_raises(system_cls):
+    # A NaN fails every comparison, so a loop that tests res > tol
+    # would return it as converged.
+    g = Grid.box((8, 8), (1.0, 1.0))
+    state = FlowState(stream_velocity(g, 0.5), np.zeros(g.shape))
+    f = np.zeros((2,) + g.shape)
+    f[0, 3, 4] = np.nan
+    system = system_cls(g, FlowParams(tau=1e-2, eps=1e-2))
+    with pytest.raises(FlowSolverError, match="residual is nan") as err:
+        flow_step(system, state, f)
+    assert len(err.value.residuals) == 1
+    assert np.isnan(err.value.residuals[0])
 
 
 @pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
@@ -308,37 +357,19 @@ def test_step_is_deterministic():
 # Incompressible saddle system
 # ---------------------------------------------------------------------
 
-def test_saddle_matrix_keeps_operator_sparsity(monkeypatch):
-    # Pinning one pressure cell, not the pressure mean, leaves no dense
-    # row or column in the saddle matrix.
-    g = Grid.box((16, 16), (1.0, 1.0))
-    factored = []
-    orig = flow_mod.spla.splu
-
-    def recording_splu(mat, *args, **kwargs):
-        factored.append(mat)
-        return orig(mat, *args, **kwargs)
-
-    monkeypatch.setattr(flow_mod.spla, "splu", recording_splu)
-    SaddleSystem(g, FlowParams(tau=1e-3, eps=1e-2)).factor()
-    (mat,) = factored
-    assert np.diff(sp.csr_matrix(mat).indptr).max() <= 7
-    assert np.diff(sp.csc_matrix(mat).indptr).max() <= 7
-    assert mat.shape == (3 * g.n_cells, 3 * g.n_cells)
-
-
 @pytest.mark.parametrize("frozen", [False, True])
 def test_saddle_solve_matches_dense_mean_bordered_system(frozen):
     # Oracle: the saddle system with the pressure mean fixed by a dense
     # border of ones, solved densely.  The lagged passes take the
-    # transform inverse, the frozen-advection passes the pinned LU.
+    # transform inverse, the frozen-advection passes GMRES on it.
     rng = np.random.default_rng(4)
     g = Grid.box((8, 6), (1.0, 1.5))
     n = g.n_cells
     system = SaddleSystem(g, FlowParams(tau=1e-2, eps=1e-2))
-    adv = (advection_matrix(g, rng.standard_normal((2,) + g.shape),
-                            "dirichlet") if frozen else None)
-    mom = system.base if adv is None else system.base + adv
+    w = rng.standard_normal((2,) + g.shape)
+    mom = sp.identity(n) / system.params.tau - system.lap
+    if frozen:
+        mom = mom + assembled_advection(g, w, "dirichlet")
     ones = np.ones((n, 1))
     dense = np.block([
         [sp.block_diag([mom, mom]).toarray(), system.grad_mat.toarray(),
@@ -349,77 +380,39 @@ def test_saddle_solve_matches_dense_mean_bordered_system(frozen):
     ref = np.linalg.solve(dense, np.concatenate([rhs.reshape(-1),
                                                  np.zeros(n + 1)]))
     zero = np.zeros(g.shape)
-    inv = system.factor(adv) if frozen else system.lagged_inverse()
-    u, p = system.correct(inv, np.zeros_like(rhs), zero, -rhs, zero)
+    system.inverse = system.lagged_inverse()
+    solve = system.frozen_solve(w) if frozen else system.inverse.solve
+    u, p = system.correct(solve, np.zeros_like(rhs), zero, -rhs, zero)
     got = np.concatenate([u.reshape(-1), p.reshape(-1)])
     assert np.abs(got - ref[:3 * n]).max() <= 1e-12 * np.abs(ref).max()
     assert abs(p.mean()) <= 1e-14
     assert np.abs(div(g, u, "dirichlet")).max() <= 1e-12
 
 
-# ---------------------------------------------------------------------
-# Nested-dissection ordering of the LU
-# ---------------------------------------------------------------------
-
-@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
-def test_nested_dissection_separates_the_halves(system_cls):
-    # The top-level cut of a 12 x 10 grid is rows 5 and 6; no nonzero
-    # of the step matrix, frozen advection included, couples a cell
-    # below the cut to one above it.  In the relaxed matrix a one-wide
-    # cut would not do: its grad-div term reaches two cells.
-    g = Grid.box((12, 10), (1.0, 1.5))
-    n, ny = g.n_cells, g.shape[1]
-    cells = nested_dissection(g.shape)
-    np.testing.assert_array_equal(np.sort(cells), np.arange(n))
-    np.testing.assert_array_equal(np.sort(cells[-2 * ny:] // ny),
-                                  [5] * ny + [6] * ny)
-    system = system_cls(g, FlowParams(tau=1e-2, eps=1e-3))
-    np.testing.assert_array_equal(np.sort(system.order),
-                                  np.arange(system.order.size))
-    rng = np.random.default_rng(8)
-    mat = system.matrix(advection_matrix(
-        g, rng.standard_normal((2,) + g.shape), "dirichlet")).tocsr()
-    fields = np.arange(system.order.size // n) * n
-    row = np.arange(n) // ny
-    low = (np.flatnonzero(row < 5)[:, None] + fields).reshape(-1)
-    high = (np.flatnonzero(row > 6)[:, None] + fields).reshape(-1)
-    assert mat[low][:, high].nnz == 0
-    assert mat[high][:, low].nnz == 0
-    if system_cls is FlowSystem:
-        above_5 = (np.flatnonzero(row > 5)[:, None] + fields).reshape(-1)
-        assert mat[low][:, above_5].nnz > 0
-
-
 @pytest.mark.parametrize("frozen", [False, True])
 @pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
 def test_ordered_solve_matches_spsolve(system_cls, frozen):
+    # A pass's solve against a sparse direct solve of the step matrix:
+    # the transform inverse, or GMRES on it with the advection frozen
+    # at a random velocity.
     rng = np.random.default_rng(5)
     g = Grid.box((10, 12), (1.0, 1.5))
     system = system_cls(g, FlowParams(tau=1e-2, eps=1e-3))
-    adv = (advection_matrix(g, rng.standard_normal((2,) + g.shape),
-                            "dirichlet") if frozen else None)
+    w = rng.standard_normal((2,) + g.shape) if frozen else None
     rhs = rng.standard_normal((2,) + g.shape)
     zero = np.zeros(g.shape)
-    u, p = system.correct(system.factor(adv), np.zeros_like(rhs), zero,
-                          -rhs, zero)
-    b = np.zeros(system.order.size)
+    system.inverse = system.lagged_inverse()
+    solve = system.frozen_solve(w) if frozen else system.inverse.solve
+    u, p = system.correct(solve, np.zeros_like(rhs), zero, -rhs, zero)
+    mat = step_matrix(system, w)
+    b = np.zeros(mat.shape[0])
     b[:rhs.size] = rhs.reshape(-1)
-    ref = spla.spsolve(system.matrix(adv).tocsc(), b)
+    ref = spla.spsolve(mat, b)
     got = u.reshape(-1)
     if system_cls is SaddleSystem:
         ref[rhs.size:] -= ref[rhs.size:].mean()
         got = np.concatenate([got, p.reshape(-1)])
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("system_cls", [FlowSystem, SaddleSystem])
-def test_ordered_fill_is_below_colamd(system_cls):
-    g = Grid.box((32, 32), (1.0, 1.0))
-    system = system_cls(g, FlowParams(tau=1e-3, eps=1e-2))
-    ordered = system.factor()
-    colamd = spla.splu(system.matrix().tocsc(), permc_spec="COLAMD")
-    assert (ordered.L.nnz + ordered.U.nnz
-            < colamd.L.nnz + colamd.U.nnz)
 
 
 # ---------------------------------------------------------------------
@@ -441,7 +434,7 @@ def test_spectral_inverse_matches_spsolve(shape, lengths, eps):
     inv = SpectralInverse(g, tau, eps)
     assert inv.k == (2 * sum(shape) if g.dim == 2 else 0)
     rhs = rng.standard_normal(g.dim * g.n_cells)
-    ref = spla.spsolve(system.matrix(), rhs)
+    ref = spla.spsolve(step_matrix(system), rhs)
     assert np.abs(inv.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -453,7 +446,8 @@ def test_spectral_inverse_solves_the_stacked_relaxed_matrix():
     g = Grid.box((10, 12), (1.0, 1.5))
     tau, eps = 1e-3, 1e-2
     system = FlowSystem(g, FlowParams(tau=tau, eps=eps))
-    stacked = sp.bmat([[sp.block_diag([system.base] * 2), system.grad_mat],
+    mom = sp.identity(g.n_cells) / tau - system.lap
+    stacked = sp.bmat([[sp.block_diag([mom] * 2), system.grad_mat],
                        [system.div_mat, eps / tau * sp.identity(g.n_cells)]],
                       format="csc")
     rhs = rng.standard_normal(3 * g.n_cells)
@@ -474,7 +468,7 @@ def test_capacitance_matches_unit_solves():
     n = g.dim * g.n_cells
     pick = sp.csc_matrix((np.ones(inv.k), (inv.walls, np.arange(inv.k))),
                          shape=(n, inv.k))
-    model = (FlowSystem(g, FlowParams(tau=tau, eps=eps)).matrix()
+    model = (step_matrix(FlowSystem(g, FlowParams(tau=tau, eps=eps)))
              - pick @ sp.diags(2.0 / across ** 2) @ pick.T)
     ref = pick.T @ spla.spsolve(model.tocsc(), pick.toarray())
     cap = inv.capacitance()
@@ -499,8 +493,8 @@ def test_saddle_spectral_inverse_matches_spsolve(shape, lengths, tau):
     p = rng.standard_normal(g.shape)
     p -= p.mean()
     r = rng.standard_normal(u.shape)
-    u_new, p_new = system.correct(inv, u, p, r, np.zeros(g.shape))
-    ref = spla.spsolve(system.matrix(), np.concatenate(
+    u_new, p_new = system.correct(inv.solve, u, p, r, np.zeros(g.shape))
+    ref = spla.spsolve(step_matrix(system), np.concatenate(
         [r.reshape(-1), system.div_mat @ u.reshape(-1)]))
     ref[u.size:] -= ref[u.size:].mean()
     got = np.concatenate([(u - u_new).reshape(-1), (p - p_new).reshape(-1)])

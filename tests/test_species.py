@@ -311,6 +311,20 @@ def test_iteration_budget_error(binary_spec):
     assert len(err.value.residuals) == 1
 
 
+def test_nan_residual_raises(binary_spec):
+    # A NaN fails every comparison, so a loop that tests res > tol
+    # would return it as converged.
+    g = Grid.box((16,), (1.0,))
+    w, rho = cosine_binary_state(g, binary_spec, 0.2)
+    u = still(g)
+    u[0, 5] = np.nan
+    system = SpeciesSystem(g, binary_spec, SpeciesParams(tau=1e-3))
+    with pytest.raises(SpeciesSolverError, match="residual is nan") as err:
+        species_step(system, w, rho, u)
+    assert len(err.value.residuals) == 1
+    assert np.isnan(err.value.residuals[0])
+
+
 @pytest.mark.parametrize("kind", ["large-residual", "not-invertible"])
 def test_rejected_guess_leaves_the_step_bitwise_unchanged(binary_spec, kind):
     # A guess whose densities do not invert (x_2 = e^-40 is below the
