@@ -28,8 +28,8 @@ from .mixture import (
     lift_initial,
 )
 from .grid import Grid
-from .flow import (FlowState, FlowParams, FlowSystem, SaddleSystem, flow_step,
-                   Forcing, average_force)
+from .flow import (FlowState, FlowParams, FlowSystem, flow_step, Forcing,
+                   average_force)
 from .species import SpeciesParams, SpeciesSystem, species_step
 from .diagnostics import SimLedger
 from .config import SimConfig, ConfigError
@@ -41,9 +41,9 @@ __all__ = [
     "densities_from_entropy", "friction_matrix_full",
     "friction_matrix_reduced", "fraction_jacobian", "entropy_hessian",
     "mobility_matrix", "lift_initial",
-    "Grid", "FlowState", "FlowParams", "FlowSystem", "SaddleSystem",
-    "flow_step", "Forcing",
-    "average_force", "SpeciesParams", "SpeciesSystem", "species_step",
+    "Grid", "FlowState", "FlowParams", "FlowSystem", "flow_step",
+    "Forcing", "average_force", "SpeciesParams", "SpeciesSystem",
+    "species_step",
     "SimLedger", "SimConfig", "ConfigError", "run_simulation",
     "reference_incompressible", "sweep_epsilon",
 ]

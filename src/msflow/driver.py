@@ -36,7 +36,6 @@ from .flow import (
     FlowState,
     FlowSystem,
     Forcing,
-    SaddleSystem,
     average_force,
     flow_step,
 )
@@ -235,9 +234,8 @@ def _run(config: SimConfig, eps: float, keep_history: bool = False,
     if write_outputs:
         os.makedirs(config.out_dir, exist_ok=True)
     if config.steps:
-        system_cls = FlowSystem if eps > 0 else SaddleSystem
-        system = system_cls(grid, FlowParams(
-            tau=tau, eps=config.eps, tol=config.flow_tol,
+        system = FlowSystem(grid, FlowParams(
+            tau=tau, eps=eps, tol=config.flow_tol,
             max_picard=config.max_picard))
         species = SpeciesSystem(grid, spec, SpeciesParams(
             tau=tau, lam=lam, tol=config.species_tol,

@@ -5,25 +5,25 @@ One time step advances (u, p) by the coupled system
     (u - u_prev)/tau + advect_form-advection + (-lap) u + grad p = f_avg
     eps (p - p_prev)/tau + div u = 0
 
-on the cell-centered grid.  For eps > 0 (``FlowSystem``) the pressure
-equation is eliminated exactly,
-
-    p = p_prev - (tau/eps) div u,
-
-which turns the velocity solve into a Helmholtz system with a grad-div
-term of strength tau/eps.  The incompressible limit eps = 0
-(``SaddleSystem``) keeps the pressure as an unknown of a saddle system
-that imposes div u = 0; the pressure is fixed up to a constant and
-shifted to zero mean after each pass.  Both go through one Picard loop,
-``flow_step``, in correction form x <- x - A^-1 r, r the residual of
-the iterate (Moler, J. ACM 14, 1967).  Every pass applies the inverse
-of the advection-free matrix A, which the system builds on its first
-step and keeps for the run, and so lags the advection; if that stops
+on the cell-centered grid, for every eps >= 0.  ``FlowSystem`` keeps
+the pressure as an unknown: the step matrix stacks the pressure
+equation, with the block (eps/tau) I, under the momentum equation.
+eps = 0 is the incompressible limit.  There the second equation
+imposes div u = 0 and fixes the pressure up to a constant, which is
+shifted to zero mean after each pass.  The pressure is not eliminated
+as p = p_prev - (tau/eps) div u: that puts a grad-div term of strength
+tau/eps into the momentum residual, whose rounding, about
+eps_mach |u| tau/(eps h^2), stalls the loop above its tolerance at
+small eps or large velocities.  One Picard loop, ``flow_step``, runs
+in correction form x <- x - A^-1 r, r the stacked residual of the
+iterate (Moler, J. ACM 14, 1967).  Every pass applies the inverse of
+the advection-free matrix A, which the system builds on its first step
+and keeps for the run, and so lags the advection; if that stops
 contracting, the advection is frozen at the current velocity and the
 pass solves that matrix by GMRES, preconditioned by A^-1.
 
-The advection-free matrices have constant coefficients, and
-``SpectralInverse`` inverts both exactly with fast sine/cosine
+The advection-free matrix has constant coefficients, and
+``SpectralInverse`` inverts it exactly with fast sine/cosine
 transforms and a capacitance matrix on the wall cells, with no
 factorization: at eps = 0 its per-mode inverse becomes a projection
 onto divergence-free velocities.
@@ -84,8 +84,10 @@ class FlowParams:
     max_picard: int = 50
 
     def __post_init__(self):
-        if self.tau <= 0 or self.eps <= 0:
-            raise ValueError("tau and eps must be positive")
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
+        if self.eps < 0:
+            raise ValueError("eps must be nonnegative")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -193,44 +195,41 @@ def _idct(x, axis):
 
 
 class SpectralInverse:
-    """Exact inverse of the advection-free relaxed step matrix
-    A = I/tau - lap - (tau/eps) G D, by fast sine/cosine transforms and
-    a boundary capacitance matrix; at eps = 0, of the saddle matrix.
+    """Exact inverse of the advection-free step matrix
+    A = [[A0, G], [D, (eps/tau) I]], A0 = I/tau - lap on each velocity
+    component, by fast sine/cosine transforms and a boundary capacitance
+    matrix, for every eps >= 0; at eps = 0, A is the saddle matrix.
 
     The free-slip model M differs from A only in the tangential second
-    differences, which take even ghosts instead of odd ones.  Then u_a
-    is diagonal under DST-II along axis a and DCT-II along the others,
-    and D maps DST mode k to DCT mode k with the factor
+    differences of A0, which take even ghosts instead of odd ones.  Then
+    u_a is diagonal under DST-II along axis a and DCT-II along the
+    others, and D maps DST mode k to DCT mode k with the factor
     s = sin(k pi/n)/h.  In the frame of modes k = 0..n on every axis
     (component a's DST modes sit at k >= 1, its DCT modes and the
-    pressure's at k < n), M is p I + c s s^T per mode, with
+    pressure's at k < n), M is [[p I, -s], [s^T, 1/c]] per mode, with
     p = 1/tau + 4 sin^2(k pi/2n)/h^2 summed over the axes and
-    c = tau/eps.  Sherman-Morrison inverts it as (I - coef s s^T) / p
-    with coef = c / (p + c |s|^2), which has no cancellation at small
-    eps.
+    c = tau/eps.  With coef = c / (p + c |s|^2), which has no
+    cancellation at small eps, the coupling g = coef (s^T r - p q) of
+    the stacked residual [r; q] gives the velocity (r_a - s_a g) / p
+    and the pressure -g.  At eps = 0, coef = 1/|s|^2 and the velocity
+    block becomes the projection (I - s s^T/|s|^2) / p onto
+    divergence-free fields.  At the constant mode, where s = 0, coef is
+    0: the pressure comes out with zero mean, and the mean of q, which
+    no D u has, is dropped.
 
-    ``solve`` also takes the stacked residual [r; c] of the step
-    matrix that keeps the pressure, [[M, G], [D, I/c]]; per mode G is
-    -s and D is s^T, so the coupling g = coef (s^T r - p c) gives the
-    velocity (r_a - s_a g) / p and the pressure -g.  At eps = 0 this is
-    the saddle matrix and coef = 1/|s|^2: the velocity block becomes
-    the projection (I - s s^T/|s|^2) / p onto divergence-free fields.
-    At the constant mode, where s = 0, coef is 0: the pressure comes
-    out with zero mean, and the mean of c, which no D u has, is dropped.
-
-    A = M + U W U^T, where U picks the k = 2 nx + 2 ny cells next to
-    the walls tangential to their component (u_x's on the y walls, u_y's
-    on the x walls) and W = 2/h^2 with h the spacing across the wall;
-    in 1D, k = 0 and M = A.  Woodbury gives A^-1 r = M^-1 (r - U z) with
-    z = K^-1 U^T M^-1 r, where the capacitance matrix
-    K = W^-1 + U^T M^-1 U is symmetric positive definite (Buzbee, Dorr,
-    George and Golub, SIAM J. Numer. Anal. 8, 1971); U^T M^-1 U is the
-    velocity block, positive semidefinite at eps = 0 too.  K is built
-    from the 1D transform matrices, one separable block per pair of
-    components, and inverted once through its Cholesky factor.  A
-    solve takes one forward and one inverse transform per field; the
-    wall terms cost O(n^2).  ``walls`` lists U's cells in storage
-    order.
+    A = M + U W U^T, where U picks the k = 2 nx + 2 ny velocity cells
+    next to the walls tangential to their component (u_x's on the y
+    walls, u_y's on the x walls) and W = 2/h^2 with h the spacing
+    across the wall; in 1D, k = 0 and M = A.  Woodbury gives
+    A^-1 b = M^-1 (b - U z) with z = K^-1 U^T M^-1 b, where the
+    capacitance matrix K = W^-1 + U^T M^-1 U is symmetric positive
+    definite (Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8,
+    1971); U^T M^-1 U takes M^-1's velocity block (I - coef s s^T) / p,
+    positive semidefinite at eps = 0 too.  K is built from the 1D
+    transform matrices, one separable block per pair of components, and
+    inverted once through its Cholesky factor.  A solve takes one
+    forward and one inverse transform per field; the wall terms cost
+    O(n^2).  ``walls`` lists U's cells in storage order.
     """
 
     def __init__(self, grid: Grid, tau: float, eps: float):
@@ -274,9 +273,9 @@ class SpectralInverse:
 
     def _spectral(self, f, q):
         """M^-1 in the transform frame: the velocity and the coupling g,
-        with ``q`` the pressure equation's residual or None."""
+        with ``q`` the pressure equation's residual."""
         sf = sum(s * fa for s, fa in zip(self.s, f))
-        g = self.coef * (sf if q is None else sf - self.p * q)
+        g = self.coef * (sf - self.p * q)
         y = np.stack([fa - s * g for s, fa in zip(self.s, f)]) * self.inv_p
         return y, g
 
@@ -321,16 +320,14 @@ class SpectralInverse:
         return np.block(blocks)
 
     def solve(self, b):
-        """A^-1 b for ``b`` flat in storage order; when ``b`` stacks a
-        pressure equation residual c after the momentum residual r, the
-        stacked step matrix's solve, velocity then pressure."""
+        """A^-1 b for ``b`` flat in storage order: the momentum residual,
+        then the pressure equation's; the result stacks the velocity
+        and the pressure the same way."""
         n = int(np.prod(self.fields))
         f = self._forward(b[:n].reshape(self.fields))
-        q = None
-        if b.size > n:
-            q = np.zeros(self.inv_p.shape)
-            q[self.cosine] = sfft.dctn(b[n:].reshape(self.fields[1:]),
-                                       type=2, norm="ortho")
+        q = np.zeros(self.inv_p.shape)
+        q[self.cosine] = sfft.dctn(b[n:].reshape(self.fields[1:]), type=2,
+                                   norm="ortho")
         y, g = self._spectral(f, q)
         if self.k:
             (sx, sy), (ex, ey) = self._dst_mat, self._end_cols
@@ -342,11 +339,8 @@ class SpectralInverse:
             f[0][self.slots[0]] -= sx @ z[:2 * nx].reshape(nx, 2) @ ey.T
             f[1][self.slots[1]] -= ex @ z[2 * nx:].reshape(2, -1) @ sy.T
             y, g = self._spectral(f, q)
-        u = self._backward(y).reshape(-1)
-        if q is None:
-            return u
         p = sfft.idctn(-g[self.cosine], type=2, norm="ortho")
-        return np.concatenate([u, p.reshape(-1)])
+        return np.concatenate([self._backward(y).reshape(-1), p.reshape(-1)])
 
 
 # GMRES on a frozen-advection pass: the relative tolerance, at which
@@ -359,19 +353,19 @@ GMRES_MAXITER = 5           # restart cycles
 
 
 class FlowSystem:
-    """The relaxed system's step operators, owned by one run.
+    """The step operators of one run, for every eps >= 0.
 
-    The pressure is eliminated, p = p_prev - (tau/eps) div u, which
-    leaves a velocity-only Helmholtz matrix with a grad-div term.  Its
-    advection-free inverse, a :class:`SpectralInverse`, is built on the
-    first step and lives as long as the object, so a run that returns
-    drops it.  A pass with frozen advection solves by GMRES on it.
+    The pressure stays an unknown: each pass stacks the pressure
+    equation's residual under the momentum residual and subtracts the
+    stacked solve.  Its advection-free inverse, a
+    :class:`SpectralInverse`, is built on the first step and lives as
+    long as the object, so a run that returns drops it.  A pass with
+    frozen advection solves by GMRES on it.
     """
 
     def __init__(self, grid: Grid, params: FlowParams):
         self.grid = grid
         self.params = params
-        self.eps = params.eps
         self.grad_mat = sp.vstack([deriv_matrix(grid, a, "neumann")
                                    for a in range(grid.dim)], format="csr")
         self.div_mat = (-self.grad_mat.T).tocsr()
@@ -381,7 +375,7 @@ class FlowSystem:
     def lagged_inverse(self):
         """The inverse of the advection-free step matrix."""
         start = time.perf_counter()
-        inv = SpectralInverse(self.grid, self.params.tau, self.eps)
+        inv = SpectralInverse(self.grid, self.params.tau, self.params.eps)
         log.info("flow inverse: sine/cosine transforms with a %d-cell "
                  "capacitance matrix, setup %.3f s", inv.k,
                  time.perf_counter() - start)
@@ -424,41 +418,18 @@ class FlowSystem:
 
         return solve
 
-    def pressure(self, u, p_prev):
-        """The pressure that goes with velocity ``u``."""
-        return p_prev - (self.params.tau / self.eps) * div(self.grid, u)
-
     def correct(self, solve, u, p, r, p_prev):
-        """u - A^-1 r and its pressure, for the residual ``r`` at (u, p);
-        ``solve`` applies A^-1 to a flat vector."""
-        u = u - solve(r.reshape(-1)).reshape(u.shape)
-        return u, self.pressure(u, p_prev)
-
-
-class SaddleSystem(FlowSystem):
-    """The incompressible limit eps = 0: div u = 0 holds exactly.
-
-    The pressure stays an unknown of a saddle system that couples the
-    momentum equation to the divergence constraint.  Each pass stacks
-    the constraint residual D u under the momentum residual and
-    subtracts the solve; the :class:`SpectralInverse`, built at
-    eps = 0, returns a zero-mean pressure correction.  ``params.eps``
-    plays no role.
-    """
-
-    def __init__(self, grid: Grid, params: FlowParams):
-        super().__init__(grid, params)
-        self.eps = 0.0
-
-    def pressure(self, u, p_prev):
-        # Only a correction moves the constrained pressure.
-        return p_prev.copy()
-
-    def correct(self, solve, u, p, r, p_prev):
-        b = np.concatenate([r.reshape(-1), self.div_mat @ u.reshape(-1)])
-        du, dp = np.split(solve(b), [u.size])
-        p = p - dp.reshape(p.shape)
-        return u - du.reshape(u.shape), p - p.mean()
+        """(u, p) less the stacked solve of the momentum residual ``r``
+        and the pressure equation's residual D u + (eps/tau)(p - p_prev)
+        at (u, p); ``solve`` applies A^-1 to a flat vector.  At eps = 0
+        the pressure, fixed up to a constant, is shifted to zero mean."""
+        eps, tau = self.params.eps, self.params.tau
+        c = (self.div_mat @ u.reshape(-1)
+             + (eps / tau) * (p - p_prev).reshape(-1))
+        du, dp = np.split(solve(np.concatenate([r.reshape(-1), c])),
+                          [u.size])
+        u, p = u - du.reshape(u.shape), p - dp.reshape(p.shape)
+        return u, (p if eps else p - p.mean())
 
 
 def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
@@ -473,7 +444,7 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     velocity and solves by GMRES (:meth:`FlowSystem.frozen_solve`).
 
     The loop starts from the velocity ``guess`` (with the pressure that
-    ``system`` pairs with it) when one is given and its residual is
+    the step pairs with it) when one is given and its residual is
     strictly below the residual at the previous state; otherwise it
     starts from the previous state, so a rejected guess leaves the step
     bitwise as it is without one.  Returns (new_state, FlowStepReport).
@@ -482,7 +453,7 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     no silent capping.
     """
     grid, params = system.grid, system.params
-    tau, eps = params.tau, system.eps
+    tau, eps = params.tau, params.eps
     u_prev, p_prev = state.u, state.p
     f_avg = np.asarray(f_avg, dtype=float)
     if f_avg.shape != u_prev.shape:
@@ -498,14 +469,19 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
             r[a] -= (system.lap @ u[a].reshape(-1)).reshape(grid.shape)
         return r, norm_l2(grid, r)
 
-    u, p = u_prev.copy(), system.pressure(u_prev, p_prev)
+    def start_pressure(u):
+        """The pressure that starts the loop with velocity ``u``: the
+        relaxed pressure equation solved for it, p_prev at eps = 0."""
+        return p_prev - (tau / eps) * div(grid, u) if eps else p_prev.copy()
+
+    u, p = u_prev.copy(), start_pressure(u_prev)
     r, res = residual(u, p)
     from_guess = False
     if guess is not None:
         u_g = np.array(guess, dtype=float)
         if u_g.shape != u_prev.shape:
             raise GridError("guess shape does not match the velocity field")
-        p_g = system.pressure(u_g, p_prev)
+        p_g = start_pressure(u_g)
         r_g, res_g = residual(u_g, p_g)
         if res_g < res:
             u, p, r, res, from_guess = u_g, p_g, r_g, res_g, True
@@ -533,7 +509,7 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
         residuals.append(res)
 
     # The pressure equation's residual; with it the energy balance
-    # below is an identity for both systems.
+    # below is an identity at every eps.
     divu = div(grid, u, "dirichlet")
     defect = eps * (p - p_prev) / tau + divu
     e_prev = inner(grid, u_prev, u_prev) + eps * inner(grid, p_prev, p_prev)

@@ -22,7 +22,6 @@ from msflow.flow import (
     FlowSolverError,
     FlowSystem,
     Forcing,
-    SaddleSystem,
     SpectralInverse,
     average_force,
     flow_step,
@@ -186,18 +185,6 @@ def test_validate_species_tol_floor_scales_with_tau_and_domain():
     with pytest.raises(ConfigError, match="scheme.flow_tol must be"):
         SimConfig(t_final=3e-6, **small_tau).validate()
     SimConfig(t_final=3e-5, **small_tau).validate()
-
-
-def test_validate_flow_tol_relaxed_floor():
-    # The relaxed pressure's rounding puts 0.09 eps_mach tau/(eps h^2)
-    # under the flow residual: 8.2e-11 at eps = 1e-6 on 64^2 with
-    # tau = 1e-3, where standard-2d converges (201 passes), and 8.2e-10
-    # at eps = 1e-7, where it stalls at 8.0e-10.
-    SimConfig(dim=2, eps=1e-6).validate()
-    with pytest.raises(ConfigError, match="at least 8.19e-10 = 0.09 eps"):
-        SimConfig(dim=2, eps=1e-7).validate()
-    SimConfig(dim=2, eps=1e-7, flow_tol=1e-9).validate()
-    SimConfig(dim=2, nx=16, ny=16, eps=1e-7).validate()
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
@@ -396,6 +383,24 @@ def test_reference_run_without_stall_factors_nothing(monkeypatch):
     assert calls == []
 
 
+def test_one_step_couples_the_species_to_the_new_velocity():
+    # From rest under a bump force, the flow step makes the only
+    # velocity the species step sees.  The mixing entropy's control
+    # term, the pairing of div u with log x_N, and the advective
+    # entropy flux must then be positive and agree: measured 1.07e-10
+    # each, 4.5e-17 apart.  With the velocity from before the flow step
+    # both are exactly 0; with the species advection's sign flipped the
+    # control term is -1.5e-11 and the flux 6.9e-13.
+    cfg = load_config(CONFIGS / "standard-2d.cfg", [
+        "grid.nx=16", "grid.ny=16", "scheme.steps=1", "scheme.t_final=1e-3",
+        "init.velocity_amplitude=0", "forcing.preset=constant",
+        "forcing.spatial=bump"])
+    row = run_simulation(cfg).ledger.rows[1]
+    control, flux = row["control_term"], row["advective_flux"]
+    assert control >= 5e-11 and flux >= 5e-11
+    assert abs(control - flux) <= 1e-4 * control
+
+
 def test_flow_residual_floor_of_the_first_step():
     # The smallest residual that 40 passes reach on step 1 of
     # standard-2d at 16^2: 5.1e-14 in correction form, where passes
@@ -583,17 +588,22 @@ def test_cli_check_fails_on_non_skew_advection(monkeypatch, capsys):
 
 def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
     # A penalty 1e-7 p in the constraint residual that ``correct``
-    # stacks: the transform inverse then drives D u to -1e-7 p instead
-    # of 0, and the reference check must see it.  The energy identity
-    # still holds to 4e-10, so only the divergence bound can fail.
+    # stacks at eps = 0 only: the transform inverse then drives D u to
+    # -1e-7 p instead of 0, and the reference check must see it.  The
+    # energy identity still holds to 4e-10, so only the divergence bound
+    # can fail.
+    correct = FlowSystem.correct
+
     def penalized(self, solve, u, p, r, p_prev):
+        if self.params.eps > 0:
+            return correct(self, solve, u, p, r, p_prev)
         c = self.div_mat @ u.reshape(-1) + 1e-7 * p.reshape(-1)
         du, dp = np.split(solve(np.concatenate([r.reshape(-1), c])),
                           [u.size])
         p = p - dp.reshape(p.shape)
         return u - du.reshape(u.shape), p - p.mean()
 
-    monkeypatch.setattr(SaddleSystem, "correct", penalized)
+    monkeypatch.setattr(FlowSystem, "correct", penalized)
     rc = cli.main(["check", str(CONFIGS / "standard-2d.cfg")] + _overrides([
         ("grid.nx", 16), ("grid.ny", 16),
     ]))
@@ -605,15 +615,20 @@ def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
 
 def test_cli_check_exits_3_when_the_saddle_matrix_disagrees(monkeypatch,
                                                            capsys):
-    # The penalty in the inverse only: the transform inverse, built at
-    # eps = tau, inverts the saddle matrix with an identity pressure
-    # block, not the residual's operator, and the frozen-advection
-    # passes precondition with it too.  The corrections stop
-    # contracting and the reference step fails in one line instead of
-    # accepting a wrong step.
-    monkeypatch.setattr(SaddleSystem, "lagged_inverse", lambda self:
-                        SpectralInverse(self.grid, self.params.tau,
-                                        self.params.tau))
+    # The penalty in the reference's inverse only: the transform
+    # inverse, built at eps = tau, inverts the saddle matrix with an
+    # identity pressure block, not the residual's operator, and the
+    # frozen-advection passes precondition with it too.  The
+    # corrections stop contracting and the reference step fails in one
+    # line instead of accepting a wrong step.
+    lagged_inverse = FlowSystem.lagged_inverse
+
+    def penalized(self):
+        if self.params.eps > 0:
+            return lagged_inverse(self)
+        return SpectralInverse(self.grid, self.params.tau, self.params.tau)
+
+    monkeypatch.setattr(FlowSystem, "lagged_inverse", penalized)
     rc = cli.main(["check", str(CONFIGS / "standard-2d.cfg")] + _overrides([
         ("grid.nx", 16), ("grid.ny", 16),
     ]))
@@ -672,8 +687,6 @@ def test_cli_rejects_unknown_key(capsys):
         for arg in ("--set", pair)], id="flow_tol-below-floor"),
     pytest.param([str(CONFIGS / "entropy-binary-1d.cfg"),
                   "--set", "init.amplitude=0.9"], id="init.amplitude=0.9"),
-    pytest.param([str(CONFIGS / "standard-2d.cfg"), "--set",
-                  "scheme.eps=1e-7"], id="flow_tol-below-relaxed-floor"),
     pytest.param([str(CONFIGS / "missing.cfg")], id="missing-config-file"),
 ])
 def test_cli_rejects_bad_value_in_one_line(args, capsys):
@@ -682,6 +695,22 @@ def test_cli_rejects_bad_value_in_one_line(args, capsys):
     assert rc == 2
     assert err.startswith("msflow: ConfigError: ")
     assert err.count("\n") == 1
+
+
+def test_cli_run_converges_at_small_eps(tmp_path):
+    # The flow step keeps the pressure as an unknown, so its residual
+    # has no rounding floor that grows like tau/eps: at eps = 1e-7 every
+    # step converges to flow_tol.  Measured: 5 passes a step, the
+    # largest final residual 3.8e-11.
+    rc = cli.main(["run", str(CONFIGS / "standard-2d.cfg")] + _overrides([
+        ("scheme.eps", "1e-7"), ("scheme.steps", 5),
+        ("scheme.t_final", "5e-3"), ("output.dir", str(tmp_path)),
+    ]))
+    assert rc == 0
+    with open(tmp_path / "ledger.csv") as fh:
+        rows = list(csv.DictReader(fh))[1:]
+    assert len(rows) == 5
+    assert max(float(r["flow_residual"]) for r in rows) <= 1e-10
 
 
 def test_cli_reports_solver_failure_in_one_line(tmp_path, capsys):
