@@ -50,17 +50,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import (
     Grid,
     GridError,
-    deriv_matrix,
     div,
+    grad,
     grad_sq_norm,
     inner,
-    laplacian_matrix,
+    laplacian,
     norm_l2,
     skew_advect,
 )
@@ -90,6 +89,8 @@ class FlowParams:
             raise ValueError("eps must be nonnegative")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_picard < 1:
+            raise ValueError("max_picard must be at least 1")
 
 
 @dataclass
@@ -357,8 +358,10 @@ class FlowSystem:
 
     The pressure stays an unknown: each pass stacks the pressure
     equation's residual under the momentum residual and subtracts the
-    stacked solve.  Its advection-free inverse, a
-    :class:`SpectralInverse`, is built on the first step and lives as
+    stacked solve.  The residuals apply the grid's slicing stencils
+    (``grad``, ``div``, ``laplacian``, ``skew_advect``), so the one
+    operator the system holds is the advection-free inverse, a
+    :class:`SpectralInverse`, built on the first step.  It lives as
     long as the object, so a run that returns drops it.  A pass with
     frozen advection solves by GMRES on it.
     """
@@ -366,10 +369,6 @@ class FlowSystem:
     def __init__(self, grid: Grid, params: FlowParams):
         self.grid = grid
         self.params = params
-        self.grad_mat = sp.vstack([deriv_matrix(grid, a, "neumann")
-                                   for a in range(grid.dim)], format="csr")
-        self.div_mat = (-self.grad_mat.T).tocsr()
-        self.lap = laplacian_matrix(grid, "dirichlet")
         self.inverse = None     # the lagged passes' inverse, once built
 
     def lagged_inverse(self):
@@ -424,8 +423,7 @@ class FlowSystem:
         at (u, p); ``solve`` applies A^-1 to a flat vector.  At eps = 0
         the pressure, fixed up to a constant, is shifted to zero mean."""
         eps, tau = self.params.eps, self.params.tau
-        c = (self.div_mat @ u.reshape(-1)
-             + (eps / tau) * (p - p_prev).reshape(-1))
+        c = (div(self.grid, u) + (eps / tau) * (p - p_prev)).reshape(-1)
         du, dp = np.split(solve(np.concatenate([r.reshape(-1), c])),
                           [u.size])
         u, p = u - du.reshape(u.shape), p - dp.reshape(p.shape)
@@ -464,9 +462,9 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     def residual(u, p):
         """The step's momentum residual at (u, p) and its norm."""
         r = (u - u_prev) / tau + skew_advect(grid, u, u, "dirichlet") - f_avg
-        r += (system.grad_mat @ p.reshape(-1)).reshape(u.shape)
+        r += grad(grid, p, "neumann")
         for a in range(grid.dim):
-            r[a] -= (system.lap @ u[a].reshape(-1)).reshape(grid.shape)
+            r[a] -= laplacian(grid, u[a], "dirichlet")
         return r, norm_l2(grid, r)
 
     def start_pressure(u):

@@ -9,15 +9,21 @@ conventions define how stencils see the boundary:
   interior value), used for velocity components, which vanish on the
   boundary.
 
-With these conventions the central first-derivative operators satisfy
-an exact summation-by-parts identity,
+Every derivative in the package is applied here, by array slicing
+under these rules: :func:`derivative` (central first difference along
+one axis) and :func:`laplacian` (compact second differences); no
+operator is assembled or cached.  With the two conventions the central
+first-derivative operators satisfy an exact summation-by-parts
+identity,
 
     <grad f, v> = -<f, div v>,
 
 for any scalar f (even ghosts) and vector v (odd ghosts), where <.,.>
-is the midpoint quadrature inner product.  The identity is what makes
-the discrete energy and entropy balances close to roundoff; it is
-asserted in the test suite rather than assumed.
+is the midpoint quadrature inner product: the odd-ghost derivative is
+exactly minus the transpose of the even-ghost one.  The identity is
+what makes the discrete energy and entropy balances close to roundoff;
+the test suite asserts it, and compares the stencils with an
+independently assembled sparse oracle, rather than assuming it.
 
 The advective trilinear form pairs the skew advection operator the
 solvers use with a test field,
@@ -35,10 +41,8 @@ so advect_form(u, v, v) = 0 holds to roundoff for any discrete fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 _ADJOINT_BC = {"dirichlet": "neumann", "neumann": "dirichlet"}
 
@@ -110,70 +114,6 @@ class Grid:
         return np.stack(np.meshgrid(*axes, indexing="ij"))
 
 
-def _central_1d(n: int, h: float, bc: str) -> sp.csr_matrix:
-    main = np.zeros(n)
-    lower = np.full(n - 1, -1.0)
-    upper = np.full(n - 1, 1.0)
-    m = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-    if bc == "neumann":
-        m[0, 0] = -1.0
-        m[n - 1, n - 1] = 1.0
-    elif bc == "dirichlet":
-        m[0, 0] = 1.0
-        m[n - 1, n - 1] = -1.0
-    else:
-        raise GridError(f"unknown boundary tag {bc!r}")
-    return (m / (2.0 * h)).tocsr()
-
-
-def _second_1d(n: int, h: float, bc: str) -> sp.csr_matrix:
-    main = np.full(n, -2.0)
-    off = np.full(n - 1, 1.0)
-    m = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    if bc == "neumann":
-        m[0, 0] = -1.0
-        m[n - 1, n - 1] = -1.0
-    elif bc == "dirichlet":
-        m[0, 0] = -3.0
-        m[n - 1, n - 1] = -3.0
-    else:
-        raise GridError(f"unknown boundary tag {bc!r}")
-    return (m / (h * h)).tocsr()
-
-
-def _lift(grid: Grid, mat_1d: sp.csr_matrix, axis: int) -> sp.csr_matrix:
-    if grid.dim == 1:
-        return mat_1d.tocsr()
-    if axis == 0:
-        return sp.kron(mat_1d, sp.identity(grid.shape[1]), format="csr")
-    return sp.kron(sp.identity(grid.shape[0]), mat_1d, format="csr")
-
-
-# Per-grid stencil caches (Grid is hashable); a grid needs <= 4 each.
-_STENCILS_KEPT = 64
-
-
-@lru_cache(maxsize=_STENCILS_KEPT)
-def deriv_matrix(grid: Grid, axis: int, bc: str) -> sp.csr_matrix:
-    """Central first-derivative matrix along ``axis`` on flattened fields."""
-    m = _central_1d(grid.shape[axis], grid.spacing[axis], bc)
-    return _lift(grid, m, axis)
-
-
-@lru_cache(maxsize=_STENCILS_KEPT)
-def second_deriv_matrix(grid: Grid, axis: int, bc: str) -> sp.csr_matrix:
-    m = _second_1d(grid.shape[axis], grid.spacing[axis], bc)
-    return _lift(grid, m, axis)
-
-
-@lru_cache(maxsize=_STENCILS_KEPT)
-def laplacian_matrix(grid: Grid, bc: str) -> sp.csr_matrix:
-    m = second_deriv_matrix(grid, 0, bc).copy()
-    for a in range(1, grid.dim):
-        m = m + second_deriv_matrix(grid, a, bc)
-    return m.tocsr()
-
-
 def _check_field(grid: Grid, f: np.ndarray, kind: str) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if kind == "scalar":
@@ -194,24 +134,84 @@ def _check_field(grid: Grid, f: np.ndarray, kind: str) -> np.ndarray:
     return f
 
 
-def _apply(grid: Grid, mat: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
-    return (mat @ f.reshape(-1)).reshape(grid.shape)
+def _check_bc(bc: str) -> None:
+    if bc not in _ADJOINT_BC:
+        raise GridError(f"unknown boundary tag {bc!r}")
+
+
+def _grid_first(grid: Grid, f: np.ndarray) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape[:grid.dim] != grid.shape:
+        raise GridError(f"field shape {f.shape} does not start with "
+                        f"{grid.shape}")
+    return f
+
+
+def _along(axis: int, index) -> tuple:
+    """Index ``index`` along array axis ``axis``, all of the others."""
+    return (slice(None),) * axis + (index,)
+
+
+def derivative(grid: Grid, f: np.ndarray, axis: int, bc: str) -> np.ndarray:
+    """Central first derivative along ``axis`` with ghost rule ``bc``.
+
+    ``f`` has the grid's axes first; any trailing (component) axes ride
+    along.  Each cell takes (f[i+1] - f[i-1]) / 2h, the ghost beyond an
+    end being f at that end ("neumann") or its negative ("dirichlet").
+    """
+    _check_bc(bc)
+    f = _grid_first(grid, f)
+    cf = f * (1.0 / (2.0 * grid.spacing[axis]))
+    out = np.empty_like(cf)
+    np.subtract(cf[_along(axis, slice(2, None))],
+                cf[_along(axis, slice(None, -2))],
+                out=out[_along(axis, slice(1, -1))])
+    ghost = 1.0 if bc == "neumann" else -1.0
+    out[_along(axis, 0)] = cf[_along(axis, 1)] - ghost * cf[_along(axis, 0)]
+    out[_along(axis, -1)] = (ghost * cf[_along(axis, -1)]
+                             - cf[_along(axis, -2)])
+    return out
+
+
+def laplacian(grid: Grid, f: np.ndarray, bc: str) -> np.ndarray:
+    """Compact (3- or 5-point) Laplacian with ghost rule ``bc``.
+
+    ``f`` has the grid's axes first, as for :func:`derivative`.  Along
+    each axis the second difference (f[i-1] - 2 f[i] + f[i+1]) / h^2
+    folds the ghost into the end cell's weight: -1/h^2 for even ghosts,
+    -3/h^2 for odd ones.  Each cell sums its terms in the storage order
+    of the cells they read (lower neighbours, itself, upper neighbours),
+    the order in which a sparse product sums a matrix row.
+    """
+    _check_bc(bc)
+    f = _grid_first(grid, f)
+    scaled, diag = [], 0.0
+    for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        d = np.full(n, -2.0)
+        d[0] = d[-1] = -1.0 if bc == "neumann" else -3.0
+        diag = diag + (d / (h * h)).reshape((n,) + (1,) * (f.ndim - a - 1))
+        scaled.append(f * (1.0 / (h * h)))
+    out = np.zeros_like(f)
+    for a, cf in enumerate(scaled):
+        out[_along(a, slice(1, None))] += cf[_along(a, slice(None, -1))]
+    out += diag * f
+    for a, cf in reversed(list(enumerate(scaled))):
+        out[_along(a, slice(None, -1))] += cf[_along(a, slice(1, None))]
+    return out
 
 
 def grad(grid: Grid, f: np.ndarray, bc: str) -> np.ndarray:
     """Central-difference gradient of a scalar field, shape (dim, *shape)."""
     f = _check_field(grid, f, "scalar")
-    return np.stack(
-        [_apply(grid, deriv_matrix(grid, a, bc), f) for a in range(grid.dim)]
-    )
+    return np.stack([derivative(grid, f, a, bc) for a in range(grid.dim)])
 
 
 def div(grid: Grid, v: np.ndarray, bc: str = "dirichlet") -> np.ndarray:
     """Divergence of a vector field (default: velocity ghost rule)."""
     v = _check_field(grid, v, "vector")
-    out = _apply(grid, deriv_matrix(grid, 0, bc), v[0])
+    out = derivative(grid, v[0], 0, bc)
     for a in range(1, grid.dim):
-        out = out + _apply(grid, deriv_matrix(grid, a, bc), v[a])
+        out += derivative(grid, v[a], a, bc)
     return out
 
 
@@ -254,13 +254,12 @@ def skew_advect(grid: Grid, u: np.ndarray, v: np.ndarray,
     """
     u = _check_field(grid, u, "vector")
     v = _check_field(grid, v, "components")
-    cols = v.reshape(v.shape[0], -1).T
-    out = np.zeros_like(cols)
-    for a in range(grid.dim):
-        ua = u[a].reshape(-1, 1)
-        out += ua * (deriv_matrix(grid, a, bc) @ cols)
-        out += deriv_matrix(grid, a, _ADJOINT_BC[bc]) @ (ua * cols)
-    return 0.5 * out.T.reshape(v.shape)
+    out = np.zeros_like(v)
+    for acc, comp in zip(out, v):
+        for a in range(grid.dim):
+            acc += u[a] * derivative(grid, comp, a, bc)
+            acc += derivative(grid, u[a] * comp, a, _ADJOINT_BC[bc])
+    return 0.5 * out
 
 
 def grad_sq_norm(grid: Grid, u: np.ndarray) -> float:

@@ -12,16 +12,19 @@ One step solves
 tested against grid functions with even (reflecting) ghosts.  B is the
 symmetric positive definite mobility matrix from the mixture algebra.
 
-A run builds the stencils once, in a ``SpeciesSystem``; no operator is
-assembled.  The nonlinear problem is solved by a frozen-coefficient
-outer loop: B, the advected densities and the inversion Jacobian are
-frozen at the current iterate, the time-difference term is linearized
-through the closed-form Jacobian drho/dw = H^{-1}, and preconditioned CG
-solves H^{-1} delta / tau + D delta = -residual for the update.
+A run holds its step parameters and the preconditioner's symbols in a
+``SpeciesSystem``; the derivatives are the grid's slicing stencils, and
+no operator is assembled.  The nonlinear problem is solved by a
+frozen-coefficient outer loop: B, the advected densities and the
+inversion Jacobian are frozen at the current iterate, the
+time-difference term is linearized through the closed-form Jacobian
+drho/dw = H^{-1}, and preconditioned CG solves
+H^{-1} delta / tau + D delta = -residual for the update.
 D w = -sum_a dd_a (B dn_a w) + lambda (lap^T lap + I) w is the one
-diffusion apply that the residual also uses; it is symmetric because
-dd_a = -dn_a^T (odd ghosts are adjoint to even ones; the system builds
-dd_a as that transpose), so the system is symmetric positive definite.
+diffusion apply that the residual also uses.  It is symmetric because
+odd ghosts are adjoint to even ones: dd_a is the odd-ghost central
+derivative, which equals -dn_a^T.  So the system is symmetric positive
+definite.
 A step is halved whenever the residual increases.  The outer loop has
 one stopping rule: it ends when the residual, in the quadrature L2
 norm, is at most ``tol``, and raises ``SpeciesSolverError`` after
@@ -68,18 +71,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import mixture
-from .grid import (
-    Grid,
-    GridError,
-    deriv_matrix,
-    div,
-    laplacian_matrix,
-    skew_advect,
-)
+from .grid import Grid, GridError, derivative, div, laplacian, skew_advect
 
 
 class SpeciesSolverError(RuntimeError):
@@ -102,6 +97,10 @@ class SpeciesParams:
             raise ValueError("tau must be positive")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass
@@ -135,10 +134,13 @@ def _to_field(pts: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 class SpeciesSystem:
-    """The species step's stencils, owned by one run.
+    """The species step's operators, owned by one run.
 
     :meth:`diffusion` applies the operator that the residual and the CG
-    solve share; the H2 block lap^T lap + I exists only when lambda > 0.
+    solve share, with the grid's slicing stencils on the points viewed
+    as (*shape, N): dn_a is the even-ghost central derivative and dd_a
+    the odd-ghost one.  The H2 block lap^T lap + I, lap the even-ghost
+    Laplacian, which is symmetric, enters only when lambda > 0.
     ``sigma`` and ``reg_symbol`` are the DCT-II symbols of the diffusion
     stencil and of lambda (lap^T lap + I), per mode on the grid's shape.
     """
@@ -146,30 +148,29 @@ class SpeciesSystem:
     def __init__(self, grid: Grid, spec: mixture.MixtureSpec,
                  params: SpeciesParams):
         self.grid, self.spec, self.params = grid, spec, params
-        self.dn = [deriv_matrix(grid, a, "neumann") for a in range(grid.dim)]
-        self.dd = [(-d.T).tocsr() for d in self.dn]
         modes = np.meshgrid(*(np.pi * np.arange(n) / n for n in grid.shape),
                             indexing="ij")
         self.sigma = sum((np.sin(t) / h) ** 2
                          for t, h in zip(modes, grid.spacing))
-        self.lap = self.reg = None
         self.reg_symbol = 0.0
         if params.lam > 0.0:
-            self.lap = laplacian_matrix(grid, "neumann")
-            self.reg = (self.lap.T @ self.lap
-                        + sp.identity(grid.n_cells)).tocsr()
             nu = sum((2.0 * np.sin(0.5 * t) / h) ** 2
                      for t, h in zip(modes, grid.spacing))
             self.reg_symbol = params.lam * (nu * nu + 1.0)
 
     def diffusion(self, b_blocks, w_pts) -> np.ndarray:
         """-div(B grad w) + lambda (lap^2 w + w), on (cells, N) points."""
-        out = np.zeros_like(w_pts)
-        for dd, dn in zip(self.dd, self.dn):
-            out -= dd @ np.einsum("cij,cj->ci", b_blocks, dn @ w_pts)
-        if self.reg is not None:
-            out += self.params.lam * (self.reg @ w_pts)
-        return out
+        grid = self.grid
+        w = w_pts.reshape(grid.shape + w_pts.shape[-1:])
+        out = np.zeros_like(w)
+        for a in range(grid.dim):
+            flux = np.einsum("cij,cj->ci", b_blocks, derivative(
+                grid, w, a, "neumann").reshape(w_pts.shape))
+            out -= derivative(grid, flux.reshape(w.shape), a, "dirichlet")
+        if self.params.lam > 0.0:
+            lap_w = laplacian(grid, w, "neumann")
+            out += self.params.lam * (laplacian(grid, lap_w, "neumann") + w)
+        return out.reshape(w_pts.shape)
 
     def residual(self, advect, w_pts, rho_pts, rho_prev_pts, b_blocks):
         return ((rho_pts - rho_prev_pts) / self.params.tau + advect(rho_pts)
@@ -310,15 +311,16 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
             np.sum(mixture.entropy_density(rho_prev_pts, spec)))
     entropy_after = vol * float(np.sum(mixture.entropy_density(rho_pts, spec)))
 
+    w_grid = w_pts.reshape(grid.shape + (n,))
     dissipation = 0.0
-    for dn in system.dn:
-        gw = dn @ w_pts
+    for a in range(grid.dim):
+        gw = derivative(grid, w_grid, a, "neumann").reshape(-1, n)
         dissipation += vol * float(
             np.einsum("ci,cij,cj->", gw, b_blocks, gw))
 
     h2_sq = 0.0
     if lam > 0.0:
-        lw = system.lap @ w_pts
+        lw = laplacian(grid, w_grid, "neumann")
         h2_sq = vol * (float(np.sum(lw * lw)) + float(np.sum(w_pts * w_pts)))
 
     x, _ = mixture.molar_fractions(rho_pts, spec)

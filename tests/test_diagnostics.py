@@ -10,8 +10,10 @@ from msflow.config import SimConfig
 from msflow.diagnostics import DISPLAY_FLOOR, SimLedger, poincare_constant
 from msflow.driver import run_simulation
 from msflow.flow import FlowState
-from msflow.grid import Grid, laplacian_matrix
+from msflow.grid import Grid
 from msflow.mixture import MixtureSpec
+
+from conftest import laplacian_matrix
 
 
 def make_binary_spec() -> MixtureSpec:

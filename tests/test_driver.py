@@ -26,9 +26,11 @@ from msflow.flow import (
     average_force,
     flow_step,
 )
-from msflow.grid import _ADJOINT_BC, deriv_matrix, div, norm_l2
+from msflow.grid import _ADJOINT_BC, div, norm_l2
 from msflow.mixture import entropy_vars, mobility_matrix
 from msflow.species import SpeciesSolverError
+
+from conftest import deriv_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -597,7 +599,7 @@ def test_cli_check_fails_on_penalized_reference(monkeypatch, capsys):
     def penalized(self, solve, u, p, r, p_prev):
         if self.params.eps > 0:
             return correct(self, solve, u, p, r, p_prev)
-        c = self.div_mat @ u.reshape(-1) + 1e-7 * p.reshape(-1)
+        c = (div(self.grid, u) + 1e-7 * p).reshape(-1)
         du, dp = np.split(solve(np.concatenate([r.reshape(-1), c])),
                           [u.size])
         p = p - dp.reshape(p.shape)

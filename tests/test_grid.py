@@ -1,9 +1,10 @@
 """Grid operators: stencil oracles, adjointness, advection identities.
 
-Stencil rows are checked against hand-written entries for tiny grids;
-the structural identities (summation by parts, skew advection, the
-face-based gradient norm) are asserted to roundoff on seeded random
-fields because the solvers rely on them holding exactly.
+The slicing stencils are applied column by column and checked against
+hand-written entries for tiny grids and against the sparse oracle of
+``conftest``; the structural identities (summation by parts, skew
+advection, the face-based gradient norm) are asserted to roundoff on
+seeded random fields because the solvers rely on them holding exactly.
 """
 
 import numpy as np
@@ -14,22 +15,27 @@ from msflow.grid import (
     Grid,
     GridError,
     advect_form,
-    deriv_matrix,
+    derivative,
     div,
     divergence_identity_residual,
     grad,
     grad_sq_norm,
     inner,
-    laplacian_matrix,
+    laplacian,
     norm_l2,
     read_snapshot,
-    second_deriv_matrix,
     skew_advect,
     write_snapshot,
 )
+from msflow.mixture import mobility_matrix
+from msflow.species import SpeciesParams, SpeciesSystem
 
-from conftest import assembled_advection
-from msflow.mixture import MixtureSpec
+from conftest import (
+    assembled_advection,
+    deriv_matrix,
+    laplacian_matrix,
+    stencil_matrix,
+)
 
 
 # ---------------------------------------------------------------------
@@ -67,7 +73,7 @@ def test_grid_validation():
 def test_first_derivative_stencils():
     g = Grid((4,), (0.5,))
     scale = 1.0 / (2.0 * 0.5)
-    dn = deriv_matrix(g, 0, "neumann").toarray()
+    dn = stencil_matrix(g, lambda f: derivative(g, f, 0, "neumann"))
     expect_n = scale * np.array([
         [-1.0, 1.0, 0.0, 0.0],
         [-1.0, 0.0, 1.0, 0.0],
@@ -75,7 +81,7 @@ def test_first_derivative_stencils():
         [0.0, 0.0, -1.0, 1.0],
     ])
     np.testing.assert_allclose(dn, expect_n, atol=1e-15)
-    dd = deriv_matrix(g, 0, "dirichlet").toarray()
+    dd = stencil_matrix(g, lambda f: derivative(g, f, 0, "dirichlet"))
     expect_d = scale * np.array([
         [1.0, 1.0, 0.0, 0.0],
         [-1.0, 0.0, 1.0, 0.0],
@@ -88,14 +94,16 @@ def test_first_derivative_stencils():
 def test_second_derivative_stencils():
     g = Grid((4,), (0.5,))
     scale = 1.0 / 0.25
-    sn = second_deriv_matrix(g, 0, "neumann").toarray()
+    sn = stencil_matrix(g, lambda f: laplacian(g, f, "neumann"))
     assert sn[0, 0] == pytest.approx(-1.0 * scale)
     assert sn[1, 1] == pytest.approx(-2.0 * scale)
-    sd = second_deriv_matrix(g, 0, "dirichlet").toarray()
+    sd = stencil_matrix(g, lambda f: laplacian(g, f, "dirichlet"))
     assert sd[0, 0] == pytest.approx(-3.0 * scale)
     assert sd[0, 1] == pytest.approx(1.0 * scale)
     with pytest.raises(GridError, match="unknown boundary"):
-        deriv_matrix(g, 0, "robin")
+        derivative(g, np.zeros(4), 0, "robin")
+    with pytest.raises(GridError, match="unknown boundary"):
+        laplacian(g, np.zeros(4), "robin")
 
 
 def test_exact_derivative_matrix_adjointness():
@@ -104,10 +112,60 @@ def test_exact_derivative_matrix_adjointness():
     # summation-by-parts identity.
     for g in (Grid.box((8,), (1.0,)), Grid.box((8, 6), (1.0, 0.7))):
         for axis in range(g.dim):
-            dd = deriv_matrix(g, axis, "dirichlet")
-            dn = deriv_matrix(g, axis, "neumann")
-            defect = (dd.T + dn).toarray()
-            assert np.abs(defect).max() == 0.0
+            dd, dn = (stencil_matrix(g, lambda f: derivative(g, f, axis, bc))
+                      for bc in ("dirichlet", "neumann"))
+            assert np.abs(dd.T + dn).max() == 0.0
+
+
+def _species_diffusion_oracle(grid, b_blocks, w_pts):
+    """-sum_a dd_a (B dn_a w) with dd_a = -dn_a^T from the oracle."""
+    out = np.zeros_like(w_pts)
+    for a in range(grid.dim):
+        dn = deriv_matrix(grid, a, "neumann")
+        dd = (-dn.T).tocsr()
+        out -= dd @ np.einsum("cij,cj->ci", b_blocks, dn @ w_pts)
+    return out
+
+
+@pytest.mark.parametrize("shape, lengths", [
+    ((37,), (1.0,)), ((48, 48), (1.5, 1.0)), ((100, 100), (1.0, 1.0))],
+    ids=["1d", "48sq", "100sq"])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_slicing_stencils_match_sparse_oracle(shape, lengths, bc,
+                                              ternary_spec):
+    # The stencils sum each cell's terms in the order of the oracle's
+    # rows, so the first derivatives, the skew advection and the
+    # species diffusion agree bitwise; the Laplacian within 4 ulp.
+    rng = np.random.default_rng(81)
+    g = Grid.box(shape, lengths)
+    f = rng.standard_normal(shape)
+    for a in range(g.dim):
+        ref = deriv_matrix(g, a, bc) @ f.reshape(-1)
+        np.testing.assert_array_equal(derivative(g, f, a, bc).reshape(-1),
+                                      ref)
+    ref = laplacian_matrix(g, bc) @ f.reshape(-1)
+    got = laplacian(g, f, bc).reshape(-1)
+    assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.abs(
+        ref).max()
+
+    u = rng.standard_normal((g.dim,) + shape)
+    v = rng.standard_normal((2,) + shape)
+    cols = v.reshape(2, -1).T
+    ref = np.zeros_like(cols)
+    adjoint = "neumann" if bc == "dirichlet" else "dirichlet"
+    for a in range(g.dim):
+        ua = u[a].reshape(-1, 1)
+        ref += ua * (deriv_matrix(g, a, bc) @ cols)
+        ref += deriv_matrix(g, a, adjoint) @ (ua * cols)
+    np.testing.assert_array_equal(
+        skew_advect(g, u, v, bc).reshape(2, -1), 0.5 * ref.T)
+
+    pts = 0.25 + 0.05 * rng.standard_normal((g.n_cells, 2))
+    b = mobility_matrix(pts, ternary_spec)
+    w = rng.standard_normal((g.n_cells, 2))
+    system = SpeciesSystem(g, ternary_spec, SpeciesParams(tau=1e-3))
+    np.testing.assert_array_equal(system.diffusion(b, w),
+                                  _species_diffusion_oracle(g, b, w))
 
 
 def test_summation_by_parts_inner_products():
@@ -162,9 +220,9 @@ def test_advect_form_identities_on_random_grids(case):
 def test_laplacian_matrices_symmetric():
     g = Grid.box((10, 7), (1.0, 1.0))
     for bc in ("neumann", "dirichlet"):
-        lap = laplacian_matrix(g, bc)
-        assert abs(lap - lap.T).max() == 0.0
-    neg = -laplacian_matrix(g, "dirichlet").toarray()
+        lap = stencil_matrix(g, lambda f: laplacian(g, f, bc))
+        assert np.abs(lap - lap.T).max() == 0.0
+    neg = -stencil_matrix(g, lambda f: laplacian(g, f, "dirichlet"))
     eigs = np.linalg.eigvalsh(neg)
     assert eigs.min() > 0.0
 
@@ -180,7 +238,7 @@ def test_laplacian_second_order(bc, func, second):
     for n in (16, 32):
         g = Grid.box((n,), (1.0,))
         x = g.axis_centers(0)
-        got = laplacian_matrix(g, bc) @ func(x)
+        got = laplacian(g, func(x), bc)
         errs.append(np.abs(got - second(x)).max())
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
@@ -192,6 +250,8 @@ def test_gradient_shapes_and_errors():
         grad(g, np.zeros((8, 7)), "neumann")
     with pytest.raises(GridError, match="vector field shape"):
         div(g, np.zeros((3, 8, 8)))
+    with pytest.raises(GridError, match="does not start with"):
+        derivative(g, np.zeros((2, 8, 8)), 0, "neumann")
     out = grad(g, np.zeros(g.shape), "neumann")
     assert out.shape == (2, 8, 8)
 
@@ -244,11 +304,9 @@ def test_grad_sq_norm_matches_laplacian_pairing():
     rng = np.random.default_rng(61)
     for g in (Grid.box((16,), (1.0,)), Grid.box((8, 12), (1.0, 0.5))):
         u = rng.standard_normal((g.dim,) + g.shape)
-        lap = laplacian_matrix(g, "dirichlet")
         pairing = 0.0
         for comp in u:
-            lu = (lap @ comp.reshape(-1)).reshape(g.shape)
-            pairing -= inner(g, lu, comp)
+            pairing -= inner(g, laplacian(g, comp, "dirichlet"), comp)
         gsq = grad_sq_norm(g, u)
         assert gsq >= 0.0
         assert abs(gsq - pairing) <= 1e-12 * max(1.0, gsq)

@@ -4,7 +4,9 @@ The heat-reduction oracle is built here from scratch (a symmetric
 banded implicit-Euler solve with reflecting ends) so agreement with the
 species stepper is evidence, not circularity: for a binary equal-mass
 mixture the flux of the first species reduces to plain Fick diffusion
-with the binary diffusivity.
+with the binary diffusivity.  In 2D the same reduction, carried by a
+fixed velocity, is checked against a scalar advection-diffusion step
+assembled from the sparse oracle of ``conftest``.
 """
 
 from pathlib import Path
@@ -12,17 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from msflow import driver
 from msflow.config import load_config
 from msflow.driver import run_simulation
-from msflow.grid import (
-    Grid,
-    GridError,
-    deriv_matrix,
-    inner,
-    laplacian_matrix,
-)
+from msflow.grid import Grid, GridError
 from msflow.mixture import (
     MixtureSpec,
     entropy_hessian,
@@ -35,6 +33,8 @@ from msflow.species import (
     SpeciesSystem,
     species_step,
 )
+
+from conftest import deriv_matrix, laplacian_matrix
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -78,6 +78,12 @@ def test_params_validation():
         SpeciesParams(tau=0.0)
     with pytest.raises(ValueError, match="lambda"):
         SpeciesParams(tau=1e-3, lam=-1.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        SpeciesParams(tau=1e-3, tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        SpeciesParams(tau=1e-3, tol=-1e-10)
+    with pytest.raises(ValueError, match="max_outer must be at least 1"):
+        SpeciesParams(tau=1e-3, max_outer=0)
 
 
 def test_uniform_state_is_fixed_point(binary_spec):
@@ -277,7 +283,8 @@ def test_regularization_contributes(binary_spec):
 
 
 # ---------------------------------------------------------------------
-# Heat reduction (single resolution; the scan lives in acceptance)
+# Heat reduction (1D at one resolution; the scan lives in acceptance),
+# and advection-diffusion in 2D
 # ---------------------------------------------------------------------
 
 def test_binary_equal_mass_reduces_to_heat_equation():
@@ -297,6 +304,55 @@ def test_binary_equal_mass_reduces_to_heat_equation():
         assert step_diff <= 1e-8
 
 
+def advection_diffusion_matrix(grid, u, diffusivity, tau):
+    """Implicit-Euler matrix of theta_t + u.grad theta = d lap theta,
+    assembled from the sparse oracle: the skew advection
+    0.5 sum_a [u_a dn_a + dd_a u_a] of an even-ghost field and the
+    compact even-ghost Laplacian."""
+    n = grid.n_cells
+    mat = sp.identity(n) / tau - diffusivity * laplacian_matrix(grid,
+                                                                "neumann")
+    for a in range(grid.dim):
+        ua = sp.diags(u[a].reshape(-1))
+        mat = mat + 0.5 * (ua @ deriv_matrix(grid, a, "neumann")
+                           + deriv_matrix(grid, a, "dirichlet") @ ua)
+    return mat.tocsc()
+
+
+def test_advected_binary_matches_scalar_advection_diffusion():
+    # A binary equal-mass mixture carried by a fixed discretely
+    # divergence-free vortex: the density obeys advection-diffusion in
+    # the continuum, so the species step and the oracle's scalar step
+    # share the advection and differ only in the diffusion stencil, a
+    # defect of second order in h.  Measured after 10 steps: 4.0e-5,
+    # 1.0e-5 and 2.6e-6 at 16^2/32^2/64^2, orders 1.96 and 2.00.  With
+    # the species advection's sign flipped the differences are 2.9e-3
+    # to 3.0e-3 and do not converge.
+    d12, tau, steps, amp = 1.0, 1e-3, 10, 0.05
+    spec = MixtureSpec(np.ones(2), d12 * (np.ones((2, 2)) - np.eye(2)))
+    params = SpeciesParams(tau=tau, tol=1e-11)
+    errors = []
+    for n in (16, 32, 64):
+        g = Grid.box((n, n), (1.0, 1.0))
+        xs = g.cell_centers()
+        psi = np.sin(np.pi * xs[0]) ** 2 * np.sin(np.pi * xs[1]) ** 2
+        u = driver._discrete_stream_velocity(g, psi)
+        solve = spla.factorized(advection_diffusion_matrix(g, u, d12, tau))
+        theta = 0.5 + amp * np.cos(np.pi * xs[0])
+        rho = theta[None].copy()
+        w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), spec), -1, 0)
+        system = SpeciesSystem(g, spec, params)
+        oracle = theta.reshape(-1)
+        for _ in range(steps):
+            oracle = solve(oracle / tau)
+            w, rho, _ = species_step(system, w, rho, u)
+        errors.append(np.sqrt(g.cell_volume)
+                      * np.linalg.norm(rho[0].reshape(-1) - oracle))
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert max(errors) <= 1e-4
+    assert orders.min() >= 1.9, (errors, orders)
+
+
 # ---------------------------------------------------------------------
 # Failure paths and determinism
 # ---------------------------------------------------------------------
@@ -304,11 +360,11 @@ def test_binary_equal_mass_reduces_to_heat_equation():
 def test_iteration_budget_error(binary_spec):
     g = Grid.box((16,), (1.0,))
     w, rho = cosine_binary_state(g, binary_spec, 0.2)
-    params = SpeciesParams(tau=1e-3, max_outer=0)
+    params = SpeciesParams(tau=1e-3, max_outer=1)
     system = SpeciesSystem(g, binary_spec, params)
-    with pytest.raises(SpeciesSolverError, match="stalled") as err:
+    with pytest.raises(SpeciesSolverError, match="after 1 iterations") as err:
         species_step(system, w, rho, still(g))
-    assert len(err.value.residuals) == 1
+    assert len(err.value.residuals) == 2
 
 
 def test_nan_residual_raises(binary_spec):
