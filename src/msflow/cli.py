@@ -16,8 +16,8 @@ Subcommands:
 
 All subcommands accept repeated ``--set key=value`` overrides using
 config-file keys.  Exit code is zero only if every enabled check holds,
-1 if a check fails, 2 for a bad config value and 3 if a solver fails;
-the last two print one line on stderr.
+1 if a check fails, 2 for a bad config value or ``--eps`` list and 3
+if a solver fails; the last two print one line on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import mixture
-from .config import ConfigError, load_config
+from .config import ConfigError, _parse_float_list, load_config
 from .driver import (
     reference_incompressible,
     run_simulation,
@@ -72,7 +72,8 @@ def _build_parser():
                            help="print the iteration counts of each step")
         if name == "sweep-eps":
             p.add_argument("--eps", required=True,
-                           help="comma-separated relaxation values")
+                           help="comma-separated relaxation values "
+                                "(two or more, all positive)")
     return parser
 
 
@@ -121,7 +122,10 @@ def _cmd_run(cfg, verbose: bool = False) -> int:
 
 
 def _cmd_sweep(cfg, eps_text: str) -> int:
-    eps_values = [float(tok) for tok in eps_text.split(",") if tok.strip()]
+    eps_values = _parse_float_list(eps_text)
+    if len(eps_values) < 2 or min(eps_values) <= 0:
+        raise ConfigError(
+            f"--eps needs two or more positive values, got {eps_text!r}")
     result = sweep_epsilon(cfg, eps_values, strict=False)
     print(result.table(), end="")
     print(f"div ratio (largest/smallest eps): {result.div_ratio:.3g}")

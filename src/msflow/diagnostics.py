@@ -2,8 +2,11 @@
 
 Every time step records the quadratic energies, the mixing entropy with
 both dissipation functionals, species masses, divergence defect and the
-residuals of the per-step energy and entropy balances.  The ledger
-serializes to CSV with a fixed column order and shortest round-trip
+residuals of the per-step energy and entropy balances.  Every row,
+row 0 included, is built by ``record_step`` from the step's flow and
+species reports; row 0 records the initial state as a step that did
+nothing (default reports, zero forcing).  The CSV header is the key
+order of that row.  The ledger serializes with shortest round-trip
 float formatting, so identical runs produce byte-identical files.
 
 Solvers never clamp densities.  The single clamp in the code base lives
@@ -19,14 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixture
-from .grid import (
-    Grid,
-    div,
-    grad,
-    grad_sq_norm,
-    inner,
-    norm_l2,
-)
+from .flow import FlowStepReport
+from .grid import Grid, div, grad, inner, norm_l2
+from .species import SpeciesStepReport
 
 DISPLAY_FLOOR = 1e-14
 
@@ -102,39 +100,25 @@ class SimLedger:
     # -- recording -----------------------------------------------------
 
     def record_initial(self, flow_state, rho: np.ndarray) -> None:
-        """Row 0: the initial state, its mixing entropy computed here."""
+        """Row 0: the initial state, recorded as a step that did nothing
+        (zero forcing, default reports), its mixing entropy computed
+        here."""
         entropy = self.grid.cell_volume * float(np.sum(
             mixture.entropy_density(self._points(rho), self.spec)))
-        gsq, masses, min_density, closure = self._mixture_columns(rho)
-        e_kin = inner(self.grid, flow_state.u, flow_state.u)
-        e_p = self.eps * inner(self.grid, flow_state.p, flow_state.p)
-        row = dict(
-            step=0, time=0.0, energy=e_kin, pressure_energy=e_p,
-            visc_dissipation=0.0, entropy=entropy,
-            w_dissipation=0.0, grad_sqrt_x_sq=gsq,
-            div_u_l2=norm_l2(self.grid, div(self.grid, flow_state.u)),
-            min_density=self._display_floor(min_density),
-            closure_defect=closure,
-            energy_residual=0.0, pressure_eq_residual=0.0,
-            entropy_slack=0.0, control_term=0.0, advective_flux=0.0,
-            lambda_h2_sq=0.0, f_l2_sq=0.0,
-            flow_iters=0, species_iters=0, cg_iters=0,
-            flow_refactors=0, flow_guess=0, species_guess=0,
-            flow_residual=0.0, species_residual=0.0,
-            cum_visc_dissipation=0.0, cum_grad_sqrt_x=0.0,
-        )
-        for i, m in enumerate(masses):
-            row[f"mass_{i + 1}"] = m
-        self.rows.append(row)
+        divu = norm_l2(self.grid, div(self.grid, flow_state.u))
+        self.record_step(0, flow_state, FlowStepReport(div_u_l2=divu),
+                         np.zeros_like(flow_state.u), rho,
+                         SpeciesStepReport(entropy_after=entropy))
 
     def record_step(self, k: int, flow_state, flow_report, f_avg,
                     rho: np.ndarray, species_report) -> None:
-        """Row k; the entropy column is the species step's
-        ``entropy_after``, the mixing entropy of ``rho``."""
+        """Row k, its columns in CSV order; the entropy column is the
+        species step's ``entropy_after``, the mixing entropy of ``rho``."""
         gsq, masses, min_density, closure = self._mixture_columns(rho)
-        visc = 2.0 * self.tau * grad_sq_norm(self.grid, flow_state.u)
+        visc = flow_report.visc_dissipation
         self.cum_visc += 0.5 * visc          # accumulates tau |grad u|^2
-        self.cum_grad_sqrt_x += self.tau * gsq
+        if k:                                # sums over steps 1..k
+            self.cum_grad_sqrt_x += self.tau * gsq
         row = dict(
             step=k, time=k * self.tau,
             energy=inner(self.grid, flow_state.u, flow_state.u),
@@ -144,6 +128,10 @@ class SimLedger:
             w_dissipation=species_report.dissipation,
             grad_sqrt_x_sq=gsq,
             div_u_l2=flow_report.div_u_l2,
+        )
+        for i, m in enumerate(masses):
+            row[f"mass_{i + 1}"] = m
+        row.update(
             min_density=self._display_floor(min_density),
             closure_defect=closure,
             energy_residual=flow_report.energy_identity_residual,
@@ -164,28 +152,15 @@ class SimLedger:
             cum_visc_dissipation=self.cum_visc,
             cum_grad_sqrt_x=self.cum_grad_sqrt_x,
         )
-        for i, m in enumerate(masses):
-            row[f"mass_{i + 1}"] = m
         self.rows.append(row)
 
     # -- output --------------------------------------------------------
 
     def columns(self) -> list:
-        n1 = self.spec.n_species
-        cols = [
-            "step", "time", "energy", "pressure_energy", "visc_dissipation",
-            "entropy", "w_dissipation", "grad_sqrt_x_sq", "div_u_l2",
-        ]
-        cols += [f"mass_{i + 1}" for i in range(n1)]
-        cols += [
-            "min_density", "closure_defect", "energy_residual",
-            "pressure_eq_residual", "entropy_slack", "control_term",
-            "advective_flux", "lambda_h2_sq", "f_l2_sq", "flow_iters",
-            "species_iters", "cg_iters", "flow_refactors", "flow_guess",
-            "species_guess", "flow_residual", "species_residual",
-            "cum_visc_dissipation", "cum_grad_sqrt_x",
-        ]
-        return cols
+        """The CSV header: the keys of a recorded row, in order."""
+        if not self.rows:
+            raise ValueError("ledger is empty")
+        return list(self.rows[0])
 
     def write_csv(self, path) -> None:
         cols = self.columns()

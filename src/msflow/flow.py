@@ -110,13 +110,20 @@ class FlowState:
 
 @dataclass
 class FlowStepReport:
-    picard_iterations: int
-    refactorizations: int       # passes with the advection frozen, by GMRES
-    from_guess: bool            # the loop started from the caller's guess
-    final_residual: float
-    energy_identity_residual: float
-    div_u_l2: float
-    pressure_eq_residual: float
+    """What one flow step did and the terms of its energy identity.
+
+    Every field defaults to zero, so a default report describes a step
+    that did nothing; the ledger records the initial state that way.
+    """
+
+    picard_iterations: int = 0
+    refactorizations: int = 0   # passes with the advection frozen, by GMRES
+    from_guess: bool = False    # the loop started from the caller's guess
+    final_residual: float = 0.0
+    energy_identity_residual: float = 0.0
+    div_u_l2: float = 0.0
+    pressure_eq_residual: float = 0.0
+    visc_dissipation: float = 0.0   # 2 tau |grad u|^2 at the new velocity
 
 
 _FORCING_PRESETS = ("zero", "constant", "linear", "sin")
@@ -512,7 +519,8 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     defect = eps * (p - p_prev) / tau + divu
     e_prev = inner(grid, u_prev, u_prev) + eps * inner(grid, p_prev, p_prev)
     e_new = inner(grid, u, u) + eps * inner(grid, p, p)
-    lhs = (e_new + 2.0 * tau * grad_sq_norm(grid, u)
+    visc = 2.0 * tau * grad_sq_norm(grid, u)
+    lhs = (e_new + visc
            + inner(grid, u - u_prev, u - u_prev)
            + eps * inner(grid, p - p_prev, p - p_prev))
     rhs_val = (e_prev + 2.0 * tau * inner(grid, f_avg, u)
@@ -525,5 +533,6 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
         energy_identity_residual=abs(lhs - rhs_val),
         div_u_l2=norm_l2(grid, divu),
         pressure_eq_residual=norm_l2(grid, defect),
+        visc_dissipation=visc,
     )
     return FlowState(u, p), report

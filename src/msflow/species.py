@@ -105,18 +105,24 @@ class SpeciesParams:
 
 @dataclass
 class SpeciesStepReport:
-    iterations: int
-    cg_iterations: int         # summed over the outer passes
-    from_guess: bool           # the loop started from the caller's guess
-    final_residual: float
-    entropy_before: float
-    entropy_after: float
-    dissipation: float
-    control_term: float
-    advective_entropy_flux: float
-    h2_sq_norm: float
-    entropy_balance_slack: float
-    min_density: float
+    """What one species step did and the terms of its entropy balance.
+
+    Every field defaults to zero, so a default report describes a step
+    that did nothing; the ledger records the initial state that way,
+    with only ``entropy_after`` set.
+    """
+
+    iterations: int = 0
+    cg_iterations: int = 0     # summed over the outer passes
+    from_guess: bool = False   # the loop started from the caller's guess
+    final_residual: float = 0.0
+    entropy_before: float = 0.0
+    entropy_after: float = 0.0
+    dissipation: float = 0.0
+    control_term: float = 0.0
+    advective_entropy_flux: float = 0.0
+    h2_sq_norm: float = 0.0
+    entropy_balance_slack: float = 0.0
 
 
 def _to_points(field: np.ndarray, n_comp: int, grid: Grid) -> np.ndarray:
@@ -219,7 +225,9 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
     starts from (``w_prev``, ``rho_prev``), so a rejected guess leaves
     the step bitwise as it is without one.  ``entropy_before`` is the
     mixing entropy of ``rho_prev`` when the caller already has it (the
-    previous step's ``entropy_after``); it is computed when None.
+    previous step's ``entropy_after``); it is computed when None.  Each
+    outer pass halves its update until the residual does not increase;
+    a candidate whose densities do not invert counts as an increase.
     Returns (w_new, rho_new, SpeciesStepReport).
     """
     grid, spec, params = system.grid, system.spec, system.params
@@ -290,10 +298,14 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         t = 1.0
         for _ in range(40):
             w_cand = w_pts + t * delta
-            rho_cand = mixture.densities_from_entropy(w_cand, spec)
-            b_cand, r_cand, res_cand = evaluate(w_cand, rho_cand)
-            if res_cand <= res:
-                break
+            try:
+                rho_cand = mixture.densities_from_entropy(w_cand, spec)
+            except mixture.InversionError:
+                pass        # not admissible: shorten the step
+            else:
+                b_cand, r_cand, res_cand = evaluate(w_cand, rho_cand)
+                if res_cand <= res:
+                    break
             t *= 0.5
         else:
             raise SpeciesSolverError(
@@ -304,7 +316,6 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         residuals.append(res)
         iterations += 1
 
-    rho_full = mixture.full_densities(rho_pts, spec)
     vol = grid.cell_volume
     if entropy_before is None:
         entropy_before = vol * float(
@@ -342,6 +353,5 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         advective_entropy_flux=advective,
         h2_sq_norm=h2_sq,
         entropy_balance_slack=slack,
-        min_density=float(rho_full.min()),
     )
     return _to_field(w_pts, grid), _to_field(rho_pts, grid), report

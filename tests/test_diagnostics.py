@@ -180,6 +180,53 @@ def test_csv_values_round_trip_exactly(tmp_path, mini_1d_result):
         assert int(text_row["step"]) == row["step"]
 
 
+# The ledger headers of the shipped binary and ternary configs, copied
+# from their ledger.csv files.  The column order is part of the output
+# format, so it is spelled out here rather than taken from
+# ``SimLedger.columns``, which reads it off the recorded rows.
+_BINARY_HEADER = (
+    "step,time,energy,pressure_energy,visc_dissipation,entropy,"
+    "w_dissipation,grad_sqrt_x_sq,div_u_l2,mass_1,mass_2,"
+    "min_density,closure_defect,energy_residual,"
+    "pressure_eq_residual,entropy_slack,control_term,"
+    "advective_flux,lambda_h2_sq,f_l2_sq,flow_iters,species_iters,"
+    "cg_iters,flow_refactors,flow_guess,species_guess,"
+    "flow_residual,species_residual,cum_visc_dissipation,"
+    "cum_grad_sqrt_x"
+)
+_TERNARY_HEADER = (
+    "step,time,energy,pressure_energy,visc_dissipation,entropy,"
+    "w_dissipation,grad_sqrt_x_sq,div_u_l2,mass_1,mass_2,mass_3,"
+    "min_density,closure_defect,energy_residual,"
+    "pressure_eq_residual,entropy_slack,control_term,"
+    "advective_flux,lambda_h2_sq,f_l2_sq,flow_iters,species_iters,"
+    "cg_iters,flow_refactors,flow_guess,species_guess,"
+    "flow_residual,species_residual,cum_visc_dissipation,"
+    "cum_grad_sqrt_x"
+)
+
+
+def test_csv_header_is_the_fixed_schema(tmp_path, mini_1d_result):
+    ternary = run_simulation(SimConfig(
+        species=3, molar_masses=(2.0, 3.0, 1.5),
+        diffusivities=(0.5, 0.7, 0.3), nx=16, t_final=1e-3, steps=1,
+        preset="layered-ternary", amplitude=0.15))
+    for result, expected, n_cols in ((mini_1d_result, _BINARY_HEADER, 30),
+                                     (ternary, _TERNARY_HEADER, 31)):
+        path = tmp_path / "ledger.csv"
+        result.ledger.write_csv(path)
+        header = path.read_text().split("\n", 1)[0]
+        assert header == expected
+        assert len(header.split(",")) == n_cols
+
+
+def test_empty_ledger_has_no_columns():
+    led = SimLedger(Grid.box((4,), (1.0,)), make_binary_spec(), tau=1e-3,
+                    eps=1e-2, lam=0.0, tol=1e-10)
+    with pytest.raises(ValueError, match="ledger is empty"):
+        led.columns()
+
+
 def test_cumulative_columns_telescope(mini_2d_result):
     rows = mini_2d_result.ledger.rows
     visc = 0.0

@@ -727,6 +727,33 @@ def test_cli_reports_solver_failure_in_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_reports_a_failed_line_search_in_one_line(tmp_path, capsys):
+    # A strong vortex at alpha0 = 1e-10 sends every outer pass's full
+    # update outside the admissible set: its densities do not invert,
+    # so the line search halves.  Measured: 20 passes of step 1 each
+    # take 2 to 38 halvings, then 40 find no admissible candidate.
+    rc = cli.main(["run", str(CONFIGS / "standard-2d.cfg")] + _overrides([
+        ("grid.nx", 16), ("grid.ny", 16), ("init.amplitude", "0.5"),
+        ("scheme.alpha0", "1e-10"), ("init.velocity_amplitude", 15),
+        ("scheme.t_final", "0.05"), ("scheme.steps", 5),
+        ("forcing.preset", "zero"), ("output.dir", str(tmp_path)),
+    ]))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("msflow: SpeciesSolverError: damping failed")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eps", ["abc", "1e-2", "nan,1e-2", "1e-1,inf",
+                                 "0,1e-2"])
+def test_cli_sweep_eps_rejects_bad_list_in_one_line(eps, capsys):
+    rc = cli.main(["sweep-eps", "--eps", eps])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("msflow: ConfigError: ")
+    assert err.count("\n") == 1
+
+
 def test_solver_failure_keeps_ledger_up_to_last_step(tmp_path, monkeypatch):
     real_step = driver.species_step
     calls = []
