@@ -17,7 +17,7 @@ Subcommands:
 All subcommands accept repeated ``--set key=value`` overrides using
 config-file keys.  Exit code is zero only if every enabled check holds,
 1 if a check fails, 2 for a bad config value or ``--eps`` list and 3
-if a solver fails; the last two print one line on stderr.
+if a solver fails, naming the step; the last two print one stderr line.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import mixture
-from .config import ConfigError, _parse_float_list, load_config
+from .config import ConfigError, load_config, parse_float_list
 from .driver import (
     reference_incompressible,
     run_simulation,
@@ -122,11 +122,7 @@ def _cmd_run(cfg, verbose: bool = False) -> int:
 
 
 def _cmd_sweep(cfg, eps_text: str) -> int:
-    eps_values = _parse_float_list(eps_text)
-    if len(eps_values) < 2 or min(eps_values) <= 0:
-        raise ConfigError(
-            f"--eps needs two or more positive values, got {eps_text!r}")
-    result = sweep_epsilon(cfg, eps_values, strict=False)
+    result = sweep_epsilon(cfg, parse_float_list(eps_text), strict=False)
     print(result.table(), end="")
     print(f"div ratio (largest/smallest eps): {result.div_ratio:.3g}")
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -267,7 +263,8 @@ def main(argv=None) -> int:
         return {"check": _cmd_check,
                 "compare-ref": _cmd_compare}[args.command](cfg)
     except (ConfigError, FlowSolverError, SpeciesSolverError) as exc:
-        print(f"msflow: {type(exc).__name__}: {exc}", file=sys.stderr)
+        where = f" (step {exc.step})" if hasattr(exc, "step") else ""
+        print(f"msflow: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
 
 

@@ -4,7 +4,8 @@ Config files are plain text, one ``key = value`` per line, with ``#``
 comments.  Keys are grouped by dotted prefixes (mixture.*, grid.*,
 scheme.*, init.*, forcing.*, output.*).  Unknown keys are errors, not
 warnings, so typos cannot silently fall back to defaults.  Command-line
-overrides use the same ``key=value`` syntax.
+overrides use the same ``key=value`` syntax.  ``validate`` states each
+rule once, for files, overrides and the API: numbers must be finite.
 """
 
 from __future__ import annotations
@@ -21,18 +22,9 @@ class ConfigError(ValueError):
     """Raised for unknown keys or malformed values."""
 
 
-def _finite(text: str) -> float:
-    """float(text), refusing nan and inf: every comparison with NaN is
-    false, so the checks in ``validate`` would let it through."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
-def _parse_float_list(text: str):
+def parse_float_list(text: str):
     try:
-        return [_finite(tok) for tok in text.replace(",", " ").split()]
+        return [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"expected a list of numbers, got {text!r}") from exc
 
@@ -115,14 +107,19 @@ class SimConfig:
         return MixtureSpec(np.array(self.molar_masses), d)
 
     def validate(self) -> "SimConfig":
+        # Every comparison with NaN is false, so this loop comes first.
+        for key, (attr, _) in _KEYMAP.items():
+            value = getattr(self, attr)
+            if not isinstance(value, str) and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{key} must be finite")
         if self.dim not in (1, 2):
             raise ConfigError("grid.dim must be 1 or 2")
         if self.steps < 0:
             raise ConfigError("scheme.steps must be nonnegative")
         if self.steps > 0 and self.t_final <= 0:
             raise ConfigError("scheme.t_final must be positive")
-        if self.eps <= 0:
-            raise ConfigError("scheme.eps must be positive")
+        if self.eps < 0:
+            raise ConfigError("scheme.eps must be nonnegative")
         if self.lam != "tau" and float(self.lam) < 0:
             raise ConfigError("scheme.lambda must be nonnegative or 'tau'")
         if not min(self.flow_tol, self.species_tol) > 0:
@@ -156,31 +153,31 @@ class SimConfig:
 _KEYMAP = {
     "mixture.species": ("species", int),
     "mixture.molar_masses": ("molar_masses", lambda s: tuple(
-        _parse_float_list(s))),
+        parse_float_list(s))),
     "mixture.diffusivities": ("diffusivities", lambda s: tuple(
-        _parse_float_list(s))),
+        parse_float_list(s))),
     "grid.dim": ("dim", int),
     "grid.nx": ("nx", int),
     "grid.ny": ("ny", int),
-    "grid.lx": ("lx", _finite),
-    "grid.ly": ("ly", _finite),
-    "scheme.t_final": ("t_final", _finite),
+    "grid.lx": ("lx", float),
+    "grid.ly": ("ly", float),
+    "scheme.t_final": ("t_final", float),
     "scheme.steps": ("steps", int),
-    "scheme.eps": ("eps", _finite),
+    "scheme.eps": ("eps", float),
     "scheme.lambda": ("lam", lambda s: "tau" if s.strip() == "tau"
-                      else _finite(s)),
-    "scheme.alpha0": ("alpha0", _finite),
-    "scheme.flow_tol": ("flow_tol", _finite),
-    "scheme.species_tol": ("species_tol", _finite),
+                      else float(s)),
+    "scheme.alpha0": ("alpha0", float),
+    "scheme.flow_tol": ("flow_tol", float),
+    "scheme.species_tol": ("species_tol", float),
     "scheme.max_picard": ("max_picard", int),
     "scheme.max_outer": ("max_outer", int),
     "init.preset": ("preset", str.strip),
-    "init.amplitude": ("amplitude", _finite),
-    "init.velocity_amplitude": ("velocity_amplitude", _finite),
+    "init.amplitude": ("amplitude", float),
+    "init.velocity_amplitude": ("velocity_amplitude", float),
     "forcing.preset": ("forcing_preset", str.strip),
-    "forcing.fx": ("fx", _finite),
-    "forcing.fy": ("fy", _finite),
-    "forcing.omega": ("omega", _finite),
+    "forcing.fx": ("fx", float),
+    "forcing.fy": ("fy", float),
+    "forcing.omega": ("omega", float),
     "forcing.spatial": ("forcing_spatial", str.strip),
     "output.dir": ("out_dir", str.strip),
     "output.csv": ("csv_name", str.strip),

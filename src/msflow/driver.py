@@ -40,7 +40,7 @@ from .flow import (
     flow_step,
 )
 from .grid import Grid, grad, inner, write_snapshot
-from .species import SpeciesParams, SpeciesSystem, _to_field, species_step
+from .species import SpeciesParams, SpeciesSystem, species_step
 
 log = logging.getLogger(__name__)
 
@@ -150,11 +150,10 @@ def _prepare(config: SimConfig):
                           config.omega)
     except ValueError as exc:       # presets and amplitudes from the config
         raise ConfigError(str(exc)) from exc
-    rho_raw_pts = np.moveaxis(rho_raw_full, 0, -1).reshape(-1, spec.n_species)
-    lifted_pts = mixture.lift_initial(rho_raw_pts, config.alpha0)
-    rho0 = _to_field(lifted_pts[:, :-1], grid)
-    w0_pts = mixture.entropy_vars(lifted_pts[:, :-1], spec)
-    w0 = _to_field(w0_pts, grid)
+    lifted = mixture.lift_initial(np.moveaxis(rho_raw_full, 0, -1),
+                                  config.alpha0)[..., :-1]
+    rho0 = np.moveaxis(lifted, -1, 0)
+    w0 = np.moveaxis(mixture.entropy_vars(lifted, spec), -1, 0)
     return grid, spec, flow0, w0, rho0, forcing
 
 
@@ -171,22 +170,22 @@ def _write_step_snapshots(config, grid, k, tau, flow, rho):
 def run_simulation(config: SimConfig, keep_history: bool = False,
                    write_outputs: bool = False) -> SimResult:
     """Advance the relaxed-incompressibility system for the whole run."""
-    return _run(config, config.eps, keep_history, write_outputs)
+    return _run(config, keep_history, write_outputs)
 
 
 def reference_incompressible(config: SimConfig, keep_history: bool = False
                              ) -> SimResult:
     """Run the exactly incompressible reference on the config's grid.
 
-    The same time loop, time step, advection form and species stepper
-    as the relaxed solver, on the eps = 0 limit; the configured eps
-    plays no role.  In 1D, on an even number of cells, the constraint
-    together with the wall condition forces zero velocity (to rounding
-    under a force), so species evolve by pure cross-diffusion.  On an
-    odd number the central divergence does not see the checkerboard
-    velocity, and a force can drive it.
+    The run of the config at ``scheme.eps = 0``: the relaxed solver's
+    time loop, time step, advection form and species stepper on the
+    incompressible limit.  In 1D, on an even number of cells, the
+    constraint together with the wall condition forces zero velocity (to
+    rounding under a force), so species evolve by pure cross-diffusion.
+    On an odd number the central divergence does not see the
+    checkerboard velocity, and a force can drive it.
     """
-    return _run(config, 0.0, keep_history)
+    return _run(replace(config, eps=0.0), keep_history)
 
 
 def extrapolate(history):
@@ -204,10 +203,10 @@ def extrapolate(history):
     return out
 
 
-def _run(config: SimConfig, eps: float, keep_history: bool = False,
+def _run(config: SimConfig, keep_history: bool = False,
          write_outputs: bool = False) -> SimResult:
-    """The time loop at relaxation ``eps``: a flow step, then a species
-    step.  eps = 0 is the incompressible limit.
+    """The time loop at relaxation ``config.eps``: a flow step, then a
+    species step.  eps = 0 is the incompressible limit.
 
     Each step offers both solves a start: the order-q backward-difference
     extrapolation of the last q + 1 accepted velocities and entropy
@@ -217,12 +216,13 @@ def _run(config: SimConfig, eps: float, keep_history: bool = False,
     step takes its entropy before the step from the previous step's
     report (or the ledger's initial row), so each state's mixing
     entropy is evaluated once; the ledger's entropy column is the
-    species report's ``entropy_after``.
+    species report's ``entropy_after``.  A solver error leaves with the
+    failing step's index as its ``step`` attribute.
     """
     grid, spec, flow, w, rho, forcing = _prepare(config)
     tau = config.tau
     lam = config.lam_value
-    ledger = SimLedger(grid, spec, tau, eps, lam, config.species_tol)
+    ledger = SimLedger(grid, spec, tau, config.eps, lam, config.species_tol)
     ledger.record_initial(flow, rho)
     entropy = ledger.rows[0]["entropy"]
     past_u = deque([flow.u], maxlen=EXTRAPOLATION_ORDER + 1)
@@ -232,7 +232,7 @@ def _run(config: SimConfig, eps: float, keep_history: bool = False,
         os.makedirs(config.out_dir, exist_ok=True)
     if config.steps:
         system = FlowSystem(grid, FlowParams(
-            tau=tau, eps=eps, tol=config.flow_tol,
+            tau=tau, eps=config.eps, tol=config.flow_tol,
             max_picard=config.max_picard))
         species = SpeciesSystem(grid, spec, SpeciesParams(
             tau=tau, lam=lam, tol=config.species_tol,
@@ -264,6 +264,9 @@ def _run(config: SimConfig, eps: float, keep_history: bool = False,
             if write_outputs and config.snapshot_every > 0 and (
                     k % config.snapshot_every == 0):
                 _write_step_snapshots(config, grid, k, tau, flow, rho)
+    except RuntimeError as exc:     # the flow and species solver errors
+        exc.step = k
+        raise
     finally:
         if write_outputs:
             ledger.write_csv(os.path.join(config.out_dir, config.csv_name))
@@ -323,13 +326,15 @@ def sweep_epsilon(config: SimConfig, eps_values, strict: bool = True
                   ) -> SweepResult:
     """Run the relaxed solver for each eps against one reference run.
 
-    Rows are ordered by decreasing eps.  With ``strict`` the monotone
-    decrease of the divergence defect and of the velocity distance to
-    the reference is asserted, raising RuntimeError on violation.
+    A list of fewer than two eps, or with one not positive and finite,
+    raises ConfigError before any run.  Rows are ordered by decreasing
+    eps.  With ``strict`` a rise of the divergence defect or of the
+    velocity distance to the reference raises RuntimeError.
     """
     eps_sorted = sorted((float(e) for e in eps_values), reverse=True)
-    if len(eps_sorted) < 2:
-        raise ValueError("need at least two eps values to sweep")
+    if len(eps_sorted) < 2 or not all(0 < e < np.inf for e in eps_sorted):
+        raise ConfigError("a sweep needs at least two eps values, each "
+                          f"positive and finite, got {eps_sorted}")
     ref = reference_incompressible(config, keep_history=True)
     rows = [sweep_row(run_simulation(replace(config, eps=eps),
                                      keep_history=True), ref)

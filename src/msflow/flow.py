@@ -83,12 +83,12 @@ class FlowParams:
     max_picard: int = 50
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
+        if not 0 <= self.eps < np.inf:
+            raise ValueError("eps must be nonnegative and finite")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_picard < 1:
             raise ValueError("max_picard must be at least 1")
 

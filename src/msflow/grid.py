@@ -75,8 +75,8 @@ class Grid:
             raise GridError("spacing must match the number of axes")
         if any(n < 4 for n in shape):
             raise GridError("need at least 4 cells per axis")
-        if any(h <= 0 for h in spacing):
-            raise GridError("spacing must be positive")
+        if not all(0 < h < np.inf for h in spacing):
+            raise GridError("spacing must be positive and finite")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
 

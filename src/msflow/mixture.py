@@ -81,8 +81,8 @@ class MixtureSpec:
         d = np.asarray(self.diffusivities, dtype=float)
         if m.ndim != 1 or m.size < 2:
             raise ValueError("molar_masses must be a vector of length >= 2")
-        if np.any(m <= 0.0):
-            raise ValueError("molar masses must be positive")
+        if not np.all((0.0 < m) & (m < np.inf)):
+            raise ValueError("molar masses must be positive and finite")
         n1 = m.size
         if d.shape != (n1, n1):
             raise ValueError(

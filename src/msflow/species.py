@@ -93,12 +93,12 @@ class SpeciesParams:
     max_outer: int = 80
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be nonnegative and finite")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 

@@ -2,6 +2,7 @@
 
 import csv
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +148,7 @@ def test_validate_rejects_bad_settings():
         dict(dim=3),
         dict(steps=-1),
         dict(t_final=0.0, steps=10),
-        dict(eps=0.0),
+        dict(eps=-1e-2),
         dict(lam=-1.0),
         dict(species=3, molar_masses=(1.0, 1.0, 1.0),
              diffusivities=(1.0,)),
@@ -172,6 +173,20 @@ def test_validate_rejects_bad_settings():
     for kwargs in cases:
         with pytest.raises(ConfigError):
             SimConfig(**kwargs).validate()
+    # Every comparison with NaN is false; each non-finite value is
+    # refused under its own key, not by a later rule it slips past.
+    for key, attr in (
+            ("scheme.eps", "eps"), ("scheme.t_final", "t_final"),
+            ("scheme.lambda", "lam"), ("scheme.species_tol", "species_tol"),
+            ("init.amplitude", "amplitude"), ("grid.lx", "lx"),
+            ("mixture.molar_masses", "molar_masses")):
+        for value in (np.nan, np.inf):
+            if attr == "molar_masses":
+                value = (1.0, value)
+            with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+                SimConfig(**{attr: value}).validate()
+    # eps = 0 is the incompressible reference.
+    SimConfig(eps=0.0).validate()
 
 
 def test_validate_species_tol_floor_scales_with_tau_and_domain():
@@ -353,6 +368,14 @@ def test_reference_2d_divergence_free_to_roundoff(small_2d_config):
     assert any(np.abs(u).max() > 0 for u in ref.history["u"])
 
 
+def test_reference_is_the_run_at_eps_zero():
+    cfg = load_config(CONFIGS / "standard-2d.cfg", [
+        "grid.nx=16", "grid.ny=16", "scheme.steps=5", "scheme.t_final=5e-3"])
+    rows = run_simulation(replace(cfg, eps=0.0)).ledger.rows
+    assert rows == reference_incompressible(cfg).ledger.rows
+    assert max(r["div_u_l2"] for r in rows) <= 1e-12
+
+
 def test_reference_divergence_is_at_roundoff():
     # The correction form keeps the LU's rounding out of the constraint:
     # the largest div_u_l2 is 7.9e-16 here, where passes that solve for
@@ -420,9 +443,14 @@ def test_flow_residual_floor_of_the_first_step():
     assert min(err.value.residuals) <= 1.5e-13
 
 
-def test_sweep_requires_two_values(small_2d_config):
-    with pytest.raises(ValueError, match="at least two eps"):
-        sweep_epsilon(small_2d_config, [1e-2])
+def test_sweep_requires_two_values(small_2d_config, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the eps list is checked before any run")
+
+    monkeypatch.setattr(driver, "_run", no_run)
+    for eps in ([1e-2], [np.nan, 1e-2], [0.0, 1e-2], [1e-1, np.inf]):
+        with pytest.raises(ConfigError, match="at least two eps"):
+            sweep_epsilon(small_2d_config, eps)
 
 
 def test_sweep_mini_monotone(small_2d_config):
@@ -741,6 +769,7 @@ def test_cli_reports_a_failed_line_search_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("msflow: SpeciesSolverError: damping failed")
+    assert err.endswith(" (step 1)\n")
     assert err.count("\n") == 1
 
 

@@ -94,6 +94,13 @@ def test_params_validation():
         FlowParams(tau=1e-2, eps=1e-2, tol=0.0)
     with pytest.raises(ValueError, match="max_picard must be at least 1"):
         FlowParams(tau=1e-2, eps=1e-2, max_picard=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be"):
+            FlowParams(tau=bad, eps=1e-2)
+        with pytest.raises(ValueError, match="eps must be"):
+            FlowParams(tau=1e-2, eps=bad)
+        with pytest.raises(ValueError, match="tol must be"):
+            FlowParams(tau=1e-2, eps=1e-2, tol=bad)
 
 
 def test_state_zero_and_copy():

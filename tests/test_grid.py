@@ -60,8 +60,9 @@ def test_grid_validation():
         Grid((4, 4, 4), (0.1, 0.1, 0.1))
     with pytest.raises(GridError, match="at least 4"):
         Grid((3,), (0.1,))
-    with pytest.raises(GridError, match="spacing must be positive"):
-        Grid((8,), (-0.1,))
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(GridError, match="spacing must be positive"):
+            Grid((8,), (bad,))
     with pytest.raises(GridError, match="spacing must match"):
         Grid((8, 8), (0.1,))
 

@@ -50,8 +50,9 @@ def test_spec_normalizes_inputs(stiff_binary_spec):
 
 def test_spec_rejects_bad_masses():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="positive"):
-        MixtureSpec(np.array([1.0, -1.0]), d)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            MixtureSpec(np.array([1.0, bad]), d)
     with pytest.raises(ValueError, match="length >= 2"):
         MixtureSpec(np.array([1.0]), np.zeros((1, 1)))
 

@@ -1,14 +1,18 @@
-"""Package-wide structure: no process-global operator state.
+"""Package-wide structure: no process-global operator state, no
+private names crossing modules.
 
 The solver's operators belong to the run objects that build them
 (``FlowSystem``, ``SpeciesSystem``); a ``functools`` cache at module
 level would keep operators, and the memory behind them, alive across
-runs and grids.  Every module is imported and searched for one.
+runs and grids.  Every module is imported and searched for one.  A
+module that needs another's helper imports it under a public name.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import msflow
 
@@ -36,3 +40,17 @@ def test_no_module_holds_a_functools_cache():
         if found:
             cached[name] = found
     assert not cached, f"process-global caches: {cached}"
+
+
+def test_no_module_imports_a_private_name():
+    sources = sorted(Path(msflow.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    private = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or node.module.startswith("msflow")):
+                private.extend(f"{path.name}: {node.module}.{alias.name}"
+                               for alias in node.names
+                               if alias.name.startswith("_"))
+    assert not private, f"private names imported across modules: {private}"

@@ -84,6 +84,13 @@ def test_params_validation():
         SpeciesParams(tau=1e-3, tol=-1e-10)
     with pytest.raises(ValueError, match="max_outer must be at least 1"):
         SpeciesParams(tau=1e-3, max_outer=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be"):
+            SpeciesParams(tau=bad)
+        with pytest.raises(ValueError, match="lambda must be"):
+            SpeciesParams(tau=1e-3, lam=bad)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SpeciesParams(tau=1e-3, tol=bad)
 
 
 def test_uniform_state_is_fixed_point(binary_spec):
