@@ -33,6 +33,7 @@ from .flow import (FlowState, FlowParams, FlowSystem, flow_step, Forcing,
 from .species import SpeciesParams, SpeciesSystem, species_step
 from .diagnostics import SimLedger
 from .config import SimConfig, ConfigError
+from .iteration import SolverError
 from .driver import run_simulation, reference_incompressible, sweep_epsilon
 
 __all__ = [
@@ -44,6 +45,6 @@ __all__ = [
     "Grid", "FlowState", "FlowParams", "FlowSystem", "flow_step",
     "Forcing", "average_force", "SpeciesParams", "SpeciesSystem",
     "species_step",
-    "SimLedger", "SimConfig", "ConfigError", "run_simulation",
+    "SimLedger", "SimConfig", "ConfigError", "SolverError", "run_simulation",
     "reference_incompressible", "sweep_epsilon",
 ]

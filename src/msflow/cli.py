@@ -17,7 +17,8 @@ Subcommands:
 All subcommands accept repeated ``--set key=value`` overrides using
 config-file keys.  Exit code is zero only if every enabled check holds,
 1 if a check fails, 2 for a bad config value or ``--eps`` list and 3
-if a solver fails, naming the step; the last two print one stderr line.
+on any SolverError, naming the step; the last two print one stderr
+line.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .driver import (
     sweep_epsilon,
     sweep_row,
 )
-from .flow import FlowSolverError
 from .grid import (
     Grid,
     advect_form,
@@ -47,7 +47,7 @@ from .grid import (
     grad,
     inner,
 )
-from .species import SpeciesSolverError
+from .iteration import SolverError
 
 
 def _build_parser():
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
             return _cmd_run(cfg, args.verbose)
         return {"check": _cmd_check,
                 "compare-ref": _cmd_compare}[args.command](cfg)
-    except (ConfigError, FlowSolverError, SpeciesSolverError) as exc:
+    except (ConfigError, SolverError) as exc:
         where = f" (step {exc.step})" if hasattr(exc, "step") else ""
         print(f"msflow: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3

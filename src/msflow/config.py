@@ -5,12 +5,14 @@ comments.  Keys are grouped by dotted prefixes (mixture.*, grid.*,
 scheme.*, init.*, forcing.*, output.*).  Unknown keys are errors, not
 warnings, so typos cannot silently fall back to defaults.  Command-line
 overrides use the same ``key=value`` syntax.  ``validate`` states each
-rule once, for files, overrides and the API: numbers must be finite.
+rule once, for files, overrides and the API: each value must be of the
+kind that its key's converter yields, and numbers must be finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,7 +26,7 @@ class ConfigError(ValueError):
 
 def parse_float_list(text: str):
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        return tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"expected a list of numbers, got {text!r}") from exc
 
@@ -108,8 +110,11 @@ class SimConfig:
 
     def validate(self) -> "SimConfig":
         # Every comparison with NaN is false, so this loop comes first.
-        for key, (attr, _) in _KEYMAP.items():
+        for key, (attr, conv) in _KEYMAP.items():
             value = getattr(self, attr)
+            is_kind, kind = _KINDS[conv]
+            if not is_kind(value):
+                raise ConfigError(f"{key} must be {kind}")
             if not isinstance(value, str) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{key} must be finite")
         if self.dim not in (1, 2):
@@ -150,12 +155,26 @@ class SimConfig:
         return self
 
 
+def _lam(text):
+    return "tau" if text.strip() == "tau" else float(text)
+
+
+# Per converter: a test for the kind of value that it yields, and that
+# kind in words, so that values set through the API meet the rules too.
+_KINDS = {
+    int: (lambda v: isinstance(v, Integral), "an integer"),
+    float: (lambda v: isinstance(v, Real), "a real number"),
+    parse_float_list: (lambda v: isinstance(v, tuple) and all(
+        isinstance(x, Real) for x in v), "a tuple of reals"),
+    _lam: (lambda v: v == "tau" if isinstance(v, str)
+           else isinstance(v, Real), "a real number or 'tau'"),
+    str.strip: (lambda v: isinstance(v, str), "a string"),
+}
+
 _KEYMAP = {
     "mixture.species": ("species", int),
-    "mixture.molar_masses": ("molar_masses", lambda s: tuple(
-        parse_float_list(s))),
-    "mixture.diffusivities": ("diffusivities", lambda s: tuple(
-        parse_float_list(s))),
+    "mixture.molar_masses": ("molar_masses", parse_float_list),
+    "mixture.diffusivities": ("diffusivities", parse_float_list),
     "grid.dim": ("dim", int),
     "grid.nx": ("nx", int),
     "grid.ny": ("ny", int),
@@ -164,8 +183,7 @@ _KEYMAP = {
     "scheme.t_final": ("t_final", float),
     "scheme.steps": ("steps", int),
     "scheme.eps": ("eps", float),
-    "scheme.lambda": ("lam", lambda s: "tau" if s.strip() == "tau"
-                      else float(s)),
+    "scheme.lambda": ("lam", _lam),
     "scheme.alpha0": ("alpha0", float),
     "scheme.flow_tol": ("flow_tol", float),
     "scheme.species_tol": ("species_tol", float),

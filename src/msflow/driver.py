@@ -1,11 +1,10 @@
 """Simulation driver: initial data, time loop, reference solver, sweeps.
 
 ``run_simulation`` advances the artificial-compressibility system and
-fills a diagnostics ledger.  Each step's flow and species solves start
-from a backward-difference extrapolation of the last accepted steps
-when that lowers their first residual, and from the previous state
-otherwise.  ``reference_incompressible`` runs the same time loop on
-its incompressible limit, whose saddle system keeps the velocity
+fills a diagnostics ledger.  Each step's flow and species solves may
+start from a backward-difference extrapolation of the last accepted
+steps.  ``reference_incompressible`` runs the same time loop on its
+incompressible limit, whose saddle system keeps the velocity
 divergence at machine precision each step; it provides the limit
 object for the relaxation sweep.  Each run builds its flow and species
 operators once, among them the flow step's transform inverse, and
@@ -40,6 +39,7 @@ from .flow import (
     flow_step,
 )
 from .grid import Grid, grad, inner, write_snapshot
+from .iteration import SolverError
 from .species import SpeciesParams, SpeciesSystem, species_step
 
 log = logging.getLogger(__name__)
@@ -211,12 +211,9 @@ def _run(config: SimConfig, keep_history: bool = False,
     Each step offers both solves a start: the order-q backward-difference
     extrapolation of the last q + 1 accepted velocities and entropy
     variables, with q the smaller of ``EXTRAPOLATION_ORDER`` and the
-    number of steps taken.  Each solve keeps it only when its residual
-    there is below the residual at the previous state.  The species
-    step takes its entropy before the step from the previous step's
-    report (or the ledger's initial row), so each state's mixing
-    entropy is evaluated once; the ledger's entropy column is the
-    species report's ``entropy_after``.  A solver error leaves with the
+    number of steps taken.  Each solve keeps it by the guess rule of
+    :mod:`msflow.iteration`.  The ledger's entropy column is the
+    species report's ``entropy_after``.  A SolverError leaves with the
     failing step's index as its ``step`` attribute.
     """
     grid, spec, flow, w, rho, forcing = _prepare(config)
@@ -224,7 +221,6 @@ def _run(config: SimConfig, keep_history: bool = False,
     lam = config.lam_value
     ledger = SimLedger(grid, spec, tau, config.eps, lam, config.species_tol)
     ledger.record_initial(flow, rho)
-    entropy = ledger.rows[0]["entropy"]
     past_u = deque([flow.u], maxlen=EXTRAPOLATION_ORDER + 1)
     past_w = deque([w], maxlen=EXTRAPOLATION_ORDER + 1)
     history = {"u": [], "rho": []} if keep_history else None
@@ -246,9 +242,7 @@ def _run(config: SimConfig, keep_history: bool = False,
                 guess=extrapolate(past_u) if warm else None)
             w, rho, sreport = species_step(
                 species, w, rho, flow.u,
-                guess=extrapolate(past_w) if warm else None,
-                entropy_before=entropy)
-            entropy = sreport.entropy_after
+                guess=extrapolate(past_w) if warm else None)
             past_u.append(flow.u)
             past_w.append(w)
             ledger.record_step(k, flow, freport, f_avg, rho, sreport)
@@ -264,7 +258,7 @@ def _run(config: SimConfig, keep_history: bool = False,
             if write_outputs and config.snapshot_every > 0 and (
                     k % config.snapshot_every == 0):
                 _write_step_snapshots(config, grid, k, tau, flow, rho)
-    except RuntimeError as exc:     # the flow and species solver errors
+    except SolverError as exc:
         exc.step = k
         raise
     finally:

@@ -63,16 +63,13 @@ from .grid import (
     norm_l2,
     skew_advect,
 )
+from .iteration import SolverError, iterate
 
 log = logging.getLogger(__name__)
 
 
-class FlowSolverError(RuntimeError):
+class FlowSolverError(SolverError):
     """Raised when the Picard loop or a linear solve fails to converge."""
-
-    def __init__(self, message: str, residuals=None):
-        self.residuals = list(residuals or [])
-        super().__init__(message)
 
 
 @dataclass
@@ -441,21 +438,15 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
               guess=None):
     """Advance velocity and pressure by one implicit step of ``system``.
 
-    Picard iteration in correction form: ``system.correct`` subtracts
-    the solve of the residual that the loop forms for its stopping
-    test, so the solve's rounding touches only the correction.  The
-    advection-free inverse lags the advection; a pass after one that
-    failed to halve the residual freezes the advection at the current
-    velocity and solves by GMRES (:meth:`FlowSystem.frozen_solve`).
-
-    The loop starts from the velocity ``guess`` (with the pressure that
-    the step pairs with it) when one is given and its residual is
-    strictly below the residual at the previous state; otherwise it
-    starts from the previous state, so a rejected guess leaves the step
-    bitwise as it is without one.  Returns (new_state, FlowStepReport).
-    Raises FlowSolverError if the iteration exceeds its budget, its
-    residual is not finite or a frozen-advection solve fails; there is
-    no silent capping.
+    Picard iteration in correction form, run by
+    :func:`msflow.iteration.iterate` from the previous state or the
+    velocity ``guess``: ``system.correct`` subtracts the solve of the
+    residual that the loop forms for its stopping test, so the solve's
+    rounding touches only the correction.  The advection-free inverse
+    lags the advection; a pass after one that failed to halve the
+    residual freezes the advection at the current velocity and solves
+    by GMRES (:meth:`FlowSystem.frozen_solve`).  Returns (new_state,
+    FlowStepReport); raises FlowSolverError.
     """
     grid, params = system.grid, system.params
     tau, eps = params.tau, params.eps
@@ -466,52 +457,39 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     if system.inverse is None:
         system.inverse = system.lagged_inverse()
 
-    def residual(u, p):
-        """The step's momentum residual at (u, p) and its norm."""
+    def evaluate(u, p=None):
+        """The iterate (u, p, r, |r|), r the momentum residual at (u, p);
+        ``p`` defaults to the pressure that starts the loop with ``u``:
+        the relaxed pressure equation solved for it, p_prev at eps = 0."""
+        if p is None:
+            p = p_prev - (tau / eps) * div(grid, u) if eps else p_prev.copy()
         r = (u - u_prev) / tau + skew_advect(grid, u, u, "dirichlet") - f_avg
         r += grad(grid, p, "neumann")
         for a in range(grid.dim):
             r[a] -= laplacian(grid, u[a], "dirichlet")
-        return r, norm_l2(grid, r)
+        return u, p, r, norm_l2(grid, r)
 
-    def start_pressure(u):
-        """The pressure that starts the loop with velocity ``u``: the
-        relaxed pressure equation solved for it, p_prev at eps = 0."""
-        return p_prev - (tau / eps) * div(grid, u) if eps else p_prev.copy()
+    refactorizations = 0
 
-    u, p = u_prev.copy(), start_pressure(u_prev)
-    r, res = residual(u, p)
-    from_guess = False
-    if guess is not None:
-        u_g = np.array(guess, dtype=float)
-        if u_g.shape != u_prev.shape:
-            raise GridError("guess shape does not match the velocity field")
-        p_g = start_pressure(u_g)
-        r_g, res_g = residual(u_g, p_g)
-        if res_g < res:
-            u, p, r, res, from_guess = u_g, p_g, r_g, res_g, True
-    residuals = [res]
-    iterations = refactorizations = 0
-    while not res <= params.tol:
-        if not np.isfinite(res):
-            raise FlowSolverError(
-                f"flow residual is {res} after {iterations} iterations",
-                residuals)
-        if iterations >= params.max_picard:
-            raise FlowSolverError(
-                f"Picard iteration stalled at residual {res:.3e} after "
-                f"{iterations} iterations", residuals)
+    def improve(x, residuals):
+        nonlocal refactorizations
+        u, p, r, _ = x
         if len(residuals) >= 2 and residuals[-1] > 0.5 * residuals[-2]:
-            # Advection too strong for the lagged pass: freeze it for
-            # this pass.
+            # Advection too strong for the lagged pass: freeze it.
             solve = system.frozen_solve(u)
             refactorizations += 1
         else:
             solve = system.inverse.solve
-        u, p = system.correct(solve, u, p, r, p_prev)
-        iterations += 1
-        r, res = residual(u, p)
-        residuals.append(res)
+        return evaluate(*system.correct(solve, u, p, r, p_prev))
+
+    if guess is not None:
+        guess = np.array(guess, dtype=float)
+        if guess.shape != u_prev.shape:
+            raise GridError("guess shape does not match the velocity field")
+        guess = evaluate(guess)
+    (u, p, _, res), residuals, from_guess = iterate(
+        evaluate(u_prev.copy()), guess, improve, params.tol,
+        params.max_picard, FlowSolverError, "Picard")
 
     # The pressure equation's residual; with it the energy balance
     # below is an identity at every eps.
@@ -526,7 +504,7 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     rhs_val = (e_prev + 2.0 * tau * inner(grid, f_avg, u)
                - 2.0 * tau * inner(grid, p, defect))
     report = FlowStepReport(
-        picard_iterations=iterations,
+        picard_iterations=len(residuals) - 1,
         refactorizations=refactorizations,
         from_guess=from_guess,
         final_residual=res,

@@ -25,14 +25,12 @@ diffusion apply that the residual also uses.  It is symmetric because
 odd ghosts are adjoint to even ones: dd_a is the odd-ghost central
 derivative, which equals -dn_a^T.  So the system is symmetric positive
 definite.
-A step is halved whenever the residual increases.  The outer loop has
-one stopping rule: it ends when the residual, in the quadrature L2
-norm, is at most ``tol``, and raises ``SpeciesSolverError`` after
-``max_outer`` passes or on a residual that is not finite.  The rule
-is reachable only while ``tol`` lies above the rounding floor of
-evaluating the residual: the time difference divides densities, known
-to their rounding and to the inversion's relative 1e-14, by tau, and
-the diffusion apply rounds at about eps |B| |w| / h^2.  On the
+A step is halved whenever the residual increases.  The outer loop's
+stopping rule, stated in :mod:`msflow.iteration`, is reachable only
+while ``tol`` lies above the rounding floor of evaluating the
+residual: the time difference divides densities, known to their
+rounding and to the inversion's relative 1e-14, by tau, and the
+diffusion apply rounds at about eps |B| |w| / h^2.  On the
 shipped 1D configs at tau = 1e-3 the floor lies between 1 and
 4 eps / tau; the diffusion part, measured at 0.05-0.09 eps / h^2,
 stays below 1e-10 up to about 2,000 cells per axis.
@@ -75,14 +73,11 @@ import scipy.sparse.linalg as spla
 
 from . import mixture
 from .grid import Grid, GridError, derivative, div, laplacian, skew_advect
+from .iteration import SolverError, iterate
 
 
-class SpeciesSolverError(RuntimeError):
+class SpeciesSolverError(SolverError):
     """Raised when the outer iteration or a linear solve fails."""
-
-    def __init__(self, message: str, residuals=None):
-        self.residuals = list(residuals or [])
-        super().__init__(message)
 
 
 @dataclass
@@ -178,10 +173,6 @@ class SpeciesSystem:
             out += self.params.lam * (laplacian(grid, lap_w, "neumann") + w)
         return out.reshape(w_pts.shape)
 
-    def residual(self, advect, w_pts, rho_pts, rho_prev_pts, b_blocks):
-        return ((rho_pts - rho_prev_pts) / self.params.tau + advect(rho_pts)
-                + self.diffusion(b_blocks, w_pts))
-
     def frozen_operator(self, minv_blocks, b_blocks):
         """x -> H^{-1} x / tau + diffusion(B, x) on flattened points, and
         its preconditioner: the exact inverse at the cell-mean
@@ -213,22 +204,16 @@ class SpeciesSystem:
 
 
 def species_step(system: SpeciesSystem, w_prev: np.ndarray,
-                 rho_prev: np.ndarray, u: np.ndarray, guess=None,
-                 entropy_before=None):
+                 rho_prev: np.ndarray, u: np.ndarray, guess=None):
     """Advance the species by one implicit step with velocity ``u``.
 
     ``rho_prev`` must be the densities matching ``w_prev`` (the driver
     carries both so the time-difference term uses exactly the stored
-    state).  The outer loop starts from the entropy variables ``guess``
-    when one is given, its densities invert, and its residual is
-    strictly below the residual at the previous state; otherwise it
-    starts from (``w_prev``, ``rho_prev``), so a rejected guess leaves
-    the step bitwise as it is without one.  ``entropy_before`` is the
-    mixing entropy of ``rho_prev`` when the caller already has it (the
-    previous step's ``entropy_after``); it is computed when None.  Each
+    state).  The outer loop, run by :func:`msflow.iteration.iterate`,
+    starts from them or from the entropy variables ``guess``.  Each
     outer pass halves its update until the residual does not increase;
-    a candidate whose densities do not invert counts as an increase.
-    Returns (w_new, rho_new, SpeciesStepReport).
+    a candidate whose densities do not invert, like such a guess, is
+    not admissible.  Returns (w_new, rho_new, SpeciesStepReport).
     """
     grid, spec, params = system.grid, system.spec, system.params
     n = spec.n_reduced
@@ -240,86 +225,61 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         skew = skew_advect(grid, u, _to_field(rho_pts, grid), "neumann")
         return _to_points(skew, n, grid) + 0.5 * divu[:, None] * rho_pts
 
-    w_pts = _to_points(np.asarray(w_prev, dtype=float), n, grid)
     rho_prev_pts = _to_points(np.asarray(rho_prev, dtype=float), n, grid)
-    rho_pts = rho_prev_pts.copy()
 
     # Residuals are measured in the discrete L2 (quadrature) norm; the
     # linear solver works in the plain vector norm, one unit of which is
     # sqrt(cell volume) quadrature units.
     sqrt_cell = np.sqrt(grid.cell_volume)
-    lin_atol = 1e-2 * params.tol / sqrt_cell
-    lin_rtol = 1e-2 * params.tol
 
-    def evaluate(w, rho):
-        """Mobility, residual and its quadrature norm at (w, rho(w))."""
+    def evaluate(w, rho=None):
+        """The iterate (w, rho, B, r, |r|) at ``w``, with its densities
+        ``rho`` when known; None when they do not invert."""
+        if rho is None:
+            try:
+                rho = mixture.densities_from_entropy(w, spec)
+            except mixture.InversionError:
+                return None
         b = mixture.mobility_matrix(rho, spec)
-        r = system.residual(advect, w, rho, rho_prev_pts, b)
-        return b, r, sqrt_cell * float(np.linalg.norm(r))
+        r = ((rho - rho_prev_pts) / tau + advect(rho)
+             + system.diffusion(b, w))
+        return w, rho, b, r, sqrt_cell * float(np.linalg.norm(r))
 
-    b_blocks, r, res = evaluate(w_pts, rho_pts)
-    from_guess = False
-    if guess is not None:
-        w_g = _to_points(np.array(guess, dtype=float), n, grid)
-        try:
-            rho_g = mixture.densities_from_entropy(w_g, spec)
-        except mixture.InversionError:
-            pass            # not admissible: start from the previous state
-        else:
-            b_g, r_g, res_g = evaluate(w_g, rho_g)
-            if res_g < res:
-                w_pts, rho_pts, b_blocks, r, res = w_g, rho_g, b_g, r_g, res_g
-                from_guess = True
-    residuals = [res]
-    iterations = cg_iterations = 0
+    cg_iterations = 0
 
     def count_cg(_):
         nonlocal cg_iterations
         cg_iterations += 1
 
-    while not res <= params.tol:
-        if not np.isfinite(res):
-            raise SpeciesSolverError(
-                f"species residual is {res} after {iterations} iterations",
-                residuals)
-        if iterations >= params.max_outer:
-            raise SpeciesSolverError(
-                f"outer iteration stalled at residual {res:.3e} after "
-                f"{iterations} iterations", residuals)
-        minv = mixture.density_jacobian(rho_pts, spec)
-        op, precond = system.frozen_operator(minv, b_blocks)
-        delta, info = spla.cg(op, -r.reshape(-1), rtol=lin_rtol,
-                              atol=lin_atol, maxiter=4000, M=precond,
-                              callback=count_cg)
+    def improve(x, residuals):
+        w, rho, b, r, res = x
+        op, precond = system.frozen_operator(
+            mixture.density_jacobian(rho, spec), b)
+        delta, info = spla.cg(op, -r.reshape(-1), rtol=1e-2 * params.tol,
+                              atol=1e-2 * params.tol / sqrt_cell,
+                              maxiter=4000, M=precond, callback=count_cg)
         if info != 0:
             raise SpeciesSolverError(
                 f"species linear solve failed (cg info={info})", residuals)
-        delta = delta.reshape(-1, n)
-        t = 1.0
-        for _ in range(40):
-            w_cand = w_pts + t * delta
-            try:
-                rho_cand = mixture.densities_from_entropy(w_cand, spec)
-            except mixture.InversionError:
-                pass        # not admissible: shorten the step
-            else:
-                b_cand, r_cand, res_cand = evaluate(w_cand, rho_cand)
-                if res_cand <= res:
-                    break
-            t *= 0.5
-        else:
-            raise SpeciesSolverError(
-                f"damping failed to reduce the residual below {res:.3e}",
-                residuals)
-        w_pts, rho_pts, b_blocks = w_cand, rho_cand, b_cand
-        r, res = r_cand, res_cand
-        residuals.append(res)
-        iterations += 1
+        for halvings in range(40):
+            cand = evaluate(w + 0.5 ** halvings * delta.reshape(w.shape))
+            if cand is not None and cand[-1] <= res:
+                return cand
+        raise SpeciesSolverError(
+            f"damping failed to reduce the residual below {res:.3e}",
+            residuals)
+
+    if guess is not None:
+        guess = evaluate(_to_points(np.array(guess, dtype=float), n, grid))
+    (w_pts, rho_pts, b_blocks, _, res), residuals, from_guess = iterate(
+        evaluate(_to_points(np.asarray(w_prev, dtype=float), n, grid),
+                 rho_prev_pts.copy()),
+        guess, improve, params.tol, params.max_outer, SpeciesSolverError,
+        "outer")
 
     vol = grid.cell_volume
-    if entropy_before is None:
-        entropy_before = vol * float(
-            np.sum(mixture.entropy_density(rho_prev_pts, spec)))
+    entropy_before = vol * float(
+        np.sum(mixture.entropy_density(rho_prev_pts, spec)))
     entropy_after = vol * float(np.sum(mixture.entropy_density(rho_pts, spec)))
 
     w_grid = w_pts.reshape(grid.shape + (n,))
@@ -342,7 +302,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
     slack = (entropy_after + tau * dissipation + lam * tau * h2_sq) - (
         entropy_before + tau * advective)
     report = SpeciesStepReport(
-        iterations=iterations,
+        iterations=len(residuals) - 1,
         cg_iterations=cg_iterations,
         from_guess=from_guess,
         final_residual=res,

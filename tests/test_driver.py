@@ -28,6 +28,7 @@ from msflow.flow import (
     flow_step,
 )
 from msflow.grid import _ADJOINT_BC, div, norm_l2
+from msflow.iteration import SolverError
 from msflow.mixture import entropy_vars, mobility_matrix
 from msflow.species import SpeciesSolverError
 
@@ -185,6 +186,15 @@ def test_validate_rejects_bad_settings():
                 value = (1.0, value)
             with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
                 SimConfig(**{attr: value}).validate()
+    # A value of the wrong kind from the API is refused under its key,
+    # not by a TypeError from the rule it reaches first.
+    for key, attr, value in (
+            ("scheme.eps", "eps", "1e-2"), ("scheme.lambda", "lam", "foo"),
+            ("mixture.molar_masses", "molar_masses", ("1", "1")),
+            ("scheme.steps", "steps", 2.5), ("grid.nx", "nx", "16"),
+            ("scheme.max_outer", "max_outer", 2.5)):
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            SimConfig(**{attr: value}).validate()
     # eps = 0 is the incompressible reference.
     SimConfig(eps=0.0).validate()
 
@@ -796,8 +806,10 @@ def test_solver_failure_keeps_ledger_up_to_last_step(tmp_path, monkeypatch):
     monkeypatch.setattr(driver, "species_step", failing_step)
     cfg = SimConfig(nx=16, steps=5, t_final=5e-3, preset="cosine-binary",
                     out_dir=str(tmp_path))
-    with pytest.raises(SpeciesSolverError, match="injected"):
+    with pytest.raises(SpeciesSolverError, match="injected") as err:
         run_simulation(cfg, write_outputs=True)
+    assert isinstance(err.value, SolverError)
+    assert err.value.step == 3
     lines = (tmp_path / "ledger.csv").read_text().splitlines()
     steps = [row.split(",")[0] for row in lines[1:]]
     assert steps == ["0", "1", "2"]

@@ -414,8 +414,7 @@ def test_guess_near_the_solution_is_taken(binary_spec):
     system = SpeciesSystem(g, binary_spec, SpeciesParams(tau=1e-3))
     w0, _, cold = species_step(system, w, rho, still(g))
     _, _, warm = species_step(system, w, rho, still(g),
-                              guess=w0 + 1e-6 * (w0 - w),
-                              entropy_before=cold.entropy_before)
+                              guess=w0 + 1e-6 * (w0 - w))
     assert warm.from_guess
     assert warm.iterations < cold.iterations
     assert warm.final_residual <= system.params.tol
