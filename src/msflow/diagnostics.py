@@ -1,4 +1,4 @@
-"""Per-step conservation ledger and end-of-run global bound checks.
+"""Per-step conservation ledger and the verdict on a finished run.
 
 Every time step records the quadratic energies, the mixing entropy with
 both dissipation functionals, species masses, divergence defect and the
@@ -9,10 +9,17 @@ nothing (default reports, zero forcing).  The CSV header is the key
 order of that row.  The ledger serializes with shortest round-trip
 float formatting, so identical runs produce byte-identical files.
 
+A finished run must meet five rules, which ``check_global_bounds``
+checks and ``msflow run`` and ``msflow check`` print: (1) per-step
+energy identity, energy_residual <= 100 flow_tol; (2) per-step entropy
+inequality, entropy_slack <= 100 species_tol (implicit Euler in entropy
+variables gives an inequality); (3) species mass conservation, drift
+<= ``MASS_DRIFT_LIMIT``; (4) density positivity without clamping, no
+clamp event; (5) the telescoped energy and entropy bounds.
+
 Solvers never clamp densities.  The single clamp in the code base lives
 here, applies only to displayed values (floor 1e-14) and counts how
-often it actually changed a value; the counter is asserted to be zero
-by the acceptance suite.
+often it actually changed a value, which rule 4 requires to be zero.
 """
 
 from __future__ import annotations
@@ -27,10 +34,12 @@ from .grid import Grid, div, grad, inner, norm_l2
 from .species import SpeciesStepReport
 
 DISPLAY_FLOOR = 1e-14
+MASS_DRIFT_LIMIT = 1e-8
 
 
 @dataclass
 class GlobalBoundsReport:
+    """The verdict: a (label, ok, detail) tuple per rule; ok if all hold."""
     ok: bool
     energy_ok: bool
     entropy_ok: bool
@@ -38,6 +47,9 @@ class GlobalBoundsReport:
     entropy_margin: float
     first_violation: int | None
     poincare_constant: float
+    worst_energy_residual: float     # over the steps, 0.0 without one
+    worst_entropy_slack: float
+    rules: list[tuple[str, bool, str]]
 
 
 def poincare_constant(grid: Grid) -> float:
@@ -57,13 +69,13 @@ class SimLedger:
     """Accumulates per-step diagnostics for one simulation run."""
 
     def __init__(self, grid: Grid, spec: mixture.MixtureSpec, tau: float,
-                 eps: float, lam: float, tol: float):
+                 eps: float, lam: float, flow_tol: float, species_tol: float):
         self.grid = grid
         self.spec = spec
         self.tau = tau
         self.eps = eps
         self.lam = lam
-        self.tol = tol
+        self.flow_tol, self.species_tol = flow_tol, species_tol
         self.rows: list[dict] = []
         self.clamp_events = 0
         self.cum_visc = 0.0
@@ -177,25 +189,21 @@ class SimLedger:
     # -- global bounds -------------------------------------------------
 
     def check_global_bounds(self) -> GlobalBoundsReport:
-        """Check telescoped energy and entropy bounds over the whole run.
-
-        Energy:  |u^k|^2 + eps |p^k|^2 + sum_j tau |grad u^j|^2
-                 <= initial + C_p^2 sum_j tau |f^j|^2 + slack,
-        with C_p the closed-form ``poincare_constant`` and slack
-        sum_j (100 tol + energy_residual^j).  Entropy, the telescoped
-        per-step balance:
-        H(rho^k) + dissipation sums <= H(rho^0) + advective sums + slack,
-        with H(rho^0) the recorded initial entropy and slack
-        sum_j (100 tol + max(entropy_slack^j, 0)).  A positive
-        entropy_slack is absorbed by that slack, so each step must also
-        keep its own balance: entropy_slack^j <= 100 tol.  The entropy
-        margin is the smallest margin of either check.
+        """The verdict by the module docstring's five rules.  Rule 5:
+        |u^k|^2 + eps |p^k|^2 + sum_j tau |grad u^j|^2 <= its value at
+        k = 0 + C_p^2 sum_j tau |f^j|^2 + sum_j (100 flow_tol +
+        energy_residual^j), C_p the ``poincare_constant``, and H(rho^k) +
+        dissipation sums <= H(rho^0) + advective sums + sum_j (100
+        species_tol + max(entropy_slack^j, 0)).  The sums absorb each
+        step's residual, hence rules 1 and 2; the entropy margin is the
+        smaller of rule 5's and rule 2's.
         """
         if not self.rows:
             raise ValueError("ledger is empty")
         cp = poincare_constant(self.grid)
         e0 = self.rows[0]["energy"] + self.rows[0]["pressure_energy"]
         h0 = self.rows[0]["entropy"]
+        e_tol, h_tol = 100.0 * self.flow_tol, 100.0 * self.species_tol
         force_sum = visc_sum = diss_sum = adv_sum = 0.0
         e_slack = h_slack = 0.0
         energy_margin = entropy_margin = np.inf
@@ -206,24 +214,45 @@ class SimLedger:
             diss_sum += self.tau * row["w_dissipation"]
             diss_sum += self.lam * self.tau * row["lambda_h2_sq"]
             adv_sum += self.tau * row["advective_flux"]
-            e_slack += 100.0 * self.tol + row["energy_residual"]
-            h_slack += 100.0 * self.tol + max(row["entropy_slack"], 0.0)
+            e_slack += e_tol + row["energy_residual"]
+            h_slack += h_tol + max(row["entropy_slack"], 0.0)
             e_here = row["energy"] + row["pressure_energy"] + visc_sum
             energy_margin = min(energy_margin,
                                 e0 + force_sum + e_slack - e_here)
             h_here = row["entropy"] + diss_sum
             entropy_margin = min(entropy_margin,
                                  h0 + adv_sum + h_slack - h_here,
-                                 100.0 * self.tol - row["entropy_slack"])
+                                 h_tol - row["entropy_slack"])
             if first_violation is None and min(energy_margin,
                                                entropy_margin) < 0:
                 first_violation = row["step"]
+        steps = self.rows[1:]
+        worst_e = max((r["energy_residual"] for r in steps), default=0.0)
+        worst_s = max((r["entropy_slack"] for r in steps), default=0.0)
+        drift = max(abs(r[c] - self.rows[0][c]) for r in self.rows
+                    for c in r if c.startswith("mass_"))
+        rules = [
+            ("per-step energy identity", bool(worst_e <= e_tol),
+             f"max residual {worst_e:.2e}"),
+            ("per-step entropy inequality", bool(worst_s <= h_tol),
+             f"worst slack {worst_s:+.2e}"),
+            ("species mass conservation", bool(drift <= MASS_DRIFT_LIMIT),
+             f"max drift {drift:.2e}"),
+            ("density positivity without clamping", self.clamp_events == 0,
+             ""),
+            ("global energy and entropy bounds",
+             bool(energy_margin >= 0 and entropy_margin >= 0),
+             f"margins {energy_margin:.2e} {entropy_margin:.2e}"),
+        ]
         return GlobalBoundsReport(
-            ok=bool(energy_margin >= 0 and entropy_margin >= 0),
+            ok=all(ok for _, ok, _ in rules),
             energy_ok=bool(energy_margin >= 0),
             entropy_ok=bool(entropy_margin >= 0),
             energy_margin=float(energy_margin),
             entropy_margin=float(entropy_margin),
             first_violation=first_violation,
             poincare_constant=cp,
+            worst_energy_residual=float(worst_e),
+            worst_entropy_slack=float(worst_s),
+            rules=rules,
         )

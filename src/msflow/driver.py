@@ -219,7 +219,8 @@ def _run(config: SimConfig, keep_history: bool = False,
     grid, spec, flow, w, rho, forcing = _prepare(config)
     tau = config.tau
     lam = config.lam_value
-    ledger = SimLedger(grid, spec, tau, config.eps, lam, config.species_tol)
+    ledger = SimLedger(grid, spec, tau, config.eps, lam, config.flow_tol,
+                       config.species_tol)
     ledger.record_initial(flow, rho)
     past_u = deque([flow.u], maxlen=EXTRAPOLATION_ORDER + 1)
     past_w = deque([w], maxlen=EXTRAPOLATION_ORDER + 1)

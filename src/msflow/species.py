@@ -111,7 +111,6 @@ class SpeciesStepReport:
     cg_iterations: int = 0     # summed over the outer passes
     from_guess: bool = False   # the loop started from the caller's guess
     final_residual: float = 0.0
-    entropy_before: float = 0.0
     entropy_after: float = 0.0
     dissipation: float = 0.0
     control_term: float = 0.0
@@ -306,7 +305,6 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         cg_iterations=cg_iterations,
         from_guess=from_guess,
         final_residual=res,
-        entropy_before=entropy_before,
         entropy_after=entropy_after,
         dissipation=dissipation,
         control_term=control,

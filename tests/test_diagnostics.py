@@ -70,7 +70,7 @@ def test_poincare_approaches_continuum_value():
 def test_display_floor_counts_only_real_clamps():
     grid = Grid.box((4,), (1.0,))
     led = SimLedger(grid, make_binary_spec(), tau=1e-3, eps=1e-2,
-                    lam=0.0, tol=1e-10)
+                    lam=0.0, flow_tol=1e-10, species_tol=1e-10)
     assert led._display_floor(0.5) == 0.5
     assert led.clamp_events == 0
     assert led._display_floor(DISPLAY_FLOOR) == DISPLAY_FLOOR
@@ -84,7 +84,7 @@ def test_display_floor_counts_only_real_clamps():
 def test_recording_a_density_below_the_floor_counts_a_clamp():
     grid = Grid.box((8,), (1.0,))
     led = SimLedger(grid, make_binary_spec(), tau=1e-3, eps=1e-2,
-                    lam=0.0, tol=1e-10)
+                    lam=0.0, flow_tol=1e-10, species_tol=1e-10)
     rho = np.full((1,) + grid.shape, 0.5)
     rho[0, 3] = 0.5 * DISPLAY_FLOOR
     led.record_initial(FlowState.zero(grid), rho)
@@ -98,7 +98,8 @@ def test_recording_a_density_below_the_floor_counts_a_clamp():
 def test_record_initial_uniform_binary_values():
     grid = Grid.box((8,), (1.0,))
     spec = make_binary_spec()
-    led = SimLedger(grid, spec, tau=1e-3, eps=1e-2, lam=0.0, tol=1e-10)
+    led = SimLedger(grid, spec, tau=1e-3, eps=1e-2, lam=0.0, flow_tol=1e-10,
+                    species_tol=1e-10)
     rho = np.full((1,) + grid.shape, 0.5)
     led.record_initial(FlowState.zero(grid), rho)
     row = led.rows[0]
@@ -222,7 +223,7 @@ def test_csv_header_is_the_fixed_schema(tmp_path, mini_1d_result):
 
 def test_empty_ledger_has_no_columns():
     led = SimLedger(Grid.box((4,), (1.0,)), make_binary_spec(), tau=1e-3,
-                    eps=1e-2, lam=0.0, tol=1e-10)
+                    eps=1e-2, lam=0.0, flow_tol=1e-10, species_tol=1e-10)
     with pytest.raises(ValueError, match="ledger is empty"):
         led.columns()
 
@@ -246,7 +247,7 @@ def test_cumulative_columns_telescope(mini_2d_result):
 def test_global_bounds_empty_ledger_raises():
     grid = Grid.box((4,), (1.0,))
     led = SimLedger(grid, make_binary_spec(), tau=1e-3, eps=1e-2,
-                    lam=0.0, tol=1e-10)
+                    lam=0.0, flow_tol=1e-10, species_tol=1e-10)
     with pytest.raises(ValueError):
         led.check_global_bounds()
 
@@ -289,12 +290,80 @@ def test_global_entropy_bound_fires_at_the_raised_step(mini_2d_result):
 def test_entropy_check_fires_on_a_step_that_raises_entropy(mini_2d_result):
     # The telescoped slack absorbs a positive entropy_slack, so a solver
     # that raises the entropy is caught by the per-step gate
-    # entropy_slack <= 100 tol.
+    # entropy_slack <= 100 species_tol.
     led = copy.deepcopy(mini_2d_result.ledger)
     assert len(led.rows) == 3
-    led.rows[2]["entropy_slack"] = 101.0 * led.tol
+    led.rows[2]["entropy_slack"] = 101.0 * led.species_tol
     report = led.check_global_bounds()
     assert not report.ok
     assert not report.entropy_ok and report.energy_ok
     assert report.entropy_margin < 0.0
     assert report.first_violation == 2
+
+
+def _failed_rules(report):
+    return [label for label, ok, _ in report.rules if not ok]
+
+
+def test_energy_rule_fires_on_a_step_that_breaks_the_identity(
+        mini_2d_result):
+    # The telescoped slack adds each step's energy_residual, so a broken
+    # identity passes the global bound; the per-step rule must catch it.
+    led = copy.deepcopy(mini_2d_result.ledger)
+    led.rows[1]["energy_residual"] = 101.0 * led.flow_tol
+    report = led.check_global_bounds()
+    assert not report.ok and report.energy_ok and report.entropy_ok
+    assert _failed_rules(report) == ["per-step energy identity"]
+    assert report.worst_energy_residual == 101.0 * led.flow_tol
+
+
+def test_mass_rule_fires_on_a_drifted_mass(mini_2d_result):
+    led = copy.deepcopy(mini_2d_result.ledger)
+    led.rows[2]["mass_2"] += 2e-8
+    report = led.check_global_bounds()
+    assert not report.ok and report.energy_ok and report.entropy_ok
+    assert _failed_rules(report) == ["species mass conservation"]
+
+
+def test_positivity_rule_fires_on_a_clamp(mini_2d_result):
+    led = copy.deepcopy(mini_2d_result.ledger)
+    led.clamp_events = 1
+    report = led.check_global_bounds()
+    assert not report.ok and report.energy_ok and report.entropy_ok
+    assert _failed_rules(report) == ["density positivity without clamping"]
+
+
+def test_energy_rules_use_flow_tol_and_entropy_rules_species_tol(
+        mini_2d_result):
+    src = mini_2d_result.ledger
+    led = SimLedger(src.grid, src.spec, src.tau, src.eps, src.lam,
+                    flow_tol=1e-8, species_tol=1e-10)
+    led.rows = copy.deepcopy(src.rows)
+    led.rows[1]["energy_residual"] = 5e-7       # below 100 flow_tol
+    report = led.check_global_bounds()
+    assert report.ok, _failed_rules(report)
+    led.rows[2]["entropy_slack"] = 2e-8         # above 100 species_tol
+    report = led.check_global_bounds()
+    assert not report.ok and not report.entropy_ok
+    assert _failed_rules(report) == ["per-step entropy inequality",
+                                     "global energy and entropy bounds"]
+
+
+def test_verdict_on_a_passing_run_lists_the_five_rules(mini_2d_result):
+    ledger = mini_2d_result.ledger
+    report = ledger.check_global_bounds()
+    assert [label for label, _, _ in report.rules] == [
+        "per-step energy identity", "per-step entropy inequality",
+        "species mass conservation", "density positivity without clamping",
+        "global energy and entropy bounds"]
+    assert all(ok is True for _, ok, _ in report.rules)
+    assert report.ok is report.energy_ok is report.entropy_ok is True
+    steps = ledger.rows[1:]
+    assert report.worst_energy_residual == max(
+        r["energy_residual"] for r in steps)
+    assert report.worst_entropy_slack == max(
+        r["entropy_slack"] for r in steps)
+    # The run hands the ledger both of its tolerances.
+    ledger = run_simulation(SimConfig(steps=0, flow_tol=1e-9,
+                                      species_tol=2e-10)).ledger
+    assert (ledger.flow_tol, ledger.species_tol) == (1e-9, 2e-10)

@@ -27,7 +27,7 @@ from msflow.flow import (
     average_force,
     flow_step,
 )
-from msflow.grid import _ADJOINT_BC, div, norm_l2
+from msflow.grid import _ADJOINT_BC, derivative, div, norm_l2
 from msflow.iteration import SolverError
 from msflow.mixture import entropy_vars, mobility_matrix
 from msflow.species import SpeciesSolverError
@@ -573,6 +573,30 @@ def test_cli_run_prints_the_worst_step_entropy_slack(tmp_path, capsys):
     assert rc == 0
     assert ("max energy-identity residual 0.000e+00  "
             "max entropy slack +0.000e+00\n") in capsys.readouterr().out
+
+
+def test_cli_run_fails_on_a_broken_energy_identity(tmp_path, monkeypatch,
+                                                   capsys):
+    # The advective half of the skew form alone is not skew-adjoint, so
+    # the energy identity misses (measured: 2.6e-7, 26 times the limit).
+    # The telescoped energy bound absorbs that; the per-step rule must
+    # fail the run.
+    def advective_half(grid, u, v, bc):
+        return 0.5 * np.stack([sum(u[a] * derivative(grid, comp, a, bc)
+                                   for a in range(grid.dim))
+                               for comp in v])
+
+    monkeypatch.setattr(flow_mod, "skew_advect", advective_half)
+    rc = cli.main(["run", str(CONFIGS / "standard-2d.cfg")] + _overrides([
+        ("grid.nx", 16), ("grid.ny", 16), ("scheme.steps", 5),
+        ("scheme.t_final", "5e-3"), ("output.dir", str(tmp_path)),
+    ]))
+    out = capsys.readouterr().out
+    assert rc == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL per-step energy identity (max residual ")
+    assert (tmp_path / "ledger.csv").is_file()
 
 
 def test_cli_check_passes_on_defaults(capsys):

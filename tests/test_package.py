@@ -1,11 +1,14 @@
 """Package-wide structure: no process-global operator state, no
-private names crossing modules.
+private names crossing modules, no ledger rule restated outside the
+ledger.
 
 The solver's operators belong to the run objects that build them
 (``FlowSystem``, ``SpeciesSystem``); a ``functools`` cache at module
 level would keep operators, and the memory behind them, alive across
 runs and grids.  Every module is imported and searched for one.  A
 module that needs another's helper imports it under a public name.
+The rules a finished run must meet read the ledger's columns, so only
+``diagnostics.py`` names the columns those rules check.
 """
 
 import ast
@@ -54,3 +57,15 @@ def test_no_module_imports_a_private_name():
                                for alias in node.names
                                if alias.name.startswith("_"))
     assert not private, f"private names imported across modules: {private}"
+
+
+def test_only_the_ledger_reads_the_checked_columns():
+    sources = sorted(Path(msflow.__file__).parent.glob("*.py"))
+    assert "diagnostics.py" in {path.name for path in sources}
+    checked = {"energy_residual", "entropy_slack", "mass_"}
+    found = sorted({f"{path.name}: {node.value}"
+                    for path in sources if path.name != "diagnostics.py"
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Constant)
+                    and node.value in checked})
+    assert not found, f"ledger columns named outside the ledger: {found}"
