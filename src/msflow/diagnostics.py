@@ -45,7 +45,7 @@ class GlobalBoundsReport:
     entropy_ok: bool
     energy_margin: float
     entropy_margin: float
-    first_violation: int | None
+    first_violation: int | None      # first step breaking rule 1, 2, 3 or 5
     poincare_constant: float
     worst_energy_residual: float     # over the steps, 0.0 without one
     worst_entropy_slack: float
@@ -94,19 +94,20 @@ class SimLedger:
         return np.moveaxis(rho, 0, -1).reshape(-1, self.spec.n_reduced)
 
     def _mixture_columns(self, rho: np.ndarray):
-        n = self.spec.n_reduced
-        rho_pts = self._points(rho)
-        x, _ = mixture.molar_fractions(rho_pts, self.spec)
-        sqrt_x = np.moveaxis(
-            np.sqrt(x).reshape(self.grid.shape + (n + 1,)), -1, 0)
+        """The columns read off the densities, on their component rows."""
+        spec = self.spec
+        rho_full = mixture.full_density_rows(
+            np.reshape(rho, (spec.n_reduced, -1)), spec)
+        x, _ = mixture.fraction_rows(rho_full, spec)
         gsq = 0.0
-        for comp in sqrt_x:
+        for comp in np.sqrt(x).reshape((spec.n_species,) + self.grid.shape):
             g = grad(self.grid, comp, "neumann")
             gsq += inner(self.grid, g, g)
-        rho_full_pts = mixture.full_densities(rho_pts, self.spec)
-        masses = self.grid.cell_volume * rho_full_pts.sum(axis=0)
-        min_density = float(rho_full_pts.min())
-        closure = float(np.abs(rho_full_pts.sum(axis=-1) - 1.0).max())
+        # A running sum adds the cells one by one in storage order, where
+        # sum(axis=1) would add them pairwise and move the masses by ulps.
+        masses = self.grid.cell_volume * np.cumsum(rho_full, axis=1)[:, -1]
+        min_density = float(rho_full.min())
+        closure = float(np.abs(rho_full.sum(axis=0) - 1.0).max())
         return gsq, masses, min_density, closure
 
     # -- recording -----------------------------------------------------
@@ -196,7 +197,8 @@ class SimLedger:
         dissipation sums <= H(rho^0) + advective sums + sum_j (100
         species_tol + max(entropy_slack^j, 0)).  The sums absorb each
         step's residual, hence rules 1 and 2; the entropy margin is the
-        smaller of rule 5's and rule 2's.
+        smaller of rule 5's and rule 2's.  ``first_violation`` is None
+        only when rules 1, 2, 3 and 5 hold; rule 4 has no step.
         """
         if not self.rows:
             raise ValueError("ledger is empty")
@@ -207,7 +209,8 @@ class SimLedger:
         force_sum = visc_sum = diss_sum = adv_sum = 0.0
         e_slack = h_slack = 0.0
         energy_margin = entropy_margin = np.inf
-        first_violation = None
+        first_violation, drift = None, 0.0
+        masses = [c for c in self.rows[0] if c.startswith("mass_")]
         for row in self.rows[1:]:
             force_sum += self.tau * cp * cp * row["f_l2_sq"]
             visc_sum += 0.5 * row["visc_dissipation"]
@@ -223,14 +226,17 @@ class SimLedger:
             entropy_margin = min(entropy_margin,
                                  h0 + adv_sum + h_slack - h_here,
                                  h_tol - row["entropy_slack"])
-            if first_violation is None and min(energy_margin,
-                                               entropy_margin) < 0:
+            row_drift = max(abs(row[c] - self.rows[0][c]) for c in masses)
+            drift = max(drift, row_drift)
+            if first_violation is None and not (
+                    row["energy_residual"] <= e_tol
+                    and row["entropy_slack"] <= h_tol
+                    and row_drift <= MASS_DRIFT_LIMIT
+                    and min(energy_margin, entropy_margin) >= 0):
                 first_violation = row["step"]
         steps = self.rows[1:]
         worst_e = max((r["energy_residual"] for r in steps), default=0.0)
         worst_s = max((r["entropy_slack"] for r in steps), default=0.0)
-        drift = max(abs(r[c] - self.rows[0][c]) for r in self.rows
-                    for c in r if c.startswith("mass_"))
         rules = [
             ("per-step energy identity", bool(worst_e <= e_tol),
              f"max residual {worst_e:.2e}"),

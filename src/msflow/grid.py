@@ -40,6 +40,7 @@ so advect_form(u, v, v) = 0 holds to roundoff for any discrete fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,18 +159,30 @@ def derivative(grid: Grid, f: np.ndarray, axis: int, bc: str) -> np.ndarray:
     ``f`` has the grid's axes first; any trailing (component) axes ride
     along.  Each cell takes (f[i+1] - f[i-1]) / 2h, the ghost beyond an
     end being f at that end ("neumann") or its negative ("dirichlet").
+    The interior is one contiguous subtraction on the flattened arrays,
+    where neighbours along ``axis`` lie prod(shape[axis+1:]) apart; the
+    differences that wrap around a row land on end cells, which the end
+    writes replace.  These take the ghost without forming it: f[1] - f[0]
+    and f[-1] - f[-2] for even ghosts, f[1] + f[0] and -f[-1] - f[-2] for
+    odd ones, the IEEE arithmetic of f[1] - ghost and ghost - f[-2].
     """
     _check_bc(bc)
     f = _grid_first(grid, f)
-    cf = f * (1.0 / (2.0 * grid.spacing[axis]))
+    cf = np.multiply(f, 1.0 / (2.0 * grid.spacing[axis]), order="C")
     out = np.empty_like(cf)
-    np.subtract(cf[_along(axis, slice(2, None))],
-                cf[_along(axis, slice(None, -2))],
-                out=out[_along(axis, slice(1, -1))])
-    ghost = 1.0 if bc == "neumann" else -1.0
-    out[_along(axis, 0)] = cf[_along(axis, 1)] - ghost * cf[_along(axis, 0)]
-    out[_along(axis, -1)] = (ghost * cf[_along(axis, -1)]
-                             - cf[_along(axis, -2)])
+    s = math.prod(cf.shape[axis + 1:])
+    np.subtract(cf.ravel()[2 * s:], cf.ravel()[:-2 * s],
+                out=out.ravel()[s:-s])
+    lo, nxt = _along(axis, slice(0, 1)), _along(axis, slice(1, 2))
+    hi, prv = _along(axis, slice(-1, None)), _along(axis, slice(-2, -1))
+    if bc == "neumann":
+        np.subtract(cf[nxt], cf[lo], out=out[lo])
+        np.subtract(cf[hi], cf[prv], out=out[hi])
+    else:
+        np.add(cf[nxt], cf[lo], out=out[lo])
+        # -cf[hi] out of place: numpy 2.4.6's np.negative(x, out=y) is
+        # wrong on 8-element views with a 64-byte stride.
+        np.subtract(-cf[hi], cf[prv], out=out[hi])
     return out
 
 

@@ -7,9 +7,16 @@ eliminated through the closure
     rho_{N+1} = 1 - sum_i rho_i,
 
 so admissible states live in the open unit simplex.  All quantities below
-are algebraic functions of rho at a single point; every routine is
-vectorized over arbitrary leading axes so the same code serves scalar
-probes and whole grids.
+are algebraic functions of rho at a single point.  The public routines
+take and return points-last arrays, shape (..., N) for any leading axes,
+so the same code serves scalar probes and whole grids.  Inside, each
+transposes once to component rows, an (N, P) array holding one
+contiguous row of P points per component (``full_density_rows`` and
+``fraction_rows`` take rows directly), and back once on return.  Each
+formula is then one numpy call looping over the points: on points-last
+storage every broadcast against, or sum over, the 1-3-long species axis
+runs one tiny inner loop per point, several times slower at 4,096
+points.  Sums over the species run in index order.
 
 Notation used throughout this module:
 
@@ -105,31 +112,54 @@ class MixtureSpec:
         return self.molar_masses.size
 
 
+def _rows(a, n: int, what: str) -> np.ndarray:
+    """Points-last values, shape (..., n), as contiguous rows (n, P)."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] != n:
+        raise MixtureDomainError(f"expected {n} {what}, got {a.shape[-1]}")
+    return np.ascontiguousarray(a.reshape(-1, n).T)
+
+
+def _full_rows(rho, spec: MixtureSpec):
+    """Full-density rows of points-last reduced densities, and the shape
+    of the points."""
+    rows = _rows(rho, spec.n_reduced, "reduced densities")
+    return full_density_rows(rows, spec), np.shape(rho)[:-1]
+
+
+def _points(rows: np.ndarray, lead: tuple) -> np.ndarray:
+    """Rows (..., P) back to a contiguous points-last array (*lead, ...)."""
+    pts = np.ascontiguousarray(rows.transpose(-1, *range(rows.ndim - 1)))
+    return pts.reshape(lead + rows.shape[:-1])
+
+
+def full_density_rows(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
+    """Rows (N, P) of reduced densities -> rows (N+1, P) of full ones.
+
+    Appends rho_{N+1} = 1 - sum rho_i and raises ``MixtureDomainError``
+    unless every point lies in the open unit simplex.
+    """
+    last = 1.0 - rho.sum(axis=0)
+    if np.any(rho <= 0.0) or np.any(last <= 0.0):
+        raise MixtureDomainError("density vector outside the open unit simplex")
+    return np.concatenate([rho, last[None]])
+
+
 def full_densities(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     """Append the eliminated species: rho_{N+1} = 1 - sum rho_i.
 
     Raises ``MixtureDomainError`` unless rho lies in the open unit
-    simplex.  The sum is one product with a ones vector: on a last axis
-    of length 2-3 that is an order of magnitude cheaper than
-    ``sum(axis=-1)``.
+    simplex.
     """
-    rho = np.asarray(rho, dtype=float)
-    n = spec.n_reduced
-    if rho.shape[-1] != n:
-        raise MixtureDomainError(
-            f"expected {n} reduced densities, got {rho.shape[-1]}"
-        )
-    last = 1.0 - rho @ np.ones(n)
-    if np.any(rho <= 0.0) or np.any(last <= 0.0):
-        raise MixtureDomainError("density vector outside the open unit simplex")
-    return np.concatenate([rho, last[..., None]], axis=-1)
+    return _points(*_full_rows(rho, spec))
 
 
-def _fractions(rho_full: np.ndarray, spec: MixtureSpec):
-    """Molar fractions x and total concentration c from full densities."""
-    per_mole = rho_full / spec.molar_masses
-    c = per_mole @ np.ones(spec.n_species)
-    return per_mole / c[..., None], c
+def fraction_rows(rho_full: np.ndarray, spec: MixtureSpec):
+    """Molar fractions x, rows (N+1, P), and the total concentration c,
+    shape (P,), from rows of full densities."""
+    per_mole = rho_full / spec.molar_masses[:, None]
+    c = per_mole.sum(axis=0)
+    return per_mole / c, c
 
 
 def molar_fractions(rho: np.ndarray, spec: MixtureSpec):
@@ -142,32 +172,38 @@ def molar_fractions(rho: np.ndarray, spec: MixtureSpec):
     c : ndarray, shape (...)
         Total concentration c = sum_k rho_k / M_k.
     """
-    return _fractions(full_densities(rho, spec), spec)
+    rho_full, lead = _full_rows(rho, spec)
+    x, c = fraction_rows(rho_full, spec)
+    return _points(x, lead), c.reshape(lead)
 
 
 def entropy_density(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     """Mixing entropy density h(rho) = c * sum_i x_i log x_i."""
-    x, c = molar_fractions(rho, spec)
-    return c * ((x * np.log(x)) @ np.ones(spec.n_species))
+    rho_full, lead = _full_rows(rho, spec)
+    x, c = fraction_rows(rho_full, spec)
+    return (c * (x * np.log(x)).sum(axis=0)).reshape(lead)
 
 
 def _entropy_vars(x: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     m = spec.molar_masses
     logx = np.log(x)
-    return logx[..., :-1] / m[:-1] - (logx[..., -1:] / m[-1])
+    return logx[:-1] / m[:-1, None] - logx[-1] / m[-1]
 
 
 def entropy_vars(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     """Entropy variables w_i = log(x_i)/M_i - log(x_{N+1})/M_{N+1}."""
-    return _entropy_vars(molar_fractions(rho, spec)[0], spec)
+    rho_full, lead = _full_rows(rho, spec)
+    x = fraction_rows(rho_full, spec)[0]
+    return _points(_entropy_vars(x, spec), lead)
 
 
 def _friction_coefficients(c: np.ndarray, spec: MixtureSpec):
-    """Pairwise coefficients d_ij = 1 / (c^2 M_i M_j D_ij), zero diagonal."""
+    """Pairwise coefficients d_ij = 1 / (c^2 M_i M_j D_ij), zero diagonal,
+    shape (N+1, N+1, P)."""
     m = spec.molar_masses
     denom = spec.diffusivities * np.outer(m, m)
     np.fill_diagonal(denom, np.inf)             # d_ii = 0
-    return (1.0 / (c * c))[..., None, None] / denom
+    return (1.0 / (c * c)) / denom[..., None]
 
 
 def friction_matrix_full(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -176,26 +212,25 @@ def friction_matrix_full(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     Off-diagonal A_ij = -d_ij rho_i, diagonal A_ii = sum_{k != i} d_ik rho_k.
     The full density vector spans its null space: A rho_full = 0.
     """
-    rho_full = full_densities(rho, spec)
-    d = _friction_coefficients(_fractions(rho_full, spec)[1], spec)
-    a = -d * rho_full[..., :, None]
-    diag = (d * rho_full[..., None, :]).sum(axis=-1)
+    rho_full, lead = _full_rows(rho, spec)
+    d = _friction_coefficients(fraction_rows(rho_full, spec)[1], spec)
+    a = -d * rho_full[:, None]
     idx = np.arange(spec.n_species)
-    a[..., idx, idx] = diag
-    return a
+    a[idx, idx] = (d * rho_full).sum(axis=1)
+    return _points(a, lead)
 
 
 def _reduced_friction(rho_full: np.ndarray, c: np.ndarray,
                       spec: MixtureSpec) -> np.ndarray:
     n = spec.n_reduced
-    rho = rho_full[..., :n]
+    rho = rho_full[:n]
     d = _friction_coefficients(c, spec)
-    dn = d[..., :n, n]
-    drel = d[..., :n, :n] - dn[..., :, None]
+    dn = d[:n, n]
+    drel = d[:n, :n] - dn[:, None]
     idx = np.arange(n)
-    drel[..., idx, idx] = 0.0                   # the sums run over k != i
-    a0 = -drel * rho[..., :, None]
-    a0[..., idx, idx] = np.einsum("...ik,...k->...i", drel, rho) + dn
+    drel[idx, idx] = 0.0                        # the sums run over k != i
+    a0 = -drel * rho[:, None]
+    a0[idx, idx] = (drel * rho).sum(axis=1) + dn
     return a0
 
 
@@ -206,8 +241,9 @@ def friction_matrix_reduced(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     A0_ii = sum_{k != i, k <= N} (d_ik - d_{i,N+1}) rho_k + d_{i,N+1}.
     Invertible on the open simplex.
     """
-    rho_full = full_densities(rho, spec)
-    return _reduced_friction(rho_full, _fractions(rho_full, spec)[1], spec)
+    rho_full, lead = _full_rows(rho, spec)
+    return _points(_reduced_friction(
+        rho_full, fraction_rows(rho_full, spec)[1], spec), lead)
 
 
 def fraction_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -216,14 +252,12 @@ def fraction_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     G_ij = c (1/rho_{N+1} + delta_ij / rho_i); symmetric positive definite.
     """
     n = spec.n_reduced
-    rho_full = full_densities(rho, spec)
-    _, c = _fractions(rho_full, spec)
-    g = np.broadcast_to(
-        (c / rho_full[..., -1])[..., None, None], c.shape + (n, n)
-    ).copy()
+    rho_full, lead = _full_rows(rho, spec)
+    c = fraction_rows(rho_full, spec)[1]
+    g = np.broadcast_to(c / rho_full[-1], (n, n) + c.shape).copy()
     idx = np.arange(n)
-    g[..., idx, idx] += c[..., None] / rho_full[..., :n]
-    return g
+    g[idx, idx] += c / rho_full[:n]
+    return _points(g, lead)
 
 
 def entropy_hessian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -233,17 +267,14 @@ def entropy_hessian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
            - (1/c) (1/M_i - 1/M_{N+1}) (1/M_j - 1/M_{N+1}).
     """
     n = spec.n_reduced
-    rho_full = full_densities(rho, spec)
-    _, c = _fractions(rho_full, spec)
+    rho_full, lead = _full_rows(rho, spec)
+    c = fraction_rows(rho_full, spec)[1]
     m = spec.molar_masses
     dm = 1.0 / m[:n] - 1.0 / m[-1]
-    h = (1.0 / (m[-1] * rho_full[..., -1]))[..., None, None] - (
-        np.outer(dm, dm) / c[..., None, None]
-    )
-    h = np.broadcast_to(h, c.shape + (n, n)).copy()
+    h = 1.0 / (m[-1] * rho_full[-1]) - np.outer(dm, dm)[..., None] / c
     idx = np.arange(n)
-    h[..., idx, idx] += 1.0 / (m[:n] * rho_full[..., :n])
-    return h
+    h[idx, idx] += 1.0 / (m[:n, None] * rho_full[:n])
+    return _points(h, lead)
 
 
 def density_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -260,31 +291,36 @@ def density_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     """
     n = spec.n_reduced
     m = spec.molar_masses
-    rho_full = full_densities(rho, spec)
-    rho = rho_full[..., :n]
-    others = 1.0 - np.eye(n + 1)[:, :n]         # column i: k != i
-    rest = rho_full @ others                    # 1 - rho_i
-    mass_rest = (m * rho_full) @ others         # sum_{k != i} M_k rho_k
-    mbar = mass_rest[..., :1] + m[0] * rho[..., :1]
-    jac = rho[..., :, None] * rho[..., None, :] * (
-        mbar[..., None] - (m[:n, None] + m[None, :n]))
+    rho_full, lead = _full_rows(rho, spec)
+    rho = rho_full[:n]
+    others = 1.0 - np.eye(n, n + 1)                # row i: k != i
+    rest = others @ rho_full                        # 1 - rho_i
+    mass_rest = others @ (m[:, None] * rho_full)    # sum_{k != i} M_k rho_k
+    mbar = mass_rest[0] + m[0] * rho[0]
+    jac = rho[:, None] * rho * (
+        mbar - (m[:n, None] + m[None, :n])[..., None])
     idx = np.arange(n)
-    jac[..., idx, idx] = rho * (m[:n] * rest * rest + rho * mass_rest)
-    return jac
+    jac[idx, idx] = rho * (m[:n, None] * rest * rest + rho * mass_rest)
+    return _points(jac, lead)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of symmetric positive definite blocks, shape (..., N, N).
 
     An LDL^T factorization without pivoting, unrolled over N in Python
-    and vectorized over the leading axes; the inverse is
+    and vectorized over the leading axes: each step is one numpy call on
+    entry (i, j) of every block, a contiguous row of points when ``a`` is
+    a view of blocks stored entry-first.  The inverse is
     L^{-T} D^{-1} L^{-1}.  Only the lower triangle of ``a`` is read and
     the result is exactly symmetric.  For N = 1 it is a reciprocal.
     """
-    n = a.shape[-1]
+    out = np.empty(np.shape(a))
+    a, inv = (np.transpose(v, (-2, -1, *range(v.ndim - 2))) for v in (a, out))
+    n = len(a)
     if n == 1:
-        return 1.0 / a
-    low = [[a[..., i, j] for j in range(i + 1)] for i in range(n)]
+        inv[0, 0] = 1.0 / a[0, 0]
+        return out
+    low = [[a[i, j] for j in range(i + 1)] for i in range(n)]
     diag = []
     for j in range(n):
         diag.append(low[j][j] - sum(low[j][k] ** 2 * diag[k]
@@ -298,10 +334,9 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
         for j in range(i):
             inv_l[i][j] = -low[i][j] - sum(low[i][k] * inv_l[k][j]
                                            for k in range(j + 1, i))
-    out = np.empty(a.shape)
     for i in range(n):
         for j in range(i + 1):
-            out[..., i, j] = out[..., j, i] = sum(
+            inv[i, j] = inv[j, i] = sum(
                 inv_l[k][i] * inv_l[k][j] / diag[k] for k in range(i, n))
     return out
 
@@ -318,20 +353,20 @@ def mobility_matrix(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     ``spd_inverse``.
     """
     n = spec.n_reduced
-    rho_full = full_densities(rho, spec)
-    _, c = _fractions(rho_full, spec)
+    rho_full, lead = _full_rows(rho, spec)
+    c = fraction_rows(rho_full, spec)[1]
     a0 = _reduced_friction(rho_full, c, spec)
-    col = sum(a0[..., k, :] for k in range(n)) / rho_full[..., -1:]
-    g_a0 = c[..., None, None] * (a0 / rho_full[..., :n, None]
-                                 + col[..., None, :])
-    g_a0_t = np.swapaxes(g_a0, -1, -2)
+    col = a0.sum(axis=0) / rho_full[-1]
+    g_a0 = c * (a0 / rho_full[:n, None] + col)
+    g_a0_t = g_a0.swapaxes(0, 1)
     scale = np.abs(g_a0).max()
     asym = np.abs(g_a0 - g_a0_t).max()
     if asym > 1e-8 * scale:
         raise FloatingPointError(
             f"mobility matrix lost symmetry: rel asymmetry {asym / scale:.3e}"
         )
-    return spd_inverse(0.5 * (g_a0 + g_a0_t))
+    sym = np.transpose(0.5 * (g_a0 + g_a0_t), (2, 0, 1))
+    return spd_inverse(sym).reshape(lead + (n, n))
 
 
 INVERSION_RTOL = 1e-14          # see densities_from_entropy
@@ -367,45 +402,40 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     w : array_like, shape (..., N)
         Target entropy variables, any real values.
     """
-    w = np.asarray(w, dtype=float)
     n = spec.n_reduced
-    if w.shape[-1] != n:
-        raise MixtureDomainError(
-            f"expected {n} entropy variables, got {w.shape[-1]}"
-        )
-    flat_w = w.reshape(-1, n)
+    w_rows = _rows(w, n, "entropy variables")
     m = spec.molar_masses
     # Exponents M_i w_i + t M_i / M_{N+1} of all N+1 terms, the last one t.
-    mw = np.concatenate([m[:n] * flat_w, np.zeros((len(flat_w), 1))], axis=-1)
-    ratio = m / m[-1]
-    sum_and_slope = np.stack([np.ones_like(ratio), ratio], axis=-1)
-    t = np.minimum(0.0, (-m[-1] * flat_w).min(axis=-1))
+    mw = np.concatenate([m[:n, None] * w_rows, np.zeros((1, w_rows.shape[1]))])
+    ratio = (m / m[-1])[:, None]
+    sum_and_slope = np.hstack([np.ones_like(ratio), ratio]).T
+    t = np.minimum(0.0, (-m[-1] * w_rows).min(axis=0))
     for iters in range(100):
-        x = np.exp(mw + t[:, None] * ratio)
-        total, slope = (x @ sum_and_slope).T       # g + 1 and g'
+        x = np.exp(mw + t * ratio)
+        total, slope = sum_and_slope @ x           # g + 1 and g'
         new = np.where(total > 1.0, t - (total - 1.0) / slope, t)
         if np.array_equal(new, t):
             break
         t = new
-    mx = m * np.exp(mw + t[:, None] * ratio)
-    rho = mx[:, :-1] / (mx @ sum_and_slope[:, :1])
-    rho_full = np.concatenate([rho, 1.0 - rho @ np.ones((n, 1))], axis=-1)
-    rmin = rho_full.min(axis=-1)
+    mx = m[:, None] * np.exp(mw + t * ratio)
+    rho = mx[:-1] / mx.sum(axis=0)
+    rho_full = np.concatenate([rho, 1.0 - rho.sum(axis=0, keepdims=True)])
+    rmin = rho_full.min(axis=0)
     if not np.all(rmin >= 1e-14):
-        p, k = np.unravel_index(np.argmin(rho_full), rho_full.shape)
+        p, k = np.unravel_index(np.argmin(rho_full.T), rho_full.T.shape)
         raise InversionError(
             f"entropy inversion needs full density {k + 1} of {n + 1} at "
-            f"{rho_full[p, k]:.3e}, below the interior margin 1e-14")
-    res = np.abs(_entropy_vars(_fractions(rho_full, spec)[0], spec) - flat_w)
+            f"{rho_full[k, p]:.3e}, below the interior margin 1e-14")
+    res = np.abs(_entropy_vars(fraction_rows(rho_full, spec)[0], spec)
+                 - w_rows)
     mass_floor = min(float(np.min(m)), 1.0)
     rep_limit = 8.0 * np.finfo(float).eps / (rmin * mass_floor)
-    bound = np.maximum(INVERSION_RTOL * (1.0 + np.abs(flat_w)),
-                       rep_limit[:, None])
+    bound = np.maximum(INVERSION_RTOL * (1.0 + np.abs(w_rows)), rep_limit)
     if not np.all(res <= bound):
         raise InversionError(
             f"entropy inversion did not converge: residual "
             f"{float(res.max()):.3e} after {iters + 1} iterations")
-    return rho.reshape(w.shape)
+    return _points(rho, np.shape(w)[:-1])
 
 
 def lift_initial(rho_full: np.ndarray, alpha0: float) -> np.ndarray:

@@ -315,6 +315,7 @@ def test_energy_rule_fires_on_a_step_that_breaks_the_identity(
     assert not report.ok and report.energy_ok and report.entropy_ok
     assert _failed_rules(report) == ["per-step energy identity"]
     assert report.worst_energy_residual == 101.0 * led.flow_tol
+    assert report.first_violation == 1
 
 
 def test_mass_rule_fires_on_a_drifted_mass(mini_2d_result):
@@ -323,6 +324,7 @@ def test_mass_rule_fires_on_a_drifted_mass(mini_2d_result):
     report = led.check_global_bounds()
     assert not report.ok and report.energy_ok and report.entropy_ok
     assert _failed_rules(report) == ["species mass conservation"]
+    assert report.first_violation == 2
 
 
 def test_positivity_rule_fires_on_a_clamp(mini_2d_result):
@@ -331,6 +333,7 @@ def test_positivity_rule_fires_on_a_clamp(mini_2d_result):
     report = led.check_global_bounds()
     assert not report.ok and report.energy_ok and report.entropy_ok
     assert _failed_rules(report) == ["density positivity without clamping"]
+    assert report.first_violation is None       # rule 4 has no step
 
 
 def test_energy_rules_use_flow_tol_and_entropy_rules_species_tol(

@@ -34,7 +34,12 @@ from msflow.mixture import (
     spd_inverse,
 )
 
-from conftest import random_spec
+from conftest import (
+    oracle_densities_from_entropy,
+    oracle_density_jacobian,
+    oracle_mobility_matrix,
+    random_spec,
+)
 
 
 # ---------------------------------------------------------------------
@@ -384,6 +389,63 @@ def test_spd_inverse_matches_lapack(n, lead):
     assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
     err = np.abs(inv - ref).max(axis=(-2, -1))
     assert (err <= 1e-10 * np.abs(ref).max(axis=(-2, -1))).all()
+
+
+# ---------------------------------------------------------------------
+# Component rows against the points-last oracle
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_species", [2, 3, 4])
+def test_mixture_routines_match_the_points_last_oracle(n_species):
+    # At N = 1 every sum has at most two terms, so the component-row
+    # arithmetic is bitwise the oracle's.  At N = 2 and 3 a sum may run
+    # in another order, so the results agree within 4 ulp: of each
+    # density, and of each matrix block's largest entry.  At N = 3 the
+    # concentration is a 4-term sum, which BLAS adds as
+    # (x0 + x2) + (x1 + x3), and the mobility inverts G A0, so its
+    # bound carries the block's condition number too.
+    rng = np.random.default_rng(230 + n_species)
+    spec = random_spec(rng, n_species)
+    rho = sample_simplex(rng, n_species, 4096)
+    w = entropy_vars(rho, spec) + 0.1 * rng.standard_normal(rho.shape)
+    got = densities_from_entropy(w, spec)
+    ref = oracle_densities_from_entropy(w, spec)
+    assert got.shape == ref.shape and got.flags.c_contiguous
+    if n_species == 2:
+        np.testing.assert_array_equal(got, ref)
+    assert (np.abs(got - ref) <= 4 * np.spacing(ref)).all()
+    for routine, oracle in ((density_jacobian, oracle_density_jacobian),
+                            (mobility_matrix, oracle_mobility_matrix)):
+        got, ref = routine(rho, spec), oracle(rho, spec)
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        if n_species == 2:
+            np.testing.assert_array_equal(got, ref)
+        ulp = np.spacing(np.abs(ref).max(axis=(-2, -1)))
+        if n_species == 4 and routine is mobility_matrix:
+            ulp = ulp * np.linalg.cond(ref)
+        err = np.abs(got - ref).max(axis=(-2, -1))
+        assert (err <= 4 * ulp).all(), routine.__name__
+
+
+@pytest.mark.parametrize("routine, oracle, spec_name, x", [
+    # w = 40 needs a density of about e^-40, below the 1e-14 margin.
+    (densities_from_entropy, oracle_densities_from_entropy, "binary_spec",
+     [[40.0], [-40.0]]),
+    (densities_from_entropy, oracle_densities_from_entropy, "binary_spec",
+     [[0.0, 0.0]]),
+    (mobility_matrix, oracle_mobility_matrix, "binary_spec", [[0.5], [1.2]]),
+    (mobility_matrix, oracle_mobility_matrix, "ternary_spec", [[0.2] * 3]),
+    (density_jacobian, oracle_density_jacobian, "ternary_spec",
+     [[0.6, 0.5]]),
+], ids=["margin", "w-shape", "simplex", "rho-shape", "closure"])
+def test_mixture_errors_match_the_oracle(routine, oracle, spec_name, x,
+                                         request):
+    spec = request.getfixturevalue(spec_name)
+    with pytest.raises((InversionError, MixtureDomainError)) as got:
+        routine(np.array(x), spec)
+    with pytest.raises(type(got.value)) as ref:
+        oracle(np.array(x), spec)
+    assert str(got.value) == str(ref.value)
 
 
 def test_sample_simplex_properties():
