@@ -40,15 +40,9 @@ from .driver import (
     sweep_epsilon,
     sweep_row,
 )
-from .grid import (
-    Grid,
-    advect_form,
-    div,
-    divergence_identity_residual,
-    grad,
-    inner,
-)
+from .grid import Grid, advect_form, div, grad, inner
 from .iteration import SolverError
+from .species import divergence_identity_residual
 
 
 def _build_parser():
@@ -144,22 +138,26 @@ def _cmd_check(cfg) -> int:
     err = float(np.abs(mixture.densities_from_entropy(
         mixture.entropy_vars(pts, spec), spec) - pts).max())
     ck.check(err <= 1e-10, "entropy-variable roundtrip", f"max err {err:.2e}")
-    hess = mixture.entropy_hessian(pts, spec)
+
+    def blocks(routine):
+        """The routine's matrices at ``pts`` as np.linalg's (P, N, N)."""
+        return np.moveaxis(routine(pts, spec), -1, 0)
+
+    hess = blocks(mixture.entropy_hessian)
     for name, m in (("entropy hessian", hess),
-                    ("fraction jacobian",
-                     mixture.fraction_jacobian(pts, spec)),
-                    ("mobility matrix", mixture.mobility_matrix(pts, spec))):
+                    ("fraction jacobian", blocks(mixture.fraction_jacobian)),
+                    ("mobility matrix", blocks(mixture.mobility_matrix))):
         sym = float(np.abs(m - np.swapaxes(m, -1, -2)).max())
         eig = float(np.linalg.eigvalsh(0.5 * (
             m + np.swapaxes(m, -1, -2))).min())
         ck.check(sym <= 1e-8 * np.abs(m).max() and eig > 0.0,
                  f"{name} symmetric positive definite",
                  f"min eig {eig:.3e}")
-    defect = float(np.abs(mixture.density_jacobian(pts, spec) @ hess
+    defect = float(np.abs(blocks(mixture.density_jacobian) @ hess
                           - np.eye(spec.n_reduced)).max())
     ck.check(defect <= 1e-10, "density jacobian inverts the entropy hessian",
              f"max defect {defect:.2e}")
-    conds = np.linalg.cond(mixture.friction_matrix_reduced(pts, spec))
+    conds = np.linalg.cond(blocks(mixture.friction_matrix_reduced))
     ck.check(bool(np.all(np.isfinite(conds))), "reduced friction invertible",
              f"max cond {conds.max():.3e}")
 

@@ -90,21 +90,17 @@ class SimLedger:
             return DISPLAY_FLOOR
         return value
 
-    def _points(self, rho: np.ndarray) -> np.ndarray:
-        return np.moveaxis(rho, 0, -1).reshape(-1, self.spec.n_reduced)
-
     def _mixture_columns(self, rho: np.ndarray):
-        """The columns read off the densities, on their component rows."""
+        """The columns read off the densities (N, *shape)."""
         spec = self.spec
-        rho_full = mixture.full_density_rows(
-            np.reshape(rho, (spec.n_reduced, -1)), spec)
-        x, _ = mixture.fraction_rows(rho_full, spec)
         gsq = 0.0
-        for comp in np.sqrt(x).reshape((spec.n_species,) + self.grid.shape):
+        for comp in np.sqrt(mixture.molar_fractions(rho, spec)[0]):
             g = grad(self.grid, comp, "neumann")
             gsq += inner(self.grid, g, g)
         # A running sum adds the cells one by one in storage order, where
         # sum(axis=1) would add them pairwise and move the masses by ulps.
+        rho_full = mixture.full_densities(rho, spec).reshape(
+            spec.n_species, -1)
         masses = self.grid.cell_volume * np.cumsum(rho_full, axis=1)[:, -1]
         min_density = float(rho_full.min())
         closure = float(np.abs(rho_full.sum(axis=0) - 1.0).max())
@@ -117,7 +113,7 @@ class SimLedger:
         (zero forcing, default reports), its mixing entropy computed
         here."""
         entropy = self.grid.cell_volume * float(np.sum(
-            mixture.entropy_density(self._points(rho), self.spec)))
+            mixture.entropy_density(rho, self.spec)))
         divu = norm_l2(self.grid, div(self.grid, flow_state.u))
         self.record_step(0, flow_state, FlowStepReport(div_u_l2=divu),
                          np.zeros_like(flow_state.u), rho,

@@ -150,11 +150,8 @@ def _prepare(config: SimConfig):
                           config.omega)
     except ValueError as exc:       # presets and amplitudes from the config
         raise ConfigError(str(exc)) from exc
-    lifted = mixture.lift_initial(np.moveaxis(rho_raw_full, 0, -1),
-                                  config.alpha0)[..., :-1]
-    rho0 = np.moveaxis(lifted, -1, 0)
-    w0 = np.moveaxis(mixture.entropy_vars(lifted, spec), -1, 0)
-    return grid, spec, flow0, w0, rho0, forcing
+    rho0 = mixture.lift_initial(rho_raw_full, config.alpha0)[:-1]
+    return grid, spec, flow0, mixture.entropy_vars(rho0, spec), rho0, forcing
 
 
 def _write_step_snapshots(config, grid, k, tau, flow, rho):

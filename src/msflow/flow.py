@@ -465,8 +465,7 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
             p = p_prev - (tau / eps) * div(grid, u) if eps else p_prev.copy()
         r = (u - u_prev) / tau + skew_advect(grid, u, u, "dirichlet") - f_avg
         r += grad(grid, p, "neumann")
-        for a in range(grid.dim):
-            r[a] -= laplacian(grid, u[a], "dirichlet")
+        r -= laplacian(grid, u, "dirichlet")
         return u, p, r, norm_l2(grid, r)
 
     refactorizations = 0

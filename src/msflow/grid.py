@@ -1,7 +1,13 @@
 """Cell-centered finite differences on uniform 1D/2D boxes.
 
-Fields live at cell centers x_i = (i + 1/2) h.  Two ghost-cell
-conventions define how stencils see the boundary:
+Fields live at cell centers x_i = (i + 1/2) h, stored component-first
+as (C, *shape): velocity (dim, *shape), species densities and entropy
+variables (N, *shape), a scalar (*shape).  This is the package's one
+field layout: the stencils below take the grid axes last, leading
+component axes riding along, and the mixture algebra reads a field as
+rows (C, P), P = prod(shape), by a reshape.
+
+Two ghost-cell conventions define how stencils see the boundary:
 
 * ``"neumann"``: even reflection (ghost equals the first interior
   value), used for densities, entropy variables and pressure;
@@ -140,23 +146,23 @@ def _check_bc(bc: str) -> None:
         raise GridError(f"unknown boundary tag {bc!r}")
 
 
-def _grid_first(grid: Grid, f: np.ndarray) -> np.ndarray:
+def _grid_last(grid: Grid, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if f.shape[:grid.dim] != grid.shape:
-        raise GridError(f"field shape {f.shape} does not start with "
+    if f.shape[f.ndim - grid.dim:] != grid.shape:
+        raise GridError(f"field shape {f.shape} does not end with "
                         f"{grid.shape}")
     return f
 
 
-def _along(axis: int, index) -> tuple:
-    """Index ``index`` along array axis ``axis``, all of the others."""
-    return (slice(None),) * axis + (index,)
+def _along(grid: Grid, axis: int, start, stop) -> tuple:
+    """Index start:stop along grid axis ``axis``, the grid axes last."""
+    return (..., slice(start, stop)) + (slice(None),) * (grid.dim - 1 - axis)
 
 
 def derivative(grid: Grid, f: np.ndarray, axis: int, bc: str) -> np.ndarray:
     """Central first derivative along ``axis`` with ghost rule ``bc``.
 
-    ``f`` has the grid's axes first; any trailing (component) axes ride
+    ``f`` has the grid's axes last; any leading (component) axes ride
     along.  Each cell takes (f[i+1] - f[i-1]) / 2h, the ghost beyond an
     end being f at that end ("neumann") or its negative ("dirichlet").
     The interior is one contiguous subtraction on the flattened arrays,
@@ -167,14 +173,14 @@ def derivative(grid: Grid, f: np.ndarray, axis: int, bc: str) -> np.ndarray:
     odd ones, the IEEE arithmetic of f[1] - ghost and ghost - f[-2].
     """
     _check_bc(bc)
-    f = _grid_first(grid, f)
+    f = _grid_last(grid, f)
     cf = np.multiply(f, 1.0 / (2.0 * grid.spacing[axis]), order="C")
     out = np.empty_like(cf)
-    s = math.prod(cf.shape[axis + 1:])
+    s = math.prod(grid.shape[axis + 1:])
     np.subtract(cf.ravel()[2 * s:], cf.ravel()[:-2 * s],
                 out=out.ravel()[s:-s])
-    lo, nxt = _along(axis, slice(0, 1)), _along(axis, slice(1, 2))
-    hi, prv = _along(axis, slice(-1, None)), _along(axis, slice(-2, -1))
+    lo, nxt = _along(grid, axis, 0, 1), _along(grid, axis, 1, 2)
+    hi, prv = _along(grid, axis, -1, None), _along(grid, axis, -2, -1)
     if bc == "neumann":
         np.subtract(cf[nxt], cf[lo], out=out[lo])
         np.subtract(cf[hi], cf[prv], out=out[hi])
@@ -189,7 +195,7 @@ def derivative(grid: Grid, f: np.ndarray, axis: int, bc: str) -> np.ndarray:
 def laplacian(grid: Grid, f: np.ndarray, bc: str) -> np.ndarray:
     """Compact (3- or 5-point) Laplacian with ghost rule ``bc``.
 
-    ``f`` has the grid's axes first, as for :func:`derivative`.  Along
+    ``f`` has the grid's axes last, as for :func:`derivative`.  Along
     each axis the second difference (f[i-1] - 2 f[i] + f[i+1]) / h^2
     folds the ghost into the end cell's weight: -1/h^2 for even ghosts,
     -3/h^2 for odd ones.  Each cell sums its terms in the storage order
@@ -197,19 +203,19 @@ def laplacian(grid: Grid, f: np.ndarray, bc: str) -> np.ndarray:
     the order in which a sparse product sums a matrix row.
     """
     _check_bc(bc)
-    f = _grid_first(grid, f)
+    f = _grid_last(grid, f)
     scaled, diag = [], 0.0
     for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
         d = np.full(n, -2.0)
         d[0] = d[-1] = -1.0 if bc == "neumann" else -3.0
-        diag = diag + (d / (h * h)).reshape((n,) + (1,) * (f.ndim - a - 1))
+        diag = diag + (d / (h * h)).reshape((n,) + (1,) * (grid.dim - a - 1))
         scaled.append(f * (1.0 / (h * h)))
     out = np.zeros_like(f)
     for a, cf in enumerate(scaled):
-        out[_along(a, slice(1, None))] += cf[_along(a, slice(None, -1))]
+        out[_along(grid, a, 1, None)] += cf[_along(grid, a, None, -1)]
     out += diag * f
     for a, cf in reversed(list(enumerate(scaled))):
-        out[_along(a, slice(None, -1))] += cf[_along(a, slice(1, None))]
+        out[_along(grid, a, None, -1)] += cf[_along(grid, a, 1, None)]
     return out
 
 
@@ -268,10 +274,9 @@ def skew_advect(grid: Grid, u: np.ndarray, v: np.ndarray,
     u = _check_field(grid, u, "vector")
     v = _check_field(grid, v, "components")
     out = np.zeros_like(v)
-    for acc, comp in zip(out, v):
-        for a in range(grid.dim):
-            acc += u[a] * derivative(grid, comp, a, bc)
-            acc += derivative(grid, u[a] * comp, a, _ADJOINT_BC[bc])
+    for a in range(grid.dim):
+        out += u[a] * derivative(grid, v, a, bc)
+        out += derivative(grid, u[a] * v, a, _ADJOINT_BC[bc])
     return 0.5 * out
 
 
@@ -295,34 +300,6 @@ def grad_sq_norm(grid: Grid, u: np.ndarray) -> float:
             s += 2.0 * np.sum(moved[-1] * moved[-1])
             total += s * vol / (h * h)
     return float(total)
-
-
-def divergence_identity_residual(grid: Grid, u: np.ndarray, w: np.ndarray,
-                                 spec) -> float:
-    """Defect of the advective entropy-flux identity at given (u, w).
-
-    For densities rho recovered from entropy variables w, the continuum
-    identity
-
-        advect_form(u, rho, w) + 0.5 <div u, rho . w>
-            = -<div u, log(x_{N+1})> / M_{N+1}
-
-    holds exactly; discretely the defect is second order in h.  Returns
-    its absolute value.
-    """
-    from . import mixture
-
-    w = _check_field(grid, w, "components")
-    w_pts = np.moveaxis(w, 0, -1)
-    rho_pts = mixture.densities_from_entropy(w_pts, spec)
-    rho = np.moveaxis(rho_pts, -1, 0)
-    x, _ = mixture.molar_fractions(rho_pts, spec)
-    log_x_last = np.log(x[..., -1])
-    divu = div(grid, u, "dirichlet")
-    lhs = advect_form(grid, u, rho, w, "neumann")
-    lhs += 0.5 * inner(grid, divu, np.sum(rho * w, axis=0))
-    rhs = -inner(grid, divu, log_x_last) / spec.molar_masses[-1]
-    return abs(lhs - rhs)
 
 
 def write_snapshot(path, grid: Grid, name: str, time: float,

@@ -7,16 +7,11 @@ eliminated through the closure
     rho_{N+1} = 1 - sum_i rho_i,
 
 so admissible states live in the open unit simplex.  All quantities below
-are algebraic functions of rho at a single point.  The public routines
-take and return points-last arrays, shape (..., N) for any leading axes,
-so the same code serves scalar probes and whole grids.  Inside, each
-transposes once to component rows, an (N, P) array holding one
-contiguous row of P points per component (``full_density_rows`` and
-``fraction_rows`` take rows directly), and back once on return.  Each
-formula is then one numpy call looping over the points: on points-last
-storage every broadcast against, or sum over, the 1-3-long species axis
-runs one tiny inner loop per point, several times slower at 4,096
-points.  Sums over the species run in index order.
+are algebraic functions of rho at a single point, taken in the field
+layout of :mod:`msflow.grid`: densities or entropy variables (N, ...),
+vectors (N+1, ...) and matrices entry-first (N, N, ...), for any point
+axes.  Each formula is one numpy call over the component rows (N, P);
+sums over the species run in index order.
 
 Notation used throughout this module:
 
@@ -113,48 +108,39 @@ class MixtureSpec:
 
 
 def _rows(a, n: int, what: str) -> np.ndarray:
-    """Points-last values, shape (..., n), as contiguous rows (n, P)."""
-    a = np.asarray(a, dtype=float)
-    if a.shape[-1] != n:
-        raise MixtureDomainError(f"expected {n} {what}, got {a.shape[-1]}")
-    return np.ascontiguousarray(a.reshape(-1, n).T)
+    """Values of shape (n, ...) as rows (n, P), a view when contiguous."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if len(a) != n:
+        raise MixtureDomainError(f"expected {n} {what}, got {len(a)}")
+    return a.reshape(n, -1)
 
 
 def _full_rows(rho, spec: MixtureSpec):
-    """Full-density rows of points-last reduced densities, and the shape
-    of the points."""
+    """Full-density rows (N+1, P) of reduced densities (N, ...) in the
+    open unit simplex, and the shape of the points."""
     rows = _rows(rho, spec.n_reduced, "reduced densities")
-    return full_density_rows(rows, spec), np.shape(rho)[:-1]
-
-
-def _points(rows: np.ndarray, lead: tuple) -> np.ndarray:
-    """Rows (..., P) back to a contiguous points-last array (*lead, ...)."""
-    pts = np.ascontiguousarray(rows.transpose(-1, *range(rows.ndim - 1)))
-    return pts.reshape(lead + rows.shape[:-1])
-
-
-def full_density_rows(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    """Rows (N, P) of reduced densities -> rows (N+1, P) of full ones.
-
-    Appends rho_{N+1} = 1 - sum rho_i and raises ``MixtureDomainError``
-    unless every point lies in the open unit simplex.
-    """
-    last = 1.0 - rho.sum(axis=0)
-    if np.any(rho <= 0.0) or np.any(last <= 0.0):
+    last = 1.0 - rows.sum(axis=0)
+    if np.any(rows <= 0.0) or np.any(last <= 0.0):
         raise MixtureDomainError("density vector outside the open unit simplex")
-    return np.concatenate([rho, last[None]])
+    return np.concatenate([rows, last[None]]), np.shape(rho)[1:]
+
+
+def _shaped(rows: np.ndarray, points: tuple) -> np.ndarray:
+    """Rows (..., P) back to fields (..., *points)."""
+    return rows.reshape(rows.shape[:-1] + points)
 
 
 def full_densities(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    """Append the eliminated species: rho_{N+1} = 1 - sum rho_i.
+    """Append the eliminated species: rho_{N+1} = 1 - sum rho_i, shape
+    (N+1, ...).
 
     Raises ``MixtureDomainError`` unless rho lies in the open unit
     simplex.
     """
-    return _points(*_full_rows(rho, spec))
+    return _shaped(*_full_rows(rho, spec))
 
 
-def fraction_rows(rho_full: np.ndarray, spec: MixtureSpec):
+def _fractions(rho_full: np.ndarray, spec: MixtureSpec):
     """Molar fractions x, rows (N+1, P), and the total concentration c,
     shape (P,), from rows of full densities."""
     per_mole = rho_full / spec.molar_masses[:, None]
@@ -167,21 +153,21 @@ def molar_fractions(rho: np.ndarray, spec: MixtureSpec):
 
     Returns
     -------
-    x : ndarray, shape (..., N+1)
+    x : ndarray, shape (N+1, ...)
         Molar fractions, positive and summing to one.
     c : ndarray, shape (...)
         Total concentration c = sum_k rho_k / M_k.
     """
-    rho_full, lead = _full_rows(rho, spec)
-    x, c = fraction_rows(rho_full, spec)
-    return _points(x, lead), c.reshape(lead)
+    rho_full, points = _full_rows(rho, spec)
+    x, c = _fractions(rho_full, spec)
+    return _shaped(x, points), c.reshape(points)
 
 
 def entropy_density(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    """Mixing entropy density h(rho) = c * sum_i x_i log x_i."""
-    rho_full, lead = _full_rows(rho, spec)
-    x, c = fraction_rows(rho_full, spec)
-    return (c * (x * np.log(x)).sum(axis=0)).reshape(lead)
+    """Mixing entropy density h(rho) = c * sum_i x_i log x_i, shape (...)."""
+    rho_full, points = _full_rows(rho, spec)
+    x, c = _fractions(rho_full, spec)
+    return (c * (x * np.log(x)).sum(axis=0)).reshape(points)
 
 
 def _entropy_vars(x: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -191,10 +177,11 @@ def _entropy_vars(x: np.ndarray, spec: MixtureSpec) -> np.ndarray:
 
 
 def entropy_vars(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    """Entropy variables w_i = log(x_i)/M_i - log(x_{N+1})/M_{N+1}."""
-    rho_full, lead = _full_rows(rho, spec)
-    x = fraction_rows(rho_full, spec)[0]
-    return _points(_entropy_vars(x, spec), lead)
+    """Entropy variables w_i = log(x_i)/M_i - log(x_{N+1})/M_{N+1},
+    shape (N, ...)."""
+    rho_full, points = _full_rows(rho, spec)
+    x = _fractions(rho_full, spec)[0]
+    return _shaped(_entropy_vars(x, spec), points)
 
 
 def _friction_coefficients(c: np.ndarray, spec: MixtureSpec):
@@ -207,17 +194,17 @@ def _friction_coefficients(c: np.ndarray, spec: MixtureSpec):
 
 
 def friction_matrix_full(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    """Full singular friction matrix A, shape (..., N+1, N+1).
+    """Full singular friction matrix A, shape (N+1, N+1, ...).
 
     Off-diagonal A_ij = -d_ij rho_i, diagonal A_ii = sum_{k != i} d_ik rho_k.
     The full density vector spans its null space: A rho_full = 0.
     """
-    rho_full, lead = _full_rows(rho, spec)
-    d = _friction_coefficients(fraction_rows(rho_full, spec)[1], spec)
+    rho_full, points = _full_rows(rho, spec)
+    d = _friction_coefficients(_fractions(rho_full, spec)[1], spec)
     a = -d * rho_full[:, None]
     idx = np.arange(spec.n_species)
     a[idx, idx] = (d * rho_full).sum(axis=1)
-    return _points(a, lead)
+    return _shaped(a, points)
 
 
 def _reduced_friction(rho_full: np.ndarray, c: np.ndarray,
@@ -235,15 +222,16 @@ def _reduced_friction(rho_full: np.ndarray, c: np.ndarray,
 
 
 def friction_matrix_reduced(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    """Reduced NxN friction matrix A0 after eliminating species N+1.
+    """Reduced friction matrix A0 after eliminating species N+1, shape
+    (N, N, ...).
 
     A0_ij = -(d_ij - d_{i,N+1}) rho_i for i != j, and
     A0_ii = sum_{k != i, k <= N} (d_ik - d_{i,N+1}) rho_k + d_{i,N+1}.
     Invertible on the open simplex.
     """
-    rho_full, lead = _full_rows(rho, spec)
-    return _points(_reduced_friction(
-        rho_full, fraction_rows(rho_full, spec)[1], spec), lead)
+    rho_full, points = _full_rows(rho, spec)
+    return _shaped(_reduced_friction(
+        rho_full, _fractions(rho_full, spec)[1], spec), points)
 
 
 def fraction_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -252,12 +240,12 @@ def fraction_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     G_ij = c (1/rho_{N+1} + delta_ij / rho_i); symmetric positive definite.
     """
     n = spec.n_reduced
-    rho_full, lead = _full_rows(rho, spec)
-    c = fraction_rows(rho_full, spec)[1]
+    rho_full, points = _full_rows(rho, spec)
+    c = _fractions(rho_full, spec)[1]
     g = np.broadcast_to(c / rho_full[-1], (n, n) + c.shape).copy()
     idx = np.arange(n)
     g[idx, idx] += c / rho_full[:n]
-    return _points(g, lead)
+    return _shaped(g, points)
 
 
 def entropy_hessian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -267,14 +255,14 @@ def entropy_hessian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
            - (1/c) (1/M_i - 1/M_{N+1}) (1/M_j - 1/M_{N+1}).
     """
     n = spec.n_reduced
-    rho_full, lead = _full_rows(rho, spec)
-    c = fraction_rows(rho_full, spec)[1]
+    rho_full, points = _full_rows(rho, spec)
+    c = _fractions(rho_full, spec)[1]
     m = spec.molar_masses
     dm = 1.0 / m[:n] - 1.0 / m[-1]
     h = 1.0 / (m[-1] * rho_full[-1]) - np.outer(dm, dm)[..., None] / c
     idx = np.arange(n)
     h[idx, idx] += 1.0 / (m[:n, None] * rho_full[:n])
-    return _points(h, lead)
+    return _shaped(h, points)
 
 
 def density_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
@@ -291,7 +279,7 @@ def density_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     """
     n = spec.n_reduced
     m = spec.molar_masses
-    rho_full, lead = _full_rows(rho, spec)
+    rho_full, points = _full_rows(rho, spec)
     rho = rho_full[:n]
     others = 1.0 - np.eye(n, n + 1)                # row i: k != i
     rest = others @ rho_full                        # 1 - rho_i
@@ -301,25 +289,24 @@ def density_jacobian(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
         mbar - (m[:n, None] + m[None, :n])[..., None])
     idx = np.arange(n)
     jac[idx, idx] = rho * (m[:n, None] * rest * rest + rho * mass_rest)
-    return _points(jac, lead)
+    return _shaped(jac, points)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of symmetric positive definite blocks, shape (..., N, N).
+    """Inverse of symmetric positive definite blocks stored entry-first,
+    shape (N, N, ...).
 
     An LDL^T factorization without pivoting, unrolled over N in Python
-    and vectorized over the leading axes: each step is one numpy call on
-    entry (i, j) of every block, a contiguous row of points when ``a`` is
-    a view of blocks stored entry-first.  The inverse is
-    L^{-T} D^{-1} L^{-1}.  Only the lower triangle of ``a`` is read and
-    the result is exactly symmetric.  For N = 1 it is a reciprocal.
+    and vectorized over the trailing axes: each step is one numpy call on
+    entry (i, j) of every block.  The inverse is L^{-T} D^{-1} L^{-1}.
+    Only the lower triangle of ``a`` is read and the result is exactly
+    symmetric.  For N = 1 it is a reciprocal.
     """
-    out = np.empty(np.shape(a))
-    a, inv = (np.transpose(v, (-2, -1, *range(v.ndim - 2))) for v in (a, out))
+    inv = np.empty(np.shape(a))
     n = len(a)
     if n == 1:
         inv[0, 0] = 1.0 / a[0, 0]
-        return out
+        return inv
     low = [[a[i, j] for j in range(i + 1)] for i in range(n)]
     diag = []
     for j in range(n):
@@ -338,11 +325,12 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
         for j in range(i + 1):
             inv[i, j] = inv[j, i] = sum(
                 inv_l[k][i] * inv_l[k][j] / diag[k] for k in range(i, n))
-    return out
+    return inv
 
 
 def mobility_matrix(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    """Mobility matrix B = A0^{-1} G^{-1} of the entropy-variable flux.
+    """Mobility matrix B = A0^{-1} G^{-1} of the entropy-variable flux,
+    shape (N, N, ...).
 
     B is symmetric positive definite, and so is its inverse
     B^{-1} = G A0.  G is c times a diagonal plus a rank-one term, so
@@ -353,8 +341,8 @@ def mobility_matrix(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     ``spd_inverse``.
     """
     n = spec.n_reduced
-    rho_full, lead = _full_rows(rho, spec)
-    c = fraction_rows(rho_full, spec)[1]
+    rho_full, points = _full_rows(rho, spec)
+    c = _fractions(rho_full, spec)[1]
     a0 = _reduced_friction(rho_full, c, spec)
     col = a0.sum(axis=0) / rho_full[-1]
     g_a0 = c * (a0 / rho_full[:n, None] + col)
@@ -365,8 +353,7 @@ def mobility_matrix(rho: np.ndarray, spec: MixtureSpec) -> np.ndarray:
         raise FloatingPointError(
             f"mobility matrix lost symmetry: rel asymmetry {asym / scale:.3e}"
         )
-    sym = np.transpose(0.5 * (g_a0 + g_a0_t), (2, 0, 1))
-    return spd_inverse(sym).reshape(lead + (n, n))
+    return _shaped(spd_inverse(0.5 * (g_a0 + g_a0_t)), points)
 
 
 INVERSION_RTOL = 1e-14          # see densities_from_entropy
@@ -399,7 +386,7 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec) -> np.ndarray:
 
     Parameters
     ----------
-    w : array_like, shape (..., N)
+    w : array_like, shape (N, ...)
         Target entropy variables, any real values.
     """
     n = spec.n_reduced
@@ -408,7 +395,7 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     # Exponents M_i w_i + t M_i / M_{N+1} of all N+1 terms, the last one t.
     mw = np.concatenate([m[:n, None] * w_rows, np.zeros((1, w_rows.shape[1]))])
     ratio = (m / m[-1])[:, None]
-    sum_and_slope = np.hstack([np.ones_like(ratio), ratio]).T
+    sum_and_slope = np.vstack([np.ones(n + 1), ratio[:, 0]])
     t = np.minimum(0.0, (-m[-1] * w_rows).min(axis=0))
     for iters in range(100):
         x = np.exp(mw + t * ratio)
@@ -422,11 +409,12 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec) -> np.ndarray:
     rho_full = np.concatenate([rho, 1.0 - rho.sum(axis=0, keepdims=True)])
     rmin = rho_full.min(axis=0)
     if not np.all(rmin >= 1e-14):
-        p, k = np.unravel_index(np.argmin(rho_full.T), rho_full.T.shape)
+        p = np.argmin(rmin)
+        k = np.argmin(rho_full[:, p])
         raise InversionError(
             f"entropy inversion needs full density {k + 1} of {n + 1} at "
             f"{rho_full[k, p]:.3e}, below the interior margin 1e-14")
-    res = np.abs(_entropy_vars(fraction_rows(rho_full, spec)[0], spec)
+    res = np.abs(_entropy_vars(_fractions(rho_full, spec)[0], spec)
                  - w_rows)
     mass_floor = min(float(np.min(m)), 1.0)
     rep_limit = 8.0 * np.finfo(float).eps / (rmin * mass_floor)
@@ -435,11 +423,12 @@ def densities_from_entropy(w: np.ndarray, spec: MixtureSpec) -> np.ndarray:
         raise InversionError(
             f"entropy inversion did not converge: residual "
             f"{float(res.max()):.3e} after {iters + 1} iterations")
-    return _points(rho, np.shape(w)[:-1])
+    return _shaped(rho, np.shape(w)[1:])
 
 
 def lift_initial(rho_full: np.ndarray, alpha0: float) -> np.ndarray:
-    """Push initial data from the closed simplex strictly inside it.
+    """Push initial data, full densities (N+1, ...), from the closed
+    simplex strictly inside it.
 
     Each component of the full density vector is mapped to
     (rho_i + 2 alpha0) / (1 + 2 alpha0 (N+1)); the result sums to one
@@ -447,14 +436,14 @@ def lift_initial(rho_full: np.ndarray, alpha0: float) -> np.ndarray:
     0 < alpha0 < 1 / (2 (N+1)).
     """
     rho_full = np.asarray(rho_full, dtype=float)
-    n1 = rho_full.shape[-1]
+    n1 = rho_full.shape[0]
     if not 0.0 < alpha0 < 1.0 / (2.0 * n1):
         raise ValueError(
             f"alpha0 must lie in (0, {1.0 / (2.0 * n1):.4g}), got {alpha0}"
         )
     if np.any(rho_full < 0.0):
         raise MixtureDomainError("initial densities must be nonnegative")
-    sums = rho_full.sum(axis=-1)
+    sums = rho_full.sum(axis=0)
     if not np.allclose(sums, 1.0, rtol=0.0, atol=1e-12):
         raise MixtureDomainError("initial densities must sum to one")
     return (rho_full + 2.0 * alpha0) / (1.0 + 2.0 * alpha0 * n1)
@@ -465,15 +454,16 @@ def sample_simplex(rng: np.random.Generator, n_species: int, n_points: int,
     """Seeded uniform sampling of reduced densities on the open simplex.
 
     Uses exponential spacings (a flat Dirichlet draw) and rejects points
-    closer than ``margin`` to the boundary.  Returns shape (n_points, N).
+    closer than ``margin`` to the boundary.  Returns shape (N, n_points),
+    each accepted point, drawn as one row, copied into its column.
     """
-    out = np.empty((n_points, n_species - 1))
+    out = np.empty((n_species - 1, n_points))
     got = 0
     while got < n_points:
         e = rng.exponential(size=(2 * (n_points - got) + 8, n_species))
         q = e / e.sum(axis=-1, keepdims=True)
         keep = q.min(axis=-1) > margin
         q = q[keep][: n_points - got]
-        out[got:got + q.shape[0]] = q[:, :-1]
+        out[:, got:got + q.shape[0]] = q[:, :-1].T
         got += q.shape[0]
     return out

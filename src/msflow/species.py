@@ -72,7 +72,8 @@ import scipy.fft
 import scipy.sparse.linalg as spla
 
 from . import mixture
-from .grid import Grid, GridError, derivative, div, laplacian, skew_advect
+from .grid import (Grid, GridError, advect_form, derivative, div, inner,
+                   laplacian, skew_advect)
 from .iteration import SolverError, iterate
 
 
@@ -119,30 +120,48 @@ class SpeciesStepReport:
     entropy_balance_slack: float = 0.0
 
 
-def _to_points(field: np.ndarray, n_comp: int, grid: Grid) -> np.ndarray:
-    """(N, *shape) -> (cells, N)."""
-    if field.shape != (n_comp,) + grid.shape:
-        raise GridError(
-            f"species field shape {field.shape} != {(n_comp,) + grid.shape}"
-        )
-    return np.moveaxis(field, 0, -1).reshape(-1, n_comp)
+def _field(a, shape: tuple) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise GridError(f"species field shape {a.shape} != {shape}")
+    return a
 
 
-def _to_field(pts: np.ndarray, grid: Grid) -> np.ndarray:
-    n_comp = pts.shape[-1]
-    return np.moveaxis(pts.reshape(grid.shape + (n_comp,)), -1, 0)
+def _apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The per-cell products sum_j blocks[i, j] x[j] of entry-first
+    blocks (N, N, ...) and a field (N, ...), summed over j in index
+    order."""
+    out = np.zeros_like(x)
+    for j, xj in enumerate(x):
+        out += blocks[:, j] * xj
+    return out
+
+
+def _cell_mean(blocks: np.ndarray) -> np.ndarray:
+    """The mean over the cells of blocks (N, N, *shape), cell axes kept:
+    pairwise at N = 1, as ``np.mean`` adds, and one cell after the other
+    at N >= 2.  The order sets the last bits of CG's updates; with
+    pairwise sums at N = 2, the entropy-ternary-1d run and one whose CG
+    operator forms H^{-1}/tau first round apart and, from step 164, take
+    different outer passes."""
+    flat = blocks.reshape(blocks.shape[:2] + (-1,))
+    total = (flat.sum(axis=-1) if len(blocks) == 1
+             else np.cumsum(flat, axis=-1)[..., -1])
+    return (total / flat.shape[-1]).reshape(flat.shape[:2] + (1,) *
+                                            (blocks.ndim - 2))
 
 
 class SpeciesSystem:
     """The species step's operators, owned by one run.
 
     :meth:`diffusion` applies the operator that the residual and the CG
-    solve share, with the grid's slicing stencils on the points viewed
-    as (*shape, N): dn_a is the even-ghost central derivative and dd_a
-    the odd-ghost one.  The H2 block lap^T lap + I, lap the even-ghost
-    Laplacian, which is symmetric, enters only when lambda > 0.
-    ``sigma`` and ``reg_symbol`` are the DCT-II symbols of the diffusion
-    stencil and of lambda (lap^T lap + I), per mode on the grid's shape.
+    solve share, with the grid's slicing stencils on fields (N, *shape)
+    and blocks (N, N, *shape): dn_a is the even-ghost central derivative
+    and dd_a the odd-ghost one.  The H2 block lap^T lap + I, lap the
+    even-ghost Laplacian, which is symmetric, enters only when
+    lambda > 0.  ``sigma`` and ``reg_symbol`` are the DCT-II symbols of
+    the diffusion stencil and of lambda (lap^T lap + I), per mode on the
+    grid's shape.
     """
 
     def __init__(self, grid: Grid, spec: mixture.MixtureSpec,
@@ -158,46 +177,43 @@ class SpeciesSystem:
                      for t, h in zip(modes, grid.spacing))
             self.reg_symbol = params.lam * (nu * nu + 1.0)
 
-    def diffusion(self, b_blocks, w_pts) -> np.ndarray:
-        """-div(B grad w) + lambda (lap^2 w + w), on (cells, N) points."""
+    def diffusion(self, b_blocks, w) -> np.ndarray:
+        """-div(B grad w) + lambda (lap^2 w + w)."""
         grid = self.grid
-        w = w_pts.reshape(grid.shape + w_pts.shape[-1:])
         out = np.zeros_like(w)
         for a in range(grid.dim):
-            flux = np.einsum("cij,cj->ci", b_blocks, derivative(
-                grid, w, a, "neumann").reshape(w_pts.shape))
-            out -= derivative(grid, flux.reshape(w.shape), a, "dirichlet")
+            flux = _apply_blocks(b_blocks, derivative(grid, w, a, "neumann"))
+            out -= derivative(grid, flux, a, "dirichlet")
         if self.params.lam > 0.0:
             lap_w = laplacian(grid, w, "neumann")
             out += self.params.lam * (laplacian(grid, lap_w, "neumann") + w)
-        return out.reshape(w_pts.shape)
+        return out
 
     def frozen_operator(self, minv_blocks, b_blocks):
-        """x -> H^{-1} x / tau + diffusion(B, x) on flattened points, and
+        """x -> H^{-1} x / tau + diffusion(B, x) on flattened fields, and
         its preconditioner: the exact inverse at the cell-mean
         coefficients, applied mode by mode in DCT-II space."""
-        tau = self.params.tau
-        cells, n, _ = minv_blocks.shape
+        grid, tau, n = self.grid, self.params.tau, len(minv_blocks)
+        shape, axes = (n,) + grid.shape, tuple(range(1, grid.dim + 1))
 
         def matvec(x):
-            x = x.reshape(cells, n)
-            return (np.einsum("cij,cj->ci", minv_blocks, x) / tau
+            x = x.reshape(shape)
+            return (_apply_blocks(minv_blocks, x) / tau
                     + self.diffusion(b_blocks, x)).reshape(-1)
 
-        symbols = (minv_blocks.mean(axis=0) / tau
-                   + self.sigma[..., None, None] * b_blocks.mean(axis=0)
-                   + np.multiply.outer(self.reg_symbol, np.eye(n)))
+        cbar, bbar = (_cell_mean(blocks)
+                      for blocks in (minv_blocks, b_blocks))
+        symbols = (cbar / tau + self.sigma * bbar
+                   + np.eye(n).reshape(cbar.shape) * self.reg_symbol)
         inverse = mixture.spd_inverse(symbols)
-        shape, axes = self.grid.shape + (n,), tuple(range(self.grid.dim))
 
         def precondition(r):
             r_hat = scipy.fft.dctn(r.reshape(shape), type=2, norm="ortho",
                                    axes=axes)
-            z_hat = np.einsum("...ij,...j->...i", inverse, r_hat)
-            return scipy.fft.idctn(z_hat, type=2, norm="ortho",
-                                   axes=axes).reshape(-1)
+            return scipy.fft.idctn(_apply_blocks(inverse, r_hat), type=2,
+                                   norm="ortho", axes=axes).reshape(-1)
 
-        size = (cells * n,) * 2
+        size = (n * grid.n_cells,) * 2
         return (spla.LinearOperator(size, matvec, dtype=float),
                 spla.LinearOperator(size, precondition, dtype=float))
 
@@ -217,14 +233,14 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
     grid, spec, params = system.grid, system.spec, system.params
     n = spec.n_reduced
     tau, lam = params.tau, params.lam
-    divu = div(grid, u, "dirichlet").reshape(-1)
+    shape = (n,) + grid.shape
+    divu = div(grid, u, "dirichlet")
 
-    def advect(rho_pts):
+    def advect(rho):
         """Skew advection of the densities by u, plus 0.5 (div u) rho."""
-        skew = skew_advect(grid, u, _to_field(rho_pts, grid), "neumann")
-        return _to_points(skew, n, grid) + 0.5 * divu[:, None] * rho_pts
+        return skew_advect(grid, u, rho, "neumann") + 0.5 * divu * rho
 
-    rho_prev_pts = _to_points(np.asarray(rho_prev, dtype=float), n, grid)
+    rho_prev = _field(rho_prev, shape)
 
     # Residuals are measured in the discrete L2 (quadrature) norm; the
     # linear solver works in the plain vector norm, one unit of which is
@@ -240,8 +256,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
             except mixture.InversionError:
                 return None
         b = mixture.mobility_matrix(rho, spec)
-        r = ((rho - rho_prev_pts) / tau + advect(rho)
-             + system.diffusion(b, w))
+        r = (rho - rho_prev) / tau + advect(rho) + system.diffusion(b, w)
         return w, rho, b, r, sqrt_cell * float(np.linalg.norm(r))
 
     cg_iterations = 0
@@ -261,7 +276,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
             raise SpeciesSolverError(
                 f"species linear solve failed (cg info={info})", residuals)
         for halvings in range(40):
-            cand = evaluate(w + 0.5 ** halvings * delta.reshape(w.shape))
+            cand = evaluate(w + 0.5 ** halvings * delta.reshape(shape))
             if cand is not None and cand[-1] <= res:
                 return cand
         raise SpeciesSolverError(
@@ -269,34 +284,31 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
             residuals)
 
     if guess is not None:
-        guess = evaluate(_to_points(np.array(guess, dtype=float), n, grid))
-    (w_pts, rho_pts, b_blocks, _, res), residuals, from_guess = iterate(
-        evaluate(_to_points(np.asarray(w_prev, dtype=float), n, grid),
-                 rho_prev_pts.copy()),
-        guess, improve, params.tol, params.max_outer, SpeciesSolverError,
-        "outer")
+        guess = evaluate(_field(guess, shape))
+    (w, rho, b_blocks, _, res), residuals, from_guess = iterate(
+        evaluate(_field(w_prev, shape), rho_prev.copy()), guess, improve,
+        params.tol, params.max_outer, SpeciesSolverError, "outer")
 
     vol = grid.cell_volume
     entropy_before = vol * float(
-        np.sum(mixture.entropy_density(rho_prev_pts, spec)))
-    entropy_after = vol * float(np.sum(mixture.entropy_density(rho_pts, spec)))
+        np.sum(mixture.entropy_density(rho_prev, spec)))
+    entropy_after = vol * float(np.sum(mixture.entropy_density(rho, spec)))
 
-    w_grid = w_pts.reshape(grid.shape + (n,))
     dissipation = 0.0
     for a in range(grid.dim):
-        gw = derivative(grid, w_grid, a, "neumann").reshape(-1, n)
-        dissipation += vol * float(
-            np.einsum("ci,cij,cj->", gw, b_blocks, gw))
+        gw = derivative(grid, w, a, "neumann").reshape(n, -1)
+        dissipation += vol * float(np.einsum(
+            "ic,ijc,jc->", gw, b_blocks.reshape(n, n, -1), gw))
 
     h2_sq = 0.0
     if lam > 0.0:
-        lw = laplacian(grid, w_grid, "neumann")
-        h2_sq = vol * (float(np.sum(lw * lw)) + float(np.sum(w_pts * w_pts)))
+        lw = laplacian(grid, w, "neumann")
+        h2_sq = vol * (float(np.sum(lw * lw)) + float(np.sum(w * w)))
 
-    x, _ = mixture.molar_fractions(rho_pts, spec)
+    x, _ = mixture.molar_fractions(rho, spec)
     control = vol * float(
-        np.dot(divu, np.log(x[:, -1]))) / spec.molar_masses[-1]
-    advective = -vol * float(np.sum(advect(rho_pts) * w_pts))
+        np.vdot(divu, np.log(x[-1]))) / spec.molar_masses[-1]
+    advective = -vol * float(np.sum(advect(rho) * w))
 
     slack = (entropy_after + tau * dissipation + lam * tau * h2_sq) - (
         entropy_before + tau * advective)
@@ -312,4 +324,26 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         h2_sq_norm=h2_sq,
         entropy_balance_slack=slack,
     )
-    return _to_field(w_pts, grid), _to_field(rho_pts, grid), report
+    return w, rho, report
+
+
+def divergence_identity_residual(grid: Grid, u: np.ndarray, w: np.ndarray,
+                                 spec: mixture.MixtureSpec) -> float:
+    """Defect of the advective entropy-flux identity at given (u, w).
+
+    For densities rho recovered from entropy variables w, the continuum
+    identity
+
+        advect_form(u, rho, w) + 0.5 <div u, rho . w>
+            = -<div u, log(x_{N+1})> / M_{N+1}
+
+    holds exactly; discretely the defect is second order in h.  Returns
+    its absolute value.
+    """
+    rho = mixture.densities_from_entropy(w, spec)
+    x, _ = mixture.molar_fractions(rho, spec)
+    divu = div(grid, u, "dirichlet")
+    lhs = advect_form(grid, u, rho, w, "neumann")
+    lhs += 0.5 * inner(grid, divu, np.sum(rho * w, axis=0))
+    rhs = -inner(grid, divu, np.log(x[-1])) / spec.molar_masses[-1]
+    return abs(lhs - rhs)

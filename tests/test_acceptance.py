@@ -18,9 +18,14 @@ from scipy.special import xlogy
 from msflow import cli, mixture
 from msflow.config import SimConfig
 from msflow.driver import run_simulation, sweep_epsilon
-from msflow.grid import Grid, advect_form, divergence_identity_residual
+from msflow.grid import Grid, advect_form
 from msflow.mixture import MixtureSpec
-from msflow.species import SpeciesParams, SpeciesSystem, species_step
+from msflow.species import (
+    SpeciesParams,
+    SpeciesSystem,
+    divergence_identity_residual,
+    species_step,
+)
 
 from conftest import random_spec
 
@@ -115,7 +120,7 @@ def heat_scan():
             return scipy.linalg.solveh_banded(banded, field / tau)
 
         rho = theta[None].copy()
-        w = mixture.entropy_vars(theta[:, None], spec).T.copy()
+        w = mixture.entropy_vars(theta[None], spec)
         oracle = theta.copy()
         sqv = np.sqrt(grid.cell_volume)
         per_step = 0.0
@@ -155,13 +160,14 @@ def test_criterion_1_mixture_algebra(acceptance_lines):
         pts = mixture.sample_simplex(rng, n1, count)
         for matfn in (mixture.entropy_hessian, mixture.fraction_jacobian,
                       mixture.mobility_matrix):
-            m = matfn(pts, spec)
+            m = np.moveaxis(matfn(pts, spec), -1, 0)
             worst_sym = max(worst_sym, float(
                 np.abs(m - np.swapaxes(m, -1, -2)).max()))
             min_eig = min(min_eig, float(np.linalg.eigvalsh(
                 0.5 * (m + np.swapaxes(m, -1, -2))).min()))
         max_cond = max(max_cond, float(
-            np.linalg.cond(mixture.friction_matrix_reduced(pts, spec)).max()))
+            np.linalg.cond(np.moveaxis(
+                mixture.friction_matrix_reduced(pts, spec), -1, 0)).max()))
         back = mixture.densities_from_entropy(
             mixture.entropy_vars(pts, spec), spec)
         worst_round = max(worst_round, float(np.abs(back - pts).max()))
@@ -169,10 +175,10 @@ def test_criterion_1_mixture_algebra(acceptance_lines):
         fd = np.empty_like(hmat)
         delta = 1e-7
         for j in range(n1 - 1):
-            e = np.zeros(n1 - 1)
+            e = np.zeros((n1 - 1, 1))
             e[j] = delta
-            fd[..., j] = (mixture.entropy_vars(pts + e, spec)
-                          - mixture.entropy_vars(pts - e, spec)) \
+            fd[:, j] = (mixture.entropy_vars(pts + e, spec)
+                        - mixture.entropy_vars(pts - e, spec)) \
                 / (2.0 * delta)
         worst_jac = max(worst_jac, float(
             np.abs(fd - hmat).max() / np.abs(hmat).max()))
@@ -363,9 +369,9 @@ def test_criterion_10_initial_lift_study(acceptance_lines):
     h_raw = vol * float(np.sum(c * xlogy(x_raw, x_raw).sum(axis=-1)))
     gaps = []
     for alpha in (1e-2, 1e-4, 1e-6):
-        lifted = mixture.lift_initial(raw, alpha)
+        lifted = mixture.lift_initial(raw.T, alpha)
         h_lift = vol * float(np.sum(mixture.entropy_density(
-            lifted[:, :-1], spec)))
+            lifted[:-1], spec)))
         gaps.append(abs(h_lift - h_raw))
     elapsed = time.perf_counter() - start
     ok = gaps[0] > gaps[1] > gaps[2] and elapsed <= 1.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import msflow.flow as flow_mod
-from msflow import cli, driver
+from msflow import cli, driver, mixture
 from msflow.config import ConfigError, SimConfig, load_config, \
     parse_config_text
 from msflow.driver import (
@@ -436,6 +436,29 @@ def test_one_step_couples_the_species_to_the_new_velocity():
     assert abs(control - flux) <= 1e-4 * control
 
 
+def test_mixture_sees_component_first_fields(monkeypatch):
+    # The species step hands the mixture algebra its fields as stored,
+    # one component after the other, with no conversion in between.
+    seen = []
+
+    def recording(routine):
+        def wrapped(field, spec):
+            seen.append((routine.__name__, np.shape(field)))
+            return routine(field, spec)
+        return wrapped
+
+    for name in ("densities_from_entropy", "mobility_matrix",
+                 "density_jacobian"):
+        monkeypatch.setattr(mixture, name, recording(getattr(mixture, name)))
+    cfg = load_config(CONFIGS / "standard-2d.cfg", [
+        "grid.nx=16", "grid.ny=16", "scheme.steps=3", "scheme.t_final=3e-3"])
+    res = run_simulation(cfg)
+    assert {name for name, _ in seen} == {
+        "densities_from_entropy", "mobility_matrix", "density_jacobian"}
+    expected = (res.spec.n_reduced,) + res.grid.shape
+    assert all(shape == expected for _, shape in seen), set(seen)
+
+
 def test_flow_residual_floor_of_the_first_step():
     # The smallest residual that 40 passes reach on step 1 of
     # standard-2d at 16^2: 5.1e-14 in correction form, where passes
@@ -494,8 +517,8 @@ def test_asymmetric_ternary_develops_uphill_flux():
     best = -np.inf
     for rho in res.history["rho"]:
         pts = np.moveaxis(rho, 0, -1).reshape(-1, 2)
-        w = entropy_vars(pts, spec)
-        mob = mobility_matrix(pts, spec)
+        w = np.moveaxis(entropy_vars(rho, spec), 0, -1).reshape(-1, 2)
+        mob = np.moveaxis(mobility_matrix(rho, spec), -1, 0).reshape(-1, 2, 2)
         grad_w = np.stack([dn @ w[:, j] for j in range(2)], axis=-1)
         flux = -np.einsum("cij,cj->ci", mob, grad_w)
         grad_rho = dn @ pts[:, 1]

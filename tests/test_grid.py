@@ -17,7 +17,6 @@ from msflow.grid import (
     advect_form,
     derivative,
     div,
-    divergence_identity_residual,
     grad,
     grad_sq_norm,
     inner,
@@ -28,7 +27,11 @@ from msflow.grid import (
     write_snapshot,
 )
 from msflow.mixture import mobility_matrix
-from msflow.species import SpeciesParams, SpeciesSystem
+from msflow.species import (
+    SpeciesParams,
+    SpeciesSystem,
+    divergence_identity_residual,
+)
 
 from conftest import (
     assembled_advection,
@@ -136,19 +139,21 @@ def _species_diffusion_oracle(grid, b_blocks, w_pts):
 def test_slicing_stencils_match_sparse_oracle(shape, lengths, bc,
                                               ternary_spec):
     # The stencils sum each cell's terms in the order of the oracle's
-    # rows, so the first derivatives, with 0, 1 or 2 trailing component
+    # rows, so the first derivatives, with 0, 1 or 2 leading component
     # axes, the skew advection and the species diffusion agree bitwise;
     # the Laplacian within 4 ulp.  On 8 x 8 each end column is a view of
     # 8 values 64 bytes apart, on which numpy 2.4.6's
     # np.negative(x, out=y) goes wrong.
     rng = np.random.default_rng(81)
     g = Grid.box(shape, lengths)
+    grid_axes, last_axes = list(range(g.dim)), list(range(-g.dim, 0))
     for trailing in ((2,), (2, 3), ()):
-        f = rng.standard_normal(shape + trailing)
+        f_pts = rng.standard_normal(shape + trailing)
+        f = np.moveaxis(f_pts, grid_axes, last_axes)
         for a in range(g.dim):
-            ref = deriv_matrix(g, a, bc) @ f.reshape(g.n_cells, -1)
-            np.testing.assert_array_equal(
-                derivative(g, f, a, bc).reshape(g.n_cells, -1), ref)
+            ref = deriv_matrix(g, a, bc) @ f_pts.reshape(g.n_cells, -1)
+            got = np.moveaxis(derivative(g, f, a, bc), last_axes, grid_axes)
+            np.testing.assert_array_equal(got.reshape(g.n_cells, -1), ref)
     ref = laplacian_matrix(g, bc) @ f.reshape(-1)
     got = laplacian(g, f, bc).reshape(-1)
     assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.abs(
@@ -167,11 +172,13 @@ def test_slicing_stencils_match_sparse_oracle(shape, lengths, bc,
         skew_advect(g, u, v, bc).reshape(2, -1), 0.5 * ref.T)
 
     pts = 0.25 + 0.05 * rng.standard_normal((g.n_cells, 2))
-    b = mobility_matrix(pts, ternary_spec)
+    b = mobility_matrix(pts.T.reshape((2,) + shape), ternary_spec)
     w = rng.standard_normal((g.n_cells, 2))
     system = SpeciesSystem(g, ternary_spec, SpeciesParams(tau=1e-3))
-    np.testing.assert_array_equal(system.diffusion(b, w),
-                                  _species_diffusion_oracle(g, b, w))
+    got = system.diffusion(b, w.T.reshape((2,) + shape))
+    b_pts = np.moveaxis(b, (0, 1), (-2, -1)).reshape(-1, 2, 2)
+    np.testing.assert_array_equal(got.reshape(2, -1).T,
+                                  _species_diffusion_oracle(g, b_pts, w))
 
 
 def test_summation_by_parts_inner_products():
@@ -256,8 +263,8 @@ def test_gradient_shapes_and_errors():
         grad(g, np.zeros((8, 7)), "neumann")
     with pytest.raises(GridError, match="vector field shape"):
         div(g, np.zeros((3, 8, 8)))
-    with pytest.raises(GridError, match="does not start with"):
-        derivative(g, np.zeros((2, 8, 8)), 0, "neumann")
+    with pytest.raises(GridError, match="does not end with"):
+        derivative(g, np.zeros((8, 8, 2)), 0, "neumann")
     out = grad(g, np.zeros(g.shape), "neumann")
     assert out.shape == (2, 8, 8)
 

@@ -160,7 +160,7 @@ def test_lift_floor_and_sum():
     raw[0, 2] = 0.0
     raw[0] /= raw[0].sum()
     alpha = 1e-3
-    lifted = lift_initial(raw, alpha)
+    lifted = lift_initial(raw.T, alpha).T
     assert np.allclose(lifted.sum(axis=-1), 1.0, atol=1e-14)
     assert lifted.min() >= alpha
 
@@ -184,8 +184,8 @@ def test_closure_sums_to_one(ternary_spec):
     rng = np.random.default_rng(11)
     pts = sample_simplex(rng, 3, 64)
     rho_full = full_densities(pts, ternary_spec)
-    np.testing.assert_allclose(rho_full.sum(axis=-1), 1.0, atol=1e-15)
-    assert rho_full.shape == (64, 3)
+    np.testing.assert_allclose(rho_full.sum(axis=0), 1.0, atol=1e-15)
+    assert rho_full.shape == (3, 64)
 
 
 # ---------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_full_matrix_null_space(n_species):
     pts = sample_simplex(rng, n_species, 50)
     a = friction_matrix_full(pts, spec)
     rho_full = full_densities(pts, spec)
-    resid = np.einsum("cij,cj->ci", a, rho_full)
+    resid = np.einsum("ijc,jc->ic", a, rho_full)
     assert np.abs(resid).max() <= 1e-13 * np.abs(a).max()
 
 
@@ -209,12 +209,12 @@ def test_coefficient_matrices_spd(n_species):
     spec = random_spec(rng, n_species)
     pts = sample_simplex(rng, n_species, 50)
     for builder in (entropy_hessian, fraction_jacobian, mobility_matrix):
-        m = builder(pts, spec)
+        m = np.moveaxis(builder(pts, spec), -1, 0)
         asym = np.abs(m - np.swapaxes(m, -1, -2)).max()
         assert asym <= 1e-10 * np.abs(m).max()
         eigs = np.linalg.eigvalsh(m)
         assert eigs.min() > 0.0
-    a0 = friction_matrix_reduced(pts, spec)
+    a0 = np.moveaxis(friction_matrix_reduced(pts, spec), -1, 0)
     assert np.isfinite(np.linalg.cond(a0)).all()
 
 
@@ -225,9 +225,10 @@ def test_mobility_matches_explicit_inverses(n_species):
     rng = np.random.default_rng(500 + n_species)
     spec = random_spec(rng, n_species)
     pts = sample_simplex(rng, n_species, 200, margin=1e-6)
-    ref = (np.linalg.inv(friction_matrix_reduced(pts, spec))
-           @ np.linalg.inv(fraction_jacobian(pts, spec)))
-    err = np.abs(mobility_matrix(pts, spec) - ref).max(axis=(-2, -1))
+    a0, g, b = (np.moveaxis(f(pts, spec), -1, 0) for f in (
+        friction_matrix_reduced, fraction_jacobian, mobility_matrix))
+    ref = np.linalg.inv(a0) @ np.linalg.inv(g)
+    err = np.abs(b - ref).max(axis=(-2, -1))
     assert (err <= 1e-8 * np.abs(ref).max(axis=(-2, -1))).all()
 
 
@@ -243,10 +244,10 @@ def test_jacobian_consistency(n_species):
     fd = np.empty_like(h)
     delta = 1e-7
     for j in range(n):
-        e = np.zeros(n)
+        e = np.zeros((n, 1))
         e[j] = delta
-        fd[..., j] = (entropy_vars(pts + e, spec)
-                      - entropy_vars(pts - e, spec)) / (2.0 * delta)
+        fd[:, j] = (entropy_vars(pts + e, spec)
+                    - entropy_vars(pts - e, spec)) / (2.0 * delta)
     # dw_i/drho_j lands in column j; H is symmetric so the
     # orientation does not matter for the comparison.
     assert np.abs(fd - h).max() <= 1e-6 * np.abs(h).max()
@@ -264,7 +265,7 @@ def test_entropy_roundtrip(n_species):
 def test_roundtrip_near_boundary(binary_spec):
     # States down to 1e-9 from the simplex boundary invert to machine
     # precision.
-    r = np.array([[1e-9], [1.0 - 1e-9], [0.5]])
+    r = np.array([[1e-9, 1.0 - 1e-9, 0.5]])
     w = entropy_vars(r, binary_spec)
     back = densities_from_entropy(w, binary_spec)
     assert np.abs((back - r) / r).max() <= 1e-8
@@ -316,7 +317,7 @@ def mixed_scale_targets(draw):
                               max_size=n_species))
     rho_full = 10.0 ** np.array(exponents)
     rho_full /= rho_full.sum()
-    return spec, entropy_vars(rho_full[None, :-1], spec)
+    return spec, entropy_vars(rho_full[:-1, None], spec)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -327,13 +328,13 @@ def test_inversion_meets_relative_tolerance(case):
     # interior state.
     spec, w = case
     rho = densities_from_entropy(w, spec)
-    last = 1.0 - rho.sum(axis=-1)
+    last = 1.0 - rho.sum(axis=0)
     assert (rho > 0.0).all() and (last > 0.0).all()
     res = np.abs(entropy_vars(rho, spec) - w)
     floor = 8.0 * np.finfo(float).eps / (
-        np.minimum(rho.min(axis=-1), last) * min(spec.molar_masses.min(), 1.0))
+        np.minimum(rho.min(axis=0), last) * min(spec.molar_masses.min(), 1.0))
     assert (res <= np.maximum(mixture.INVERSION_RTOL * (1.0 + np.abs(w)),
-                              floor[:, None])).all()
+                              floor[None, :])).all()
 
 
 def _exact_density_jacobian(rho_full, m):
@@ -364,14 +365,14 @@ def test_density_jacobian_inverts_the_entropy_hessian(case):
     # closed form keeps every entry to roundoff of its own scale.
     spec, w = case
     rho = densities_from_entropy(w, spec)
-    h = entropy_hessian(rho, spec)[0]
-    jac = density_jacobian(rho, spec)[0]
+    h = entropy_hessian(rho, spec)[..., 0]
+    jac = density_jacobian(rho, spec)[..., 0]
     assert np.array_equal(jac, jac.T)
     bound = 1e-10 + 8.0 * np.finfo(float).eps * np.linalg.cond(h)
     assert np.abs(jac @ h - np.eye(len(h))).max() <= bound
     ref = np.linalg.inv(h)
     assert np.abs(jac - ref).max() <= bound * np.abs(ref).max()
-    exact = _exact_density_jacobian(full_densities(rho, spec)[0],
+    exact = _exact_density_jacobian(full_densities(rho, spec)[:, 0],
                                     spec.molar_masses)
     scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
     assert (np.abs(jac - exact) <= 1e-13 * scale).all()
@@ -383,7 +384,8 @@ def test_spd_inverse_matches_lapack(n, lead):
     rng = np.random.default_rng(10 * n + len(lead))
     x = rng.standard_normal(lead + (n, n))
     a = x @ np.swapaxes(x, -1, -2) + 0.1 * np.eye(n)
-    inv = spd_inverse(a)
+    inv = np.moveaxis(spd_inverse(np.moveaxis(a, (-2, -1), (0, 1))), (0, 1),
+                      (-2, -1))
     ref = np.linalg.inv(a)
     assert inv.shape == a.shape
     assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
@@ -407,17 +409,19 @@ def test_mixture_routines_match_the_points_last_oracle(n_species):
     rng = np.random.default_rng(230 + n_species)
     spec = random_spec(rng, n_species)
     rho = sample_simplex(rng, n_species, 4096)
-    w = entropy_vars(rho, spec) + 0.1 * rng.standard_normal(rho.shape)
+    w = entropy_vars(rho, spec) + 0.1 * rng.standard_normal(rho.shape[::-1]).T
     got = densities_from_entropy(w, spec)
-    ref = oracle_densities_from_entropy(w, spec)
+    ref = oracle_densities_from_entropy(w.T, spec).T
     assert got.shape == ref.shape and got.flags.c_contiguous
     if n_species == 2:
         np.testing.assert_array_equal(got, ref)
     assert (np.abs(got - ref) <= 4 * np.spacing(ref)).all()
     for routine, oracle in ((density_jacobian, oracle_density_jacobian),
                             (mobility_matrix, oracle_mobility_matrix)):
-        got, ref = routine(rho, spec), oracle(rho, spec)
-        assert got.shape == ref.shape and got.flags.c_contiguous
+        got, ref = routine(rho, spec), oracle(rho.T, spec)
+        assert got.flags.c_contiguous
+        got = np.moveaxis(got, -1, 0)
+        assert got.shape == ref.shape
         if n_species == 2:
             np.testing.assert_array_equal(got, ref)
         ulp = np.spacing(np.abs(ref).max(axis=(-2, -1)))
@@ -442,7 +446,7 @@ def test_mixture_errors_match_the_oracle(routine, oracle, spec_name, x,
                                          request):
     spec = request.getfixturevalue(spec_name)
     with pytest.raises((InversionError, MixtureDomainError)) as got:
-        routine(np.array(x), spec)
+        routine(np.array(x).T, spec)
     with pytest.raises(type(got.value)) as ref:
         oracle(np.array(x), spec)
     assert str(got.value) == str(ref.value)
@@ -451,8 +455,8 @@ def test_mixture_errors_match_the_oracle(routine, oracle, spec_name, x,
 def test_sample_simplex_properties():
     rng = np.random.default_rng(5)
     pts = sample_simplex(rng, 4, 500, margin=1e-2)
-    assert pts.shape == (500, 3)
-    full = np.concatenate([pts, 1.0 - pts.sum(-1, keepdims=True)], axis=-1)
+    assert pts.shape == (3, 500)
+    full = np.concatenate([pts, 1.0 - pts.sum(0, keepdims=True)])
     assert full.min() > 1e-2
     rng2 = np.random.default_rng(5)
     again = sample_simplex(rng2, 4, 500, margin=1e-2)

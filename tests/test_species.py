@@ -45,8 +45,13 @@ def cosine_binary_state(grid, spec, amplitude):
     """Strictly interior binary profile and its entropy variables."""
     x = grid.cell_centers()[0]
     rho = (0.5 + amplitude * np.cos(np.pi * x / grid.lengths[0]))[None]
-    w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), spec), -1, 0)
+    w = entropy_vars(rho, spec)
     return w, rho
+
+
+def entry_first(blocks, grid):
+    """Points-last blocks (cells, N, N) as the solver's (N, N, *shape)."""
+    return np.moveaxis(blocks, 0, -1).reshape(blocks.shape[1:] + grid.shape)
 
 
 def still(grid):
@@ -96,8 +101,7 @@ def test_params_validation():
 def test_uniform_state_is_fixed_point(binary_spec):
     g = Grid.box((16,), (1.0,))
     rho = np.full((1,) + g.shape, 0.4)
-    w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), binary_spec),
-                    -1, 0)
+    w = entropy_vars(rho, binary_spec)
     params = SpeciesParams(tau=1e-3)
     system = SpeciesSystem(g, binary_spec, params)
     w2, rho2, report = species_step(system, w, rho, still(g))
@@ -127,12 +131,18 @@ def test_frozen_operator_is_spd(ternary_spec, shape):
     pts = 0.25 + 0.05 * rng.standard_normal((g.n_cells, 2))
     params = SpeciesParams(tau=1e-3, lam=1e-4)
     # The frozen-coefficient operator exactly as CG gets it.
-    minv = np.linalg.inv(entropy_hessian(pts, ternary_spec))
-    b = mobility_matrix(pts, ternary_spec)
-    op, _ = SpeciesSystem(g, ternary_spec, params).frozen_operator(minv, b)
+    minv = np.linalg.inv(np.moveaxis(entropy_hessian(pts.T, ternary_spec),
+                                     -1, 0))
+    b = np.moveaxis(mobility_matrix(pts.T, ternary_spec), -1, 0)
+    op, _ = SpeciesSystem(g, ternary_spec, params).frozen_operator(
+        entry_first(minv, g), entry_first(b, g))
     size = 2 * g.n_cells
     assert op.shape == (size, size)
     dense = np.column_stack([op.matvec(e) for e in np.eye(size)])
+    # CG's vectors hold one component after the other; the reference
+    # below holds the components of one cell after the other.
+    cell_major = np.arange(size).reshape(2, -1).T.reshape(-1)
+    dense = dense[np.ix_(cell_major, cell_major)]
     assert np.abs(dense - dense.T).max() <= 1e-10 * np.abs(dense).max()
     np.linalg.cholesky(dense)
     # Reference: the same operator assembled densely, component-lifted.
@@ -157,10 +167,13 @@ def test_preconditioner_inverts_constant_coefficient_operator(
     g = Grid.box(shape, (1.0, 1.5)[:len(shape)])
     n = spec.n_reduced
     pt = np.full((1, n), 0.6 / (n + 1)) + 0.1 * np.arange(n) / n
-    minv = np.repeat(np.linalg.inv(entropy_hessian(pt, spec)), g.n_cells, 0)
-    b = np.repeat(mobility_matrix(pt, spec), g.n_cells, 0)
+    minv = np.repeat(np.linalg.inv(np.moveaxis(entropy_hessian(pt.T, spec),
+                                               -1, 0)), g.n_cells, 0)
+    b = np.repeat(np.moveaxis(mobility_matrix(pt.T, spec), -1, 0),
+                  g.n_cells, 0)
     params = SpeciesParams(tau=1e-3, lam=lam)
-    op, precond = SpeciesSystem(g, spec, params).frozen_operator(minv, b)
+    op, precond = SpeciesSystem(g, spec, params).frozen_operator(
+        entry_first(minv, g), entry_first(b, g))
     eye = np.eye(n * g.n_cells)
     dense = np.column_stack([op.matvec(e) for e in eye])
     inverse = np.column_stack([precond.matvec(e) for e in eye])
@@ -187,8 +200,8 @@ def prescaled(frozen_operator):
         scaled = minv_blocks / system.params.tau
 
         def matvec(x):
-            x = x.reshape(scaled.shape[:2])
-            return (np.einsum("cij,cj->ci", scaled, x)
+            x = x.reshape(scaled.shape[1:])
+            return (np.einsum("ij...,j...->i...", scaled, x)
                     + system.diffusion(b_blocks, x)).reshape(-1)
 
         return (spla.LinearOperator(precond.shape, matvec, dtype=float),
@@ -248,8 +261,7 @@ def test_mass_conserved_with_divfree_flow(binary_spec):
     u[1] = -(dx @ psi.reshape(-1)).reshape(g.shape)
     prof = np.cos(np.pi * xs[0]) * np.cos(np.pi * xs[1])
     rho = (0.5 + 0.2 * prof)[None]
-    w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), binary_spec),
-                    -1, 0)
+    w = entropy_vars(rho, binary_spec)
     params = SpeciesParams(tau=1e-3, tol=1e-11)
     system = SpeciesSystem(g, binary_spec, params)
     mass0 = g.cell_volume * rho.sum()
@@ -266,8 +278,7 @@ def test_entropy_decreases_without_flow(ternary_spec):
     m = ternary_spec.molar_masses
     weight = m[0] * xfr[0] + m[1] * xfr[1] + m[2] * (1 - xfr.sum(0))
     rho = np.stack([m[i] * xfr[i] / weight for i in range(2)])
-    w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), ternary_spec),
-                    -1, 0)
+    w = entropy_vars(rho, ternary_spec)
     params = SpeciesParams(tau=1e-3, tol=1e-11)
     system = SpeciesSystem(g, ternary_spec, params)
     entropies = []
@@ -347,7 +358,7 @@ def test_advected_binary_matches_scalar_advection_diffusion():
         solve = spla.factorized(advection_diffusion_matrix(g, u, d12, tau))
         theta = 0.5 + amp * np.cos(np.pi * xs[0])
         rho = theta[None].copy()
-        w = np.moveaxis(entropy_vars(np.moveaxis(rho, 0, -1), spec), -1, 0)
+        w = entropy_vars(rho, spec)
         system = SpeciesSystem(g, spec, params)
         oracle = theta.reshape(-1)
         for _ in range(steps):
