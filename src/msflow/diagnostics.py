@@ -97,11 +97,9 @@ class SimLedger:
         for comp in np.sqrt(mixture.molar_fractions(rho, spec)[0]):
             g = grad(self.grid, comp, "neumann")
             gsq += inner(self.grid, g, g)
-        # A running sum adds the cells one by one in storage order, where
-        # sum(axis=1) would add them pairwise and move the masses by ulps.
         rho_full = mixture.full_densities(rho, spec).reshape(
             spec.n_species, -1)
-        masses = self.grid.cell_volume * np.cumsum(rho_full, axis=1)[:, -1]
+        masses = self.grid.cell_volume * rho_full.sum(axis=1)
         min_density = float(rho_full.min())
         closure = float(np.abs(rho_full.sum(axis=0) - 1.0).max())
         return gsq, masses, min_density, closure

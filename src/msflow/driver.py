@@ -7,8 +7,8 @@ steps.  ``reference_incompressible`` runs the same time loop on its
 incompressible limit, whose saddle system keeps the velocity
 divergence at machine precision each step; it provides the limit
 object for the relaxation sweep.  Each run builds its flow and species
-operators once, among them the flow step's transform inverse, and
-drops them all when it returns.
+operators once, before its first step, among them the flow step's
+transform inverse, and drops them all when it returns.
 With ``write_outputs`` the ledger is written even when a solver fails,
 up to the last completed step; each completed step is also logged at
 INFO level with its iteration counts.  ``sweep_epsilon`` runs the

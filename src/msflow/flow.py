@@ -17,7 +17,7 @@ eps_mach |u| tau/(eps h^2), stalls the loop above its tolerance at
 small eps or large velocities.  One Picard loop, ``flow_step``, runs
 in correction form x <- x - A^-1 r, r the stacked residual of the
 iterate (Moler, J. ACM 14, 1967).  Every pass applies the inverse of
-the advection-free matrix A, which the system builds on its first step
+the advection-free matrix A, which the system builds when it is made
 and keeps for the run, and so lags the advection; if that stops
 contracting, the advection is frozen at the current velocity and the
 pass solves that matrix by GMRES, preconditioned by A^-1.
@@ -365,7 +365,7 @@ class FlowSystem:
     stacked solve.  The residuals apply the grid's slicing stencils
     (``grad``, ``div``, ``laplacian``, ``skew_advect``), so the one
     operator the system holds is the advection-free inverse, a
-    :class:`SpectralInverse`, built on the first step.  It lives as
+    :class:`SpectralInverse`, built with the system.  It lives as
     long as the object, so a run that returns drops it.  A pass with
     frozen advection solves by GMRES on it.
     """
@@ -373,7 +373,7 @@ class FlowSystem:
     def __init__(self, grid: Grid, params: FlowParams):
         self.grid = grid
         self.params = params
-        self.inverse = None     # the lagged passes' inverse, once built
+        self.inverse = self.lagged_inverse()
 
     def lagged_inverse(self):
         """The inverse of the advection-free step matrix."""
@@ -454,8 +454,6 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     f_avg = np.asarray(f_avg, dtype=float)
     if f_avg.shape != u_prev.shape:
         raise GridError("forcing shape does not match the velocity field")
-    if system.inverse is None:
-        system.inverse = system.lagged_inverse()
 
     def evaluate(u, p=None):
         """The iterate (u, p, r, |r|), r the momentum residual at (u, p);

@@ -127,30 +127,6 @@ def _field(a, shape: tuple) -> np.ndarray:
     return a
 
 
-def _apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The per-cell products sum_j blocks[i, j] x[j] of entry-first
-    blocks (N, N, ...) and a field (N, ...), summed over j in index
-    order."""
-    out = np.zeros_like(x)
-    for j, xj in enumerate(x):
-        out += blocks[:, j] * xj
-    return out
-
-
-def _cell_mean(blocks: np.ndarray) -> np.ndarray:
-    """The mean over the cells of blocks (N, N, *shape), cell axes kept:
-    pairwise at N = 1, as ``np.mean`` adds, and one cell after the other
-    at N >= 2.  The order sets the last bits of CG's updates; with
-    pairwise sums at N = 2, the entropy-ternary-1d run and one whose CG
-    operator forms H^{-1}/tau first round apart and, from step 164, take
-    different outer passes."""
-    flat = blocks.reshape(blocks.shape[:2] + (-1,))
-    total = (flat.sum(axis=-1) if len(blocks) == 1
-             else np.cumsum(flat, axis=-1)[..., -1])
-    return (total / flat.shape[-1]).reshape(flat.shape[:2] + (1,) *
-                                            (blocks.ndim - 2))
-
-
 class SpeciesSystem:
     """The species step's operators, owned by one run.
 
@@ -182,7 +158,8 @@ class SpeciesSystem:
         grid = self.grid
         out = np.zeros_like(w)
         for a in range(grid.dim):
-            flux = _apply_blocks(b_blocks, derivative(grid, w, a, "neumann"))
+            flux = np.einsum("ij...,j...->i...", b_blocks,
+                             derivative(grid, w, a, "neumann"))
             out -= derivative(grid, flux, a, "dirichlet")
         if self.params.lam > 0.0:
             lap_w = laplacian(grid, w, "neumann")
@@ -198,10 +175,11 @@ class SpeciesSystem:
 
         def matvec(x):
             x = x.reshape(shape)
-            return (_apply_blocks(minv_blocks, x) / tau
+            return (np.einsum("ij...,j...->i...", minv_blocks, x) / tau
                     + self.diffusion(b_blocks, x)).reshape(-1)
 
-        cbar, bbar = (_cell_mean(blocks)
+        cells = tuple(range(2, grid.dim + 2))
+        cbar, bbar = (blocks.mean(axis=cells, keepdims=True)
                       for blocks in (minv_blocks, b_blocks))
         symbols = (cbar / tau + self.sigma * bbar
                    + np.eye(n).reshape(cbar.shape) * self.reg_symbol)
@@ -210,8 +188,9 @@ class SpeciesSystem:
         def precondition(r):
             r_hat = scipy.fft.dctn(r.reshape(shape), type=2, norm="ortho",
                                    axes=axes)
-            return scipy.fft.idctn(_apply_blocks(inverse, r_hat), type=2,
-                                   norm="ortho", axes=axes).reshape(-1)
+            z_hat = np.einsum("ij...,j...->i...", inverse, r_hat)
+            return scipy.fft.idctn(z_hat, type=2, norm="ortho",
+                                   axes=axes).reshape(-1)
 
         size = (n * grid.n_cells,) * 2
         return (spla.LinearOperator(size, matvec, dtype=float),

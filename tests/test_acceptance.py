@@ -97,7 +97,10 @@ def heat_scan():
     spec = MixtureSpec(np.array([1.0, 1.0]),
                        np.array([[0.0, 2.0], [2.0, 0.0]]))
     d12, tau, steps, amp = 2.0, 5e-5, 20, 0.005
-    params = SpeciesParams(tau=tau, lam=0.0, tol=1e-12)
+    # The tolerance sits just above the residual's rounding floor
+    # 4 eps sqrt(|domain|) / tau = 1.78e-11, which SimConfig.validate
+    # enforces on configs.
+    params = SpeciesParams(tau=tau, lam=0.0, tol=2e-11)
     start = time.perf_counter()
     out = {}
     min_rho = np.inf

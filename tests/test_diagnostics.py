@@ -9,9 +9,10 @@ import scipy.linalg
 from msflow.config import SimConfig
 from msflow.diagnostics import DISPLAY_FLOOR, SimLedger, poincare_constant
 from msflow.driver import run_simulation
-from msflow.flow import FlowState
+from msflow.flow import FlowState, FlowStepReport
 from msflow.grid import Grid
 from msflow.mixture import MixtureSpec
+from msflow.species import SpeciesStepReport
 
 from conftest import laplacian_matrix
 
@@ -117,6 +118,22 @@ def test_record_initial_uniform_binary_values():
     assert row["min_density"] == 0.5
     assert row["closure_defect"] == 0.0
     assert led.clamp_events == 0
+
+
+def test_row_does_not_depend_on_the_memory_layout(ternary_spec):
+    # A sum that follows the storage order adds the cells of a Fortran-
+    # ordered field in another order and moves the masses by ulps.
+    grid = Grid.box((16, 12), (1.0, 1.5))
+    rho = 0.2 + 0.1 * np.random.default_rng(5).random((2,) + grid.shape)
+    rows = []
+    for field in (rho, np.asfortranarray(rho)):
+        led = SimLedger(grid, ternary_spec, tau=1e-3, eps=1e-2, lam=0.0,
+                        flow_tol=1e-10, species_tol=1e-10)
+        led.record_step(1, FlowState.zero(grid), FlowStepReport(),
+                        np.zeros((2,) + grid.shape), field,
+                        SpeciesStepReport())
+        rows.append(led.rows[0])
+    assert rows[0] == rows[1]
 
 
 @pytest.fixture(scope="module")

@@ -396,7 +396,7 @@ def test_step_is_deterministic():
     state = FlowState(stream_velocity(g, 0.4), np.zeros(g.shape))
     params = FlowParams(tau=1e-3, eps=1e-2)
     f = average_force(Forcing("constant", (0.1, 0.2)), g, 1, params.tau)
-    # The second step reuses the inverse the first one built.
+    # Both steps use the one inverse the system holds.
     system = FlowSystem(g, params)
     a, _ = flow_step(system, state.copy(), f)
     b, _ = flow_step(system, state.copy(), f)
@@ -432,7 +432,6 @@ def test_saddle_solve_matches_dense_mean_bordered_system(frozen):
     ref = np.linalg.solve(dense, np.concatenate([rhs.reshape(-1),
                                                  np.zeros(n + 1)]))
     zero = np.zeros(g.shape)
-    system.inverse = system.lagged_inverse()
     solve = system.frozen_solve(w) if frozen else system.inverse.solve
     u, p = system.correct(solve, np.zeros_like(rhs), zero, -rhs, zero)
     got = np.concatenate([u.reshape(-1), p.reshape(-1)])
@@ -454,7 +453,6 @@ def test_ordered_solve_matches_spsolve(eps, frozen):
     w = rng.standard_normal((2,) + g.shape) if frozen else None
     rhs = rng.standard_normal((2,) + g.shape)
     zero = np.zeros(g.shape)
-    system.inverse = system.lagged_inverse()
     solve = system.frozen_solve(w) if frozen else system.inverse.solve
     u, p = system.correct(solve, np.zeros_like(rhs), zero, -rhs, zero)
     mat = step_matrix(system, w)
