@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run <config>``: advance the relaxed solver, write ledger CSV and
-  snapshots, print the ledger's verdict, one FAIL line per broken rule.
+  snapshots, print the ledger's verdict, one FAIL line per broken rule
+  and the first step that breaks one.
   ``-v`` also prints one line per step with its iteration counts and
   whether each solve started from the extrapolated guess.
 * ``sweep-eps <config> --eps 1e-1,1e-2``: relaxation sweep against the
@@ -109,6 +110,8 @@ def _cmd_run(cfg, verbose: bool = False) -> int:
     for label, ok, detail in bounds.rules:
         if not ok:
             _Checker().check(ok, label, detail)
+    if bounds.first_violation is not None:
+        print(f"first failing step: {bounds.first_violation}")
     print(f"ledger written to "
           f"{os.path.join(cfg.out_dir, cfg.csv_name)}")
     return 0 if bounds.ok else 1

@@ -55,6 +55,7 @@ import scipy.sparse.linalg as spla
 from .grid import (
     Grid,
     GridError,
+    check_field,
     div,
     grad,
     grad_sq_norm,
@@ -451,9 +452,7 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
     grid, params = system.grid, system.params
     tau, eps = params.tau, params.eps
     u_prev, p_prev = state.u, state.p
-    f_avg = np.asarray(f_avg, dtype=float)
-    if f_avg.shape != u_prev.shape:
-        raise GridError("forcing shape does not match the velocity field")
+    f_avg = check_field(grid, f_avg, (grid.dim,), "forcing")
 
     def evaluate(u, p=None):
         """The iterate (u, p, r, |r|), r the momentum residual at (u, p);
@@ -480,10 +479,7 @@ def flow_step(system: FlowSystem, state: FlowState, f_avg: np.ndarray,
         return evaluate(*system.correct(solve, u, p, r, p_prev))
 
     if guess is not None:
-        guess = np.array(guess, dtype=float)
-        if guess.shape != u_prev.shape:
-            raise GridError("guess shape does not match the velocity field")
-        guess = evaluate(guess)
+        guess = evaluate(check_field(grid, guess, (grid.dim,), "guess"))
     (u, p, _, res), residuals, from_guess = iterate(
         evaluate(u_prev.copy()), guess, improve, params.tol,
         params.max_picard, FlowSolverError, "Picard")

@@ -3,9 +3,10 @@
 Fields live at cell centers x_i = (i + 1/2) h, stored component-first
 as (C, *shape): velocity (dim, *shape), species densities and entropy
 variables (N, *shape), a scalar (*shape).  This is the package's one
-field layout: the stencils below take the grid axes last, leading
-component axes riding along, and the mixture algebra reads a field as
-rows (C, P), P = prod(shape), by a reshape.
+field layout, and :func:`check_field` is its one check, for every
+module: the stencils below take the grid axes last, leading component
+axes riding along, and the mixture algebra reads a field as rows
+(C, P), P = prod(shape), by a reshape.
 
 Two ghost-cell conventions define how stencils see the boundary:
 
@@ -121,37 +122,31 @@ class Grid:
         return np.stack(np.meshgrid(*axes, indexing="ij"))
 
 
-def _check_field(grid: Grid, f: np.ndarray, kind: str) -> np.ndarray:
+def check_field(grid: Grid, f, lead=None, what: str = "field") -> np.ndarray:
+    """The field layout's one check: ``f`` as floats, the grid's axes last.
+
+    Leading (component) axes ride along.  When ``lead`` is given they
+    must have that shape, where -1 takes any length, and with ``lead``
+    (-1,) a field of the grid's shape alone is one component.  ``what``
+    names the field in the error.
+    """
     f = np.asarray(f, dtype=float)
-    if kind == "scalar":
-        if f.shape != grid.shape:
-            raise GridError(f"scalar field shape {f.shape} != {grid.shape}")
-    elif kind == "vector":
-        if f.shape != (grid.dim,) + grid.shape:
-            raise GridError(
-                f"vector field shape {f.shape} != {(grid.dim,) + grid.shape}"
-            )
-    elif kind == "components":
-        if f.ndim == grid.dim:
-            f = f[None]
-        if f.shape[1:] != grid.shape:
-            raise GridError(
-                f"component field shape {f.shape} does not match {grid.shape}"
-            )
+    if f.shape[f.ndim - grid.dim:] != grid.shape:
+        raise GridError(f"{what} shape {f.shape} does not end with "
+                        f"{grid.shape}")
+    if lead is None:
+        return f
+    if lead == (-1,) and f.ndim == grid.dim:
+        f = f[None]
+    if f.ndim != len(lead) + grid.dim or any(
+            n not in (m, -1) for m, n in zip(f.shape, lead)):
+        raise GridError(f"{what} shape {f.shape} != {lead + grid.shape}")
     return f
 
 
 def _check_bc(bc: str) -> None:
     if bc not in _ADJOINT_BC:
         raise GridError(f"unknown boundary tag {bc!r}")
-
-
-def _grid_last(grid: Grid, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape[f.ndim - grid.dim:] != grid.shape:
-        raise GridError(f"field shape {f.shape} does not end with "
-                        f"{grid.shape}")
-    return f
 
 
 def _along(grid: Grid, axis: int, start, stop) -> tuple:
@@ -173,7 +168,7 @@ def derivative(grid: Grid, f: np.ndarray, axis: int, bc: str) -> np.ndarray:
     odd ones, the IEEE arithmetic of f[1] - ghost and ghost - f[-2].
     """
     _check_bc(bc)
-    f = _grid_last(grid, f)
+    f = check_field(grid, f)
     cf = np.multiply(f, 1.0 / (2.0 * grid.spacing[axis]), order="C")
     out = np.empty_like(cf)
     s = math.prod(grid.shape[axis + 1:])
@@ -198,36 +193,33 @@ def laplacian(grid: Grid, f: np.ndarray, bc: str) -> np.ndarray:
     ``f`` has the grid's axes last, as for :func:`derivative`.  Along
     each axis the second difference (f[i-1] - 2 f[i] + f[i+1]) / h^2
     folds the ghost into the end cell's weight: -1/h^2 for even ghosts,
-    -3/h^2 for odd ones.  Each cell sums its terms in the storage order
-    of the cells they read (lower neighbours, itself, upper neighbours),
-    the order in which a sparse product sums a matrix row.
+    -3/h^2 for odd ones.  Each cell takes its diagonal term first, then
+    both neighbours along each axis in turn.
     """
     _check_bc(bc)
-    f = _grid_last(grid, f)
-    scaled, diag = [], 0.0
+    f = check_field(grid, f)
+    diag = 0.0
     for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
         d = np.full(n, -2.0)
         d[0] = d[-1] = -1.0 if bc == "neumann" else -3.0
         diag = diag + (d / (h * h)).reshape((n,) + (1,) * (grid.dim - a - 1))
-        scaled.append(f * (1.0 / (h * h)))
-    out = np.zeros_like(f)
-    for a, cf in enumerate(scaled):
+    out = diag * f
+    for a, h in enumerate(grid.spacing):
+        cf = f * (1.0 / (h * h))
         out[_along(grid, a, 1, None)] += cf[_along(grid, a, None, -1)]
-    out += diag * f
-    for a, cf in reversed(list(enumerate(scaled))):
         out[_along(grid, a, None, -1)] += cf[_along(grid, a, 1, None)]
     return out
 
 
 def grad(grid: Grid, f: np.ndarray, bc: str) -> np.ndarray:
     """Central-difference gradient of a scalar field, shape (dim, *shape)."""
-    f = _check_field(grid, f, "scalar")
+    f = check_field(grid, f, (), "scalar field")
     return np.stack([derivative(grid, f, a, bc) for a in range(grid.dim)])
 
 
 def div(grid: Grid, v: np.ndarray, bc: str = "dirichlet") -> np.ndarray:
     """Divergence of a vector field (default: velocity ghost rule)."""
-    v = _check_field(grid, v, "vector")
+    v = check_field(grid, v, (grid.dim,), "vector field")
     out = derivative(grid, v[0], 0, bc)
     for a in range(1, grid.dim):
         out += derivative(grid, v[a], a, bc)
@@ -256,8 +248,8 @@ def advect_form(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray,
     Antisymmetric in (v, w), and advect_form(u, v, v) = 0, to roundoff
     only if the operator is skew-adjoint, so both identities test it.
     """
-    v = _check_field(grid, v, "components")
-    w = _check_field(grid, w, "components")
+    v = check_field(grid, v, (-1,), "component field")
+    w = check_field(grid, w, (-1,), "component field")
     if v.shape != w.shape:
         raise GridError("advect_form arguments must have matching shapes")
     return inner(grid, skew_advect(grid, u, v, bc), w)
@@ -271,8 +263,8 @@ def skew_advect(grid: Grid, u: np.ndarray, v: np.ndarray,
     part takes its adjoint rule, so the operator is exactly
     skew-adjoint in the quadrature inner product.
     """
-    u = _check_field(grid, u, "vector")
-    v = _check_field(grid, v, "components")
+    u = check_field(grid, u, (grid.dim,), "vector field")
+    v = check_field(grid, v, (-1,), "component field")
     out = np.zeros_like(v)
     for a in range(grid.dim):
         out += u[a] * derivative(grid, v, a, bc)
@@ -287,18 +279,15 @@ def grad_sq_norm(grid: Grid, u: np.ndarray) -> float:
     the form entering the discrete energy balance.  Sum of squares, so
     never negative.
     """
-    u = _check_field(grid, u, "components")
+    u = check_field(grid, u, (-1,), "component field")
     total = 0.0
-    vol = grid.cell_volume
-    for comp in u:
-        for a in range(grid.dim):
-            h = grid.spacing[a]
-            moved = np.moveaxis(comp, a, 0)
-            diffs = np.diff(moved, axis=0)
-            s = np.sum(diffs * diffs)
-            s += 2.0 * np.sum(moved[0] * moved[0])
-            s += 2.0 * np.sum(moved[-1] * moved[-1])
-            total += s * vol / (h * h)
+    for a, h in enumerate(grid.spacing):
+        diffs = np.diff(u, axis=a - grid.dim)
+        lo, hi = u[_along(grid, a, 0, 1)], u[_along(grid, a, -1, None)]
+        s = np.vdot(diffs, diffs)
+        s += 2.0 * np.vdot(lo, lo)
+        s += 2.0 * np.vdot(hi, hi)
+        total += s * grid.cell_volume / (h * h)
     return float(total)
 
 
@@ -309,7 +298,7 @@ def write_snapshot(path, grid: Grid, name: str, time: float,
     Values are printed with shortest round-trip decimal representation,
     one cell per line (components space-separated, row-major cells).
     """
-    data = _check_field(grid, data, "components")
+    data = check_field(grid, data, (-1,), "component field")
     ncomp = data.shape[0]
     flat = data.reshape(ncomp, -1).T
     lines = [

@@ -304,9 +304,6 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     """
     inv = np.empty(np.shape(a))
     n = len(a)
-    if n == 1:
-        inv[0, 0] = 1.0 / a[0, 0]
-        return inv
     low = [[a[i, j] for j in range(i + 1)] for i in range(n)]
     diag = []
     for j in range(n):

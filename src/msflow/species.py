@@ -72,8 +72,8 @@ import scipy.fft
 import scipy.sparse.linalg as spla
 
 from . import mixture
-from .grid import (Grid, GridError, advect_form, derivative, div, inner,
-                   laplacian, skew_advect)
+from .grid import (Grid, advect_form, check_field, derivative, div,
+                   inner, laplacian, skew_advect)
 from .iteration import SolverError, iterate
 
 
@@ -118,13 +118,6 @@ class SpeciesStepReport:
     advective_entropy_flux: float = 0.0
     h2_sq_norm: float = 0.0
     entropy_balance_slack: float = 0.0
-
-
-def _field(a, shape: tuple) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape != shape:
-        raise GridError(f"species field shape {a.shape} != {shape}")
-    return a
 
 
 class SpeciesSystem:
@@ -212,14 +205,13 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
     grid, spec, params = system.grid, system.spec, system.params
     n = spec.n_reduced
     tau, lam = params.tau, params.lam
-    shape = (n,) + grid.shape
     divu = div(grid, u, "dirichlet")
 
     def advect(rho):
         """Skew advection of the densities by u, plus 0.5 (div u) rho."""
         return skew_advect(grid, u, rho, "neumann") + 0.5 * divu * rho
 
-    rho_prev = _field(rho_prev, shape)
+    rho_prev = check_field(grid, rho_prev, (n,), "species field")
 
     # Residuals are measured in the discrete L2 (quadrature) norm; the
     # linear solver works in the plain vector norm, one unit of which is
@@ -255,7 +247,7 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
             raise SpeciesSolverError(
                 f"species linear solve failed (cg info={info})", residuals)
         for halvings in range(40):
-            cand = evaluate(w + 0.5 ** halvings * delta.reshape(shape))
+            cand = evaluate(w + 0.5 ** halvings * delta.reshape(w.shape))
             if cand is not None and cand[-1] <= res:
                 return cand
         raise SpeciesSolverError(
@@ -263,9 +255,10 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
             residuals)
 
     if guess is not None:
-        guess = evaluate(_field(guess, shape))
+        guess = evaluate(check_field(grid, guess, (n,), "species field"))
     (w, rho, b_blocks, _, res), residuals, from_guess = iterate(
-        evaluate(_field(w_prev, shape), rho_prev.copy()), guess, improve,
+        evaluate(check_field(grid, w_prev, (n,), "species field"),
+                 rho_prev.copy()), guess, improve,
         params.tol, params.max_outer, SpeciesSolverError, "outer")
 
     vol = grid.cell_volume

@@ -1,16 +1,19 @@
 """Ledger, display-floor counter, Poincare constant, global bounds."""
 
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from msflow.config import SimConfig
+import msflow.flow as flow_mod
+import msflow.grid as grid_mod
+from msflow.config import SimConfig, load_config
 from msflow.diagnostics import DISPLAY_FLOOR, SimLedger, poincare_constant
 from msflow.driver import run_simulation
 from msflow.flow import FlowState, FlowStepReport
-from msflow.grid import Grid
+from msflow.grid import Grid, laplacian
 from msflow.mixture import MixtureSpec
 from msflow.species import SpeciesStepReport
 
@@ -333,6 +336,29 @@ def test_energy_rule_fires_on_a_step_that_breaks_the_identity(
     assert _failed_rules(report) == ["per-step energy identity"]
     assert report.worst_energy_residual == 101.0 * led.flow_tol
     assert report.first_violation == 1
+
+
+def test_energy_rule_sees_a_laplacian_defect(monkeypatch):
+    # The viscous term of the identity is grad_sq_norm, its own sum of
+    # squared face differences.  Were it -<laplacian u, u>, a defect of
+    # the Laplacian would cancel out of the identity (measured: 1.2e-15
+    # against 2.9e-4 here).  The defect: the x walls' Dirichlet weight
+    # is -2.5/h^2 in place of -3/h^2.
+    def defective(grid, f, bc):
+        out = laplacian(grid, f, bc)
+        if bc == "dirichlet":
+            out[:, [0, -1]] += 0.5 / grid.spacing[0] ** 2 * f[:, [0, -1]]
+        return out
+
+    monkeypatch.setattr(flow_mod, "laplacian", defective)
+    monkeypatch.setattr(grid_mod, "laplacian", defective)
+    cfg = load_config(
+        Path(__file__).resolve().parent.parent / "configs/standard-2d.cfg",
+        ["grid.nx=32", "grid.ny=32", "scheme.steps=10",
+         "scheme.t_final=1e-2"])
+    report = run_simulation(cfg).ledger.check_global_bounds()
+    assert not report.ok
+    assert "per-step energy identity" in _failed_rules(report)
 
 
 def test_mass_rule_fires_on_a_drifted_mass(mini_2d_result):

@@ -619,6 +619,7 @@ def test_cli_run_fails_on_a_broken_energy_identity(tmp_path, monkeypatch,
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == 1
     assert fails[0].startswith("FAIL per-step energy identity (max residual ")
+    assert "first failing step: 1\n" in out
     assert (tmp_path / "ledger.csv").is_file()
 
 

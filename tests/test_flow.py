@@ -262,8 +262,9 @@ def test_forcing_shape_mismatch(eps):
     g = Grid.box((8, 8), (1.0, 1.0))
     state = FlowState.zero(g)
     system = FlowSystem(g, FlowParams(tau=1e-2, eps=eps))
-    with pytest.raises(GridError, match="forcing shape"):
-        flow_step(system, state, np.zeros((2, 4, 4)))
+    for bad in (np.zeros((2, 4, 4)), np.zeros(g.shape + (2,))):
+        with pytest.raises(GridError, match="forcing shape"):
+            flow_step(system, state, bad)
 
 
 def test_iteration_budget_error():
@@ -371,8 +372,9 @@ def test_guess_is_taken_only_below_the_previous_residual(eps):
     assert report.from_guess
     assert report.picard_iterations < cold_report.picard_iterations
     assert report.final_residual <= params.tol
-    with pytest.raises(GridError, match="guess shape"):
-        flow_step(system, state, f, guess=cold.u[:, :4])
+    for bad in (cold.u[:, :4], np.moveaxis(cold.u, 0, -1)):
+        with pytest.raises(GridError, match="guess shape"):
+            flow_step(system, state, f, guess=bad)
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-10])

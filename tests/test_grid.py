@@ -257,14 +257,29 @@ def test_laplacian_second_order(bc, func, second):
     assert order >= 1.9
 
 
-def test_gradient_shapes_and_errors():
+def test_gradient_shapes_and_errors(tmp_path):
     g = Grid.box((8, 8), (1.0, 1.0))
     with pytest.raises(GridError, match="scalar field shape"):
         grad(g, np.zeros((8, 7)), "neumann")
     with pytest.raises(GridError, match="vector field shape"):
         div(g, np.zeros((3, 8, 8)))
-    with pytest.raises(GridError, match="does not end with"):
-        derivative(g, np.zeros((8, 8, 2)), 0, "neumann")
+    # A points-last field (*shape, C) at every entry point.
+    last, u = np.zeros(g.shape + (2,)), np.zeros((2,) + g.shape)
+    for call, match in (
+            (lambda: grad(g, last, "neumann"), "scalar field shape"),
+            (lambda: div(g, last), "vector field shape"),
+            (lambda: skew_advect(g, last, u, "neumann"), "vector field shape"),
+            (lambda: derivative(g, last, 0, "neumann"), "does not end with"),
+            (lambda: laplacian(g, last, "neumann"), "does not end with"),
+            (lambda: skew_advect(g, u, last, "neumann"), "does not end with"),
+            (lambda: advect_form(g, u, last, last, "neumann"),
+             "does not end with"),
+            (lambda: grad_sq_norm(g, last), "does not end with"),
+            (lambda: write_snapshot(tmp_path / "s.txt", g, "u", 0.0, last),
+             "does not end with")):
+        with pytest.raises(GridError, match=match):
+            call()
+    assert not (tmp_path / "s.txt").exists()
     out = grad(g, np.zeros(g.shape), "neumann")
     assert out.shape == (2, 8, 8)
 

@@ -118,6 +118,13 @@ def test_field_shape_mismatch(binary_spec):
     bad = np.zeros((1, 8))
     with pytest.raises(GridError, match="species field shape"):
         species_step(system, bad, bad, still(g))
+    # Points-last (*shape, N) in place of (N, *shape), one argument at a
+    # time: w_prev, rho_prev, guess.
+    w, rho = cosine_binary_state(g, binary_spec, 0.2)
+    for args, guess in (((w.T, rho), None), ((w, rho.T), None),
+                        ((w, rho), w.T)):
+        with pytest.raises(GridError, match="species field shape"):
+            species_step(system, *args, still(g), guess=guess)
 
 
 # ---------------------------------------------------------------------
