@@ -38,6 +38,7 @@ from .config import ConfigError, load_config, parse_float_list
 from .driver import (
     reference_incompressible,
     run_simulation,
+    sweep_eps_values,
     sweep_epsilon,
     sweep_row,
 )
@@ -69,7 +70,7 @@ def _build_parser():
         if name == "sweep-eps":
             p.add_argument("--eps", required=True,
                            help="comma-separated relaxation values "
-                                "(two or more, all positive)")
+                                "(two or more, distinct, all positive)")
     return parser
 
 
@@ -118,10 +119,11 @@ def _cmd_run(cfg, verbose: bool = False) -> int:
 
 
 def _cmd_sweep(cfg, eps_text: str) -> int:
-    result = sweep_epsilon(cfg, parse_float_list(eps_text), strict=False)
+    eps_values = sweep_eps_values(parse_float_list(eps_text))
+    cfg.make_out_dir()
+    result = sweep_epsilon(cfg, eps_values, strict=False)
     print(result.table(), end="")
     print(f"div ratio (largest/smallest eps): {result.div_ratio:.3g}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "sweep.csv")
     with open(path, "w") as fh:
         fh.write(result.table())

@@ -1,22 +1,29 @@
-"""Flat key-value run configuration.
+"""Run configuration: its keys, presets, builders and the one gate.
 
 Config files are plain text, one ``key = value`` per line, with ``#``
-comments.  Keys are grouped by dotted prefixes (mixture.*, grid.*,
-scheme.*, init.*, forcing.*, output.*).  Unknown keys are errors, not
-warnings, so typos cannot silently fall back to defaults.  Command-line
-overrides use the same ``key=value`` syntax.  ``validate`` states each
-rule once, for files, overrides and the API: each value must be of the
-kind that its key's converter yields, and numbers must be finite.
+comments.  Each ``SimConfig`` field declares its key, dotted by group
+(mixture.*, grid.*, scheme.*, init.*, forcing.*, output.*), its default
+and the converter of its text.  Unknown keys are errors, not warnings,
+so typos cannot silently fall back to defaults.  Command-line overrides
+use the same ``key=value`` syntax.  The module owns what the keys name:
+the initial presets and the builders of the grid, the mixture and the
+forcing.  ``validate`` is the one gate, for files, overrides and the
+API: every value must be of its key's kind and finite, and it builds
+the grid, the mixture, the forcing and the initial state, so that each
+rule on a preset or an amplitude holds before anything runs.  Creating
+the output directory is a side effect, left to ``make_out_dir``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
 
-from .grid import Grid
+from .flow import FlowState, Forcing
+from .grid import Grid, grad
 from .mixture import MixtureSpec
 
 
@@ -31,46 +38,52 @@ def parse_float_list(text: str):
         raise ConfigError(f"expected a list of numbers, got {text!r}") from exc
 
 
+def _lam(text):
+    return "tau" if text.strip() == "tau" else float(text)
+
+
+def _key(key: str, default, conv=None):
+    """A field set under ``key``; ``conv`` follows the default's kind."""
+    if conv is None:
+        conv = {int: int, float: float, tuple: parse_float_list,
+                str: str.strip}[type(default)]
+    return field(default=default, metadata={"key": key, "conv": conv})
+
+
 @dataclass
 class SimConfig:
-    """Validated simulation settings with buildable grid and mixture."""
+    """Run settings, one field per config key, and their builders."""
 
-    # mixture
-    species: int = 2
-    molar_masses: tuple = (1.0, 1.0)
-    diffusivities: tuple = (1.0,)       # upper triangle, row-major
-    # grid
-    dim: int = 1
-    nx: int = 64
-    ny: int = 64
-    lx: float = 1.0
-    ly: float = 1.0
-    # scheme
-    t_final: float = 0.1
-    steps: int = 100
-    eps: float = 1e-2
-    lam: object = 0.0                   # float or the string "tau"
-    alpha0: float = 1e-6
-    flow_tol: float = 1e-10
-    species_tol: float = 1e-10
-    max_picard: int = 50
-    max_outer: int = 80
-    # initial data
-    preset: str = "uniform"
-    amplitude: float = 0.1
-    velocity_amplitude: float = 0.1
-    # forcing
-    forcing_preset: str = "zero"
-    fx: float = 0.0
-    fy: float = 0.0
-    omega: float = 1.0
-    forcing_spatial: str = "uniform"
-    # output
-    out_dir: str = "out"
-    csv_name: str = "ledger.csv"
-    snapshot_every: int = 0
-    # misc
-    seed: int = 0
+    species: int = _key("mixture.species", 2)
+    molar_masses: tuple = _key("mixture.molar_masses", (1.0, 1.0))
+    # upper triangle, row-major
+    diffusivities: tuple = _key("mixture.diffusivities", (1.0,))
+    dim: int = _key("grid.dim", 1)
+    nx: int = _key("grid.nx", 64)
+    ny: int = _key("grid.ny", 64)
+    lx: float = _key("grid.lx", 1.0)
+    ly: float = _key("grid.ly", 1.0)
+    t_final: float = _key("scheme.t_final", 0.1)
+    steps: int = _key("scheme.steps", 100)
+    eps: float = _key("scheme.eps", 1e-2)
+    lam: object = _key("scheme.lambda", 0.0, _lam)  # float or "tau"
+    alpha0: float = _key("scheme.alpha0", 1e-6)
+    flow_tol: float = _key("scheme.flow_tol", 1e-10)
+    species_tol: float = _key("scheme.species_tol", 1e-10)
+    max_picard: int = _key("scheme.max_picard", 50)
+    max_outer: int = _key("scheme.max_outer", 80)
+    preset: str = _key("init.preset", "uniform")
+    amplitude: float = _key("init.amplitude", 0.1)
+    velocity_amplitude: float = _key("init.velocity_amplitude", 0.1)
+    forcing_preset: str = _key("forcing.preset", "zero")
+    fx: float = _key("forcing.fx", 0.0)
+    fy: float = _key("forcing.fy", 0.0)
+    omega: float = _key("forcing.omega", 1.0)
+    forcing_spatial: str = _key("forcing.spatial", "uniform")
+    out_dir: str = _key("output.dir", "out")
+    csv_name: str = _key("output.csv", "ledger.csv")
+    snapshot_every: int = _key("output.snapshot_every", 0)
+    seed: int = _key("seed", 0)
 
     @property
     def tau(self) -> float:
@@ -108,6 +121,19 @@ class SimConfig:
                 d[i, j] = d[j, i] = next(it)
         return MixtureSpec(np.array(self.molar_masses), d)
 
+    def build_forcing(self) -> Forcing:
+        amp = (self.fx,) if self.dim == 1 else (self.fx, self.fy)
+        return Forcing(self.forcing_preset, amp, self.forcing_spatial,
+                       self.omega)
+
+    def make_out_dir(self) -> None:
+        """Create ``output.dir``; a failure is a ConfigError naming it."""
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output.dir {self.out_dir!r} cannot be "
+                              f"created: {exc.strerror}") from exc
+
     def validate(self) -> "SimConfig":
         # Every comparison with NaN is false, so this loop comes first.
         for key, (attr, conv) in _KEYMAP.items():
@@ -135,10 +161,17 @@ class SimConfig:
                 "scheme.max_picard and scheme.max_outer must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        try:
-            self.build_mixture()
+        if self.csv_name in ("", ".", "..") or os.path.dirname(self.csv_name):
+            raise ConfigError("output.csv must be a bare file name, got "
+                              f"{self.csv_name!r}")
+        if self.snapshot_every < 0:
+            raise ConfigError("output.snapshot_every must be nonnegative")
+        try:                # MixtureSpec's, the grid's and the presets' too
+            spec = self.build_mixture()
             grid = self.build_grid()
-        except ValueError as exc:       # MixtureSpec's and the grid's too
+            self.build_forcing()
+            initial_conditions(self, grid, spec)
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # Both residuals divide states of order one by tau.
         machine = float(np.finfo(float).eps)
@@ -155,10 +188,6 @@ class SimConfig:
         return self
 
 
-def _lam(text):
-    return "tau" if text.strip() == "tau" else float(text)
-
-
 # Per converter: a test for the kind of value that it yields, and that
 # kind in words, so that values set through the API meet the rules too.
 _KINDS = {
@@ -171,37 +200,80 @@ _KINDS = {
     str.strip: (lambda v: isinstance(v, str), "a string"),
 }
 
-_KEYMAP = {
-    "mixture.species": ("species", int),
-    "mixture.molar_masses": ("molar_masses", parse_float_list),
-    "mixture.diffusivities": ("diffusivities", parse_float_list),
-    "grid.dim": ("dim", int),
-    "grid.nx": ("nx", int),
-    "grid.ny": ("ny", int),
-    "grid.lx": ("lx", float),
-    "grid.ly": ("ly", float),
-    "scheme.t_final": ("t_final", float),
-    "scheme.steps": ("steps", int),
-    "scheme.eps": ("eps", float),
-    "scheme.lambda": ("lam", _lam),
-    "scheme.alpha0": ("alpha0", float),
-    "scheme.flow_tol": ("flow_tol", float),
-    "scheme.species_tol": ("species_tol", float),
-    "scheme.max_picard": ("max_picard", int),
-    "scheme.max_outer": ("max_outer", int),
-    "init.preset": ("preset", str.strip),
-    "init.amplitude": ("amplitude", float),
-    "init.velocity_amplitude": ("velocity_amplitude", float),
-    "forcing.preset": ("forcing_preset", str.strip),
-    "forcing.fx": ("fx", float),
-    "forcing.fy": ("fy", float),
-    "forcing.omega": ("omega", float),
-    "forcing.spatial": ("forcing_spatial", str.strip),
-    "output.dir": ("out_dir", str.strip),
-    "output.csv": ("csv_name", str.strip),
-    "output.snapshot_every": ("snapshot_every", int),
-    "seed": ("seed", int),
-}
+# Each key, in declaration order, with its field and converter.
+_KEYMAP = {f.metadata["key"]: (f.name, f.metadata["conv"])
+           for f in fields(SimConfig)}
+
+
+def _cos_profile(grid: Grid) -> np.ndarray:
+    xs = grid.cell_centers()
+    out = np.ones(grid.shape)
+    for a in range(grid.dim):
+        out = out * np.cos(np.pi * xs[a] / grid.lengths[a])
+    return out
+
+
+def _discrete_stream_velocity(grid: Grid, psi: np.ndarray) -> np.ndarray:
+    """Velocity from a stream function via the odd-ghost derivatives.
+
+    Because the central derivatives along the two axes commute, the
+    discrete divergence (odd ghosts) of this field is zero up to
+    rounding.
+    """
+    dx, dy = grad(grid, psi, "dirichlet")
+    return np.stack([dy, -dx])
+
+
+def initial_conditions(config: SimConfig, grid: Grid, spec: MixtureSpec):
+    """Initial (flow_state, raw_full_densities) for the configured preset.
+
+    Raw densities are nonnegative and sum to one but may touch the
+    simplex boundary; the driver lifts them before forming entropy
+    variables.
+    """
+    n1 = spec.n_species
+    amp = config.amplitude
+    rho_full = np.full((n1,) + grid.shape, 1.0 / n1)
+    flow = FlowState.zero(grid)
+    prof = _cos_profile(grid)
+    preset = config.preset
+    if preset == "cosine-binary":
+        if n1 != 2:
+            raise ValueError("cosine-binary needs 2 species")
+        rho_full[0] = 0.5 + amp * prof
+        rho_full[1] = 1.0 - rho_full[0]
+        if np.any(rho_full < 0):
+            raise ValueError("amplitude too large for cosine-binary")
+    elif preset == "layered-ternary":
+        if n1 != 3:
+            raise ValueError("layered-ternary needs 3 species")
+        x = np.empty((3,) + grid.shape)
+        x[0] = 0.25 + amp * prof
+        x[1] = 0.5
+        x[2] = 0.25 - amp * prof
+        if np.any(x < 0):
+            raise ValueError("amplitude too large for layered-ternary")
+        m = spec.molar_masses
+        weight = sum(m[i] * x[i] for i in range(3))
+        for i in range(3):
+            rho_full[i] = m[i] * x[i] / weight
+    elif preset == "vortex-2d":
+        if grid.dim != 2:
+            raise ValueError("vortex-2d needs a 2D grid")
+        xs = grid.cell_centers()
+        sx = np.sin(np.pi * xs[0] / grid.lengths[0])
+        sy = np.sin(np.pi * xs[1] / grid.lengths[1])
+        psi = config.velocity_amplitude * (sx * sx) * (sy * sy)
+        flow = FlowState(_discrete_stream_velocity(grid, psi),
+                         np.zeros(grid.shape))
+        base = 1.0 / n1
+        rho_full[0] = base + amp * prof
+        rho_full[-1] = base - amp * prof
+        if np.any(rho_full < 0):
+            raise ValueError("amplitude too large for vortex-2d")
+    elif preset != "uniform":
+        raise ValueError(f"unknown initial preset {preset!r}")
+    return flow, rho_full
 
 
 def _apply_pair(cfg: SimConfig, key: str, value: str) -> None:

@@ -1,6 +1,7 @@
-"""Simulation driver: initial data, time loop, reference solver, sweeps.
+"""Simulation driver: time loop, reference solver, sweeps.
 
-``run_simulation`` advances the artificial-compressibility system and
+``run_simulation`` advances the artificial-compressibility system from
+the initial state that :mod:`msflow.config` builds and checks, and
 fills a diagnostics ledger.  Each step's flow and species solves may
 start from a backward-difference extrapolation of the last accepted
 steps.  ``reference_incompressible`` runs the same time loop on its
@@ -8,13 +9,14 @@ incompressible limit, whose saddle system keeps the velocity
 divergence at machine precision each step; it provides the limit
 object for the relaxation sweep.  Each run builds its flow and species
 operators once, before its first step, among them the flow step's
-transform inverse, and drops them all when it returns.
-With ``write_outputs`` the ledger is written even when a solver fails,
-up to the last completed step; each completed step is also logged at
-INFO level with its iteration counts.  ``sweep_epsilon`` runs the
-relaxed solver for a list of eps values against one reference run and
-checks that both the divergence defect and the distance to the
-reference decrease monotonically as eps decreases.
+transform inverse, and drops them all when it returns.  With
+``write_outputs`` the output directory is made before step 1 and the
+ledger is written even when a solver fails, up to the last completed
+step; each completed step is also logged at INFO level with its
+iteration counts.  ``sweep_epsilon`` runs the relaxed solver for a list
+of eps values against one reference run and checks that both the
+divergence defect and the distance to the reference decrease
+monotonically as eps decreases.
 """
 
 from __future__ import annotations
@@ -28,17 +30,10 @@ from math import comb
 import numpy as np
 
 from . import mixture
-from .config import ConfigError, SimConfig
+from .config import ConfigError, SimConfig, initial_conditions
 from .diagnostics import SimLedger
-from .flow import (
-    FlowParams,
-    FlowState,
-    FlowSystem,
-    Forcing,
-    average_force,
-    flow_step,
-)
-from .grid import Grid, grad, inner, write_snapshot
+from .flow import FlowParams, FlowState, FlowSystem, average_force, flow_step
+from .grid import Grid, inner, write_snapshot
 from .iteration import SolverError
 from .species import SpeciesParams, SpeciesSystem, species_step
 
@@ -63,95 +58,14 @@ class SimResult:
     history: dict | None = None
 
 
-def _cos_profile(grid: Grid) -> np.ndarray:
-    xs = grid.cell_centers()
-    out = np.ones(grid.shape)
-    for a in range(grid.dim):
-        out = out * np.cos(np.pi * xs[a] / grid.lengths[a])
-    return out
-
-
-def _discrete_stream_velocity(grid: Grid, psi: np.ndarray) -> np.ndarray:
-    """Velocity from a stream function via the odd-ghost derivatives.
-
-    Because the central derivatives along the two axes commute, the
-    discrete divergence (odd ghosts) of this field is zero up to
-    rounding.
-    """
-    dx, dy = grad(grid, psi, "dirichlet")
-    return np.stack([dy, -dx])
-
-
-def initial_conditions(config: SimConfig, grid: Grid,
-                       spec: mixture.MixtureSpec):
-    """Initial (flow_state, raw_full_densities) for the configured preset.
-
-    Raw densities are nonnegative and sum to one but may touch the
-    simplex boundary; the driver lifts them before forming entropy
-    variables.
-    """
-    n1 = spec.n_species
-    amp = config.amplitude
-    rho_full = np.full((n1,) + grid.shape, 1.0 / n1)
-    flow = FlowState.zero(grid)
-    preset = config.preset
-    if preset == "uniform":
-        pass
-    elif preset == "cosine-binary":
-        if n1 != 2:
-            raise ValueError("cosine-binary needs 2 species")
-        prof = _cos_profile(grid)
-        rho_full[0] = 0.5 + amp * prof
-        rho_full[1] = 1.0 - rho_full[0]
-        if np.any(rho_full < 0):
-            raise ValueError("amplitude too large for cosine-binary")
-    elif preset == "layered-ternary":
-        if n1 != 3:
-            raise ValueError("layered-ternary needs 3 species")
-        prof = _cos_profile(grid)
-        x = np.empty((3,) + grid.shape)
-        x[0] = 0.25 + amp * prof
-        x[1] = 0.5
-        x[2] = 0.25 - amp * prof
-        if np.any(x < 0):
-            raise ValueError("amplitude too large for layered-ternary")
-        m = spec.molar_masses
-        weight = sum(m[i] * x[i] for i in range(3))
-        for i in range(3):
-            rho_full[i] = m[i] * x[i] / weight
-    elif preset == "vortex-2d":
-        if grid.dim != 2:
-            raise ValueError("vortex-2d needs a 2D grid")
-        xs = grid.cell_centers()
-        sx = np.sin(np.pi * xs[0] / grid.lengths[0])
-        sy = np.sin(np.pi * xs[1] / grid.lengths[1])
-        psi = config.velocity_amplitude * (sx * sx) * (sy * sy)
-        flow = FlowState(_discrete_stream_velocity(grid, psi),
-                         np.zeros(grid.shape))
-        prof = _cos_profile(grid)
-        base = 1.0 / n1
-        rho_full[0] = base + amp * prof
-        rho_full[-1] = base - amp * prof
-        if np.any(rho_full < 0):
-            raise ValueError("amplitude too large for vortex-2d")
-    else:
-        raise ValueError(f"unknown initial preset {preset!r}")
-    return flow, rho_full
-
-
 def _prepare(config: SimConfig):
     config.validate()
     grid = config.build_grid()
     spec = config.build_mixture()
-    amp = (config.fx,) if grid.dim == 1 else (config.fx, config.fy)
-    try:
-        flow0, rho_raw_full = initial_conditions(config, grid, spec)
-        forcing = Forcing(config.forcing_preset, amp, config.forcing_spatial,
-                          config.omega)
-    except ValueError as exc:       # presets and amplitudes from the config
-        raise ConfigError(str(exc)) from exc
+    flow0, rho_raw_full = initial_conditions(config, grid, spec)
     rho0 = mixture.lift_initial(rho_raw_full, config.alpha0)[:-1]
-    return grid, spec, flow0, mixture.entropy_vars(rho0, spec), rho0, forcing
+    return (grid, spec, flow0, mixture.entropy_vars(rho0, spec), rho0,
+            config.build_forcing())
 
 
 def _write_step_snapshots(config, grid, k, tau, flow, rho):
@@ -174,7 +88,7 @@ def reference_incompressible(config: SimConfig, keep_history: bool = False
                              ) -> SimResult:
     """Run the exactly incompressible reference on the config's grid.
 
-    The run of the config at ``scheme.eps = 0``: the relaxed solver's
+    The run of the config at eps = 0: the relaxed solver's
     time loop, time step, advection form and species stepper on the
     incompressible limit.  In 1D, on an even number of cells, the
     constraint together with the wall condition forces zero velocity (to
@@ -223,7 +137,7 @@ def _run(config: SimConfig, keep_history: bool = False,
     past_w = deque([w], maxlen=EXTRAPOLATION_ORDER + 1)
     history = {"u": [], "rho": []} if keep_history else None
     if write_outputs:
-        os.makedirs(config.out_dir, exist_ok=True)
+        config.make_out_dir()
     if config.steps:
         system = FlowSystem(grid, FlowParams(
             tau=tau, eps=config.eps, tol=config.flow_tol,
@@ -314,19 +228,28 @@ def sweep_row(res: SimResult, ref: SimResult) -> SweepRow:
         _l2l2(res.grid, tau, res.history["rho"], ref.history["rho"]))
 
 
+def sweep_eps_values(eps_values) -> list:
+    """The eps of a sweep, largest first; ConfigError unless there are
+    two or more, each positive, finite and distinct."""
+    eps_sorted = sorted((float(e) for e in eps_values), reverse=True)
+    distinct = len(set(eps_sorted)) == len(eps_sorted)
+    if len(eps_sorted) < 2 or not distinct or not all(
+            0 < e < np.inf for e in eps_sorted):
+        raise ConfigError("a sweep needs at least two eps values, each "
+                          f"positive, finite and distinct, got {eps_sorted}")
+    return eps_sorted
+
+
 def sweep_epsilon(config: SimConfig, eps_values, strict: bool = True
                   ) -> SweepResult:
     """Run the relaxed solver for each eps against one reference run.
 
-    A list of fewer than two eps, or with one not positive and finite,
-    raises ConfigError before any run.  Rows are ordered by decreasing
-    eps.  With ``strict`` a rise of the divergence defect or of the
-    velocity distance to the reference raises RuntimeError.
+    The eps list is checked by ``sweep_eps_values`` before any run.
+    Rows are ordered by decreasing eps.  With ``strict`` a rise of the
+    divergence defect or of the velocity distance to the reference
+    raises RuntimeError.
     """
-    eps_sorted = sorted((float(e) for e in eps_values), reverse=True)
-    if len(eps_sorted) < 2 or not all(0 < e < np.inf for e in eps_sorted):
-        raise ConfigError("a sweep needs at least two eps values, each "
-                          f"positive and finite, got {eps_sorted}")
+    eps_sorted = sweep_eps_values(eps_values)
     ref = reference_incompressible(config, keep_history=True)
     rows = [sweep_row(run_simulation(replace(config, eps=eps),
                                      keep_history=True), ref)

@@ -135,7 +135,7 @@ class Forcing:
     ``preset`` picks g: "zero" (no force), "constant" (g = 1), "linear"
     (g = t) or "sin" (g = sin(omega t)).  ``spatial`` picks F: a
     uniform vector ("uniform") or a per-axis sine bump ("bump"), scaled
-    per axis by ``amplitude``.
+    per axis by ``amplitude``.  The "sin" preset needs omega != 0.
     """
 
     preset: str = "zero"
@@ -148,6 +148,8 @@ class Forcing:
             raise ValueError(f"unknown forcing preset {self.preset!r}")
         if self.spatial not in _SPATIAL_PROFILES:
             raise ValueError(f"unknown spatial profile {self.spatial!r}")
+        if self.preset == "sin" and self.omega == 0:
+            raise ValueError("the sin forcing needs a nonzero omega")
 
     def spatial_field(self, grid: Grid) -> np.ndarray:
         amp = np.asarray(self.amplitude, dtype=float)

@@ -10,10 +10,9 @@ import pytest
 
 import msflow.flow as flow_mod
 from msflow import cli, driver, mixture
-from msflow.config import ConfigError, SimConfig, load_config, \
-    parse_config_text
+from msflow.config import ConfigError, SimConfig, initial_conditions, \
+    load_config, parse_config_text
 from msflow.driver import (
-    initial_conditions,
     reference_incompressible,
     run_simulation,
     sweep_epsilon,
@@ -170,6 +169,10 @@ def test_validate_rejects_bad_settings():
         dict(dim=2, lx=4.0, ly=4.0, species_tol=3e-12),
         # tau = 1e-6 puts the floor at 8.9e-10, above the default flow_tol.
         dict(dim=2, nx=16, ny=16, steps=3, t_final=3e-6, species_tol=1e-8),
+        dict(preset="swirl"),
+        dict(csv_name="sub/l.csv"),
+        dict(snapshot_every=-3),
+        dict(forcing_preset="sin", omega=0.0),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigError):
@@ -481,7 +484,8 @@ def test_sweep_requires_two_values(small_2d_config, monkeypatch):
         raise AssertionError("the eps list is checked before any run")
 
     monkeypatch.setattr(driver, "_run", no_run)
-    for eps in ([1e-2], [np.nan, 1e-2], [0.0, 1e-2], [1e-1, np.inf]):
+    for eps in ([1e-2], [np.nan, 1e-2], [0.0, 1e-2], [1e-1, np.inf],
+                [1e-2, 1e-2]):
         with pytest.raises(ConfigError, match="at least two eps"):
             sweep_epsilon(small_2d_config, eps)
 
@@ -769,6 +773,11 @@ def test_cli_rejects_unknown_key(capsys):
         "seed=-5", "scheme.species_tol=1e-13", "forcing.fx=nan",
         "scheme.eps=nan", "scheme.lambda=inf", "mixture.molar_masses=1,inf")
 ] + [
+    pytest.param(["--set", override], id=override) for override in (
+        "output.csv=sub/l.csv", "output.csv=", "output.snapshot_every=-3")
+] + [
+    pytest.param(["--set", "forcing.preset=sin", "--set", "forcing.omega=0"],
+                 id="forcing.preset=sin-omega=0"),
     pytest.param([str(CONFIGS / "standard-2d.cfg")] + [
         arg for pair in ("grid.nx=16", "grid.ny=16", "scheme.steps=3",
                          "scheme.t_final=3e-6", "scheme.species_tol=1e-8")
@@ -778,10 +787,31 @@ def test_cli_rejects_unknown_key(capsys):
     pytest.param([str(CONFIGS / "missing.cfg")], id="missing-config-file"),
 ])
 def test_cli_rejects_bad_value_in_one_line(args, capsys):
-    rc = cli.main(["run", *args])
-    err = capsys.readouterr().err
+    # The gate refuses the config before any check or step: no output.
+    for command in ("run", "check"):
+        rc = cli.main([command, *args])
+        out, err = capsys.readouterr()
+        assert rc == 2, command
+        assert out == "", command
+        assert err.startswith("msflow: ConfigError: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep-eps", "--eps", "1e-1,1e-2"]], ids=["run", "sweep-eps"])
+def test_cli_refuses_an_output_dir_it_cannot_create(command, tmp_path,
+                                                    capsys, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("the output directory is made before step 1")
+
+    monkeypatch.setattr(driver, "flow_step", no_step)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = cli.main([*command, "--set", f"output.dir={blocker / 'x'}"])
+    out, err = capsys.readouterr()
     assert rc == 2
-    assert err.startswith("msflow: ConfigError: ")
+    assert out == ""
+    assert err.startswith("msflow: ConfigError: output.dir ")
     assert err.count("\n") == 1
 
 
@@ -832,7 +862,7 @@ def test_cli_reports_a_failed_line_search_in_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("eps", ["abc", "1e-2", "nan,1e-2", "1e-1,inf",
-                                 "0,1e-2"])
+                                 "0,1e-2", "1e-2,1e-2"])
 def test_cli_sweep_eps_rejects_bad_list_in_one_line(eps, capsys):
     rc = cli.main(["sweep-eps", "--eps", eps])
     err = capsys.readouterr().err

@@ -170,6 +170,9 @@ def test_forcing_validation():
         Forcing("windy", (1.0, 1.0))
     with pytest.raises(ValueError, match="unknown spatial profile 'blob'"):
         Forcing("zero", (1.0, 1.0), spatial="blob")
+    with pytest.raises(ValueError, match="sin forcing needs a nonzero omega"):
+        Forcing("sin", (1.0, 1.0), omega=0.0)
+    Forcing("zero", (1.0, 1.0), omega=0.0)
 
 
 # ---------------------------------------------------------------------

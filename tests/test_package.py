@@ -8,16 +8,23 @@ level would keep operators, and the memory behind them, alive across
 runs and grids.  Every module is imported and searched for one.  A
 module that needs another's helper imports it under a public name.
 The rules a finished run must meet read the ledger's columns, so only
-``diagnostics.py`` names the columns those rules check.
+``diagnostics.py`` names the columns those rules check.  Each config
+key is declared once, on its ``SimConfig`` field, and only
+``config.py`` spells one.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import msflow
+from msflow.config import SimConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _cached_attributes(module):
@@ -69,3 +76,39 @@ def test_only_the_ledger_reads_the_checked_columns():
                     if isinstance(node, ast.Constant)
                     and node.value in checked})
     assert not found, f"ledger columns named outside the ledger: {found}"
+
+
+def _readme_config_keys():
+    """The keys of README's Configuration table, group prefix added."""
+    section = README.read_text().split("## Configuration", 1)[1]
+    keys = []
+    for line in section.split("\n## ", 1)[0].splitlines():
+        cells = line.split("|")
+        if len(cells) != 4 or not cells[1].strip().startswith(("`", "(")):
+            continue
+        text, depth = "", 0     # drop the parenthesized notes
+        for ch in cells[2]:
+            depth += (ch == "(") - (ch == ")")
+            text += ch if depth == 0 and ch != ")" else ""
+        group = cells[1].strip().strip("`")
+        prefix = "" if group == "(top)" else group + "."
+        keys.extend(prefix + name for name in re.findall(r"`([^`]+)`", text))
+    return keys
+
+
+def test_each_config_key_is_declared_once_and_spelled_only_by_config():
+    keys = [f.metadata.get("key") for f in dataclasses.fields(SimConfig)]
+    assert None not in keys and len(set(keys)) == len(keys), keys
+    readme = _readme_config_keys()
+    assert sorted(readme) == sorted(keys), set(readme) ^ set(keys)
+    sources = sorted(Path(msflow.__file__).parent.glob("*.py"))
+    assert "config.py" in {path.name for path in sources}
+    spelled = re.compile(r"(?<![\w.])(%s)(?!\w)" % "|".join(
+        re.escape(key) for key in keys))
+    found = sorted({f"{path.name}: {match}"
+                    for path in sources if path.name != "config.py"
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    for match in spelled.findall(node.value)})
+    assert not found, f"config keys spelled outside config.py: {found}"

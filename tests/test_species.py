@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from msflow import driver
+from msflow import config, driver
 from msflow.config import load_config
 from msflow.driver import run_simulation
 from msflow.grid import Grid, GridError
@@ -374,7 +374,7 @@ def test_advected_binary_matches_scalar_advection_diffusion():
         g = Grid.box((n, n), (1.0, 1.0))
         xs = g.cell_centers()
         psi = np.sin(np.pi * xs[0]) ** 2 * np.sin(np.pi * xs[1]) ** 2
-        u = driver._discrete_stream_velocity(g, psi)
+        u = config._discrete_stream_velocity(g, psi)
         solve = spla.factorized(advection_diffusion_matrix(g, u, d12, tau))
         theta = 0.5 + amp * np.cos(np.pi * xs[0])
         rho = theta[None].copy()
