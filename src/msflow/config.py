@@ -6,12 +6,14 @@ comments.  Each ``SimConfig`` field declares its key, dotted by group
 and the converter of its text.  Unknown keys are errors, not warnings,
 so typos cannot silently fall back to defaults.  Command-line overrides
 use the same ``key=value`` syntax.  The module owns what the keys name:
-the initial presets and the builders of the grid, the mixture and the
-forcing.  ``validate`` is the one gate, for files, overrides and the
-API: every value must be of its key's kind and finite, and it builds
-the grid, the mixture, the forcing and the initial state, so that each
-rule on a preset or an amplitude holds before anything runs.  Creating
-the output directory is a side effect, left to ``make_out_dir``.
+the initial presets and the builders of the grid and the mixture.
+``validate`` is the one gate, for files, overrides and the API: every
+value must be of its key's kind and finite.  It is also the one builder
+of a run's start: it builds the grid, the mixture, the forcing and the
+initial state once, so that each rule on a preset or an amplitude holds
+before anything runs, and returns them with the densities lifted
+inside the simplex.  Creating the output directory is a side effect,
+left to ``make_out_dir``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .flow import FlowState, Forcing
 from .grid import Grid, grad
-from .mixture import MixtureSpec
+from .mixture import MixtureSpec, entropy_vars, lift_initial
 
 
 class ConfigError(ValueError):
@@ -121,11 +123,6 @@ class SimConfig:
                 d[i, j] = d[j, i] = next(it)
         return MixtureSpec(np.array(self.molar_masses), d)
 
-    def build_forcing(self) -> Forcing:
-        amp = (self.fx,) if self.dim == 1 else (self.fx, self.fy)
-        return Forcing(self.forcing_preset, amp, self.forcing_spatial,
-                       self.omega)
-
     def make_out_dir(self) -> None:
         """Create ``output.dir``; a failure is a ConfigError naming it."""
         try:
@@ -134,7 +131,13 @@ class SimConfig:
             raise ConfigError(f"output.dir {self.out_dir!r} cannot be "
                               f"created: {exc.strerror}") from exc
 
-    def validate(self) -> "SimConfig":
+    def validate(self):
+        """Check every rule, then return the run's start.
+
+        The start is ``(grid, spec, forcing, flow, rho, w)``: the preset
+        densities lifted by ``alpha0`` without their last component, and
+        their entropy variables ``w``.
+        """
         # Every comparison with NaN is false, so this loop comes first.
         for key, (attr, conv) in _KEYMAP.items():
             value = getattr(self, attr)
@@ -169,8 +172,10 @@ class SimConfig:
         try:                # MixtureSpec's, the grid's and the presets' too
             spec = self.build_mixture()
             grid = self.build_grid()
-            self.build_forcing()
-            initial_conditions(self, grid, spec)
+            amp = (self.fx,) if self.dim == 1 else (self.fx, self.fy)
+            forcing = Forcing(self.forcing_preset, amp, self.forcing_spatial,
+                              self.omega)
+            flow, rho_raw = initial_conditions(self, grid, spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # Both residuals divide states of order one by tau.
@@ -185,7 +190,8 @@ class SimConfig:
         if not 0.0 < self.alpha0 < 0.5 / self.species:
             raise ConfigError(
                 f"scheme.alpha0 must lie in (0, {0.5 / self.species:.4g})")
-        return self
+        rho = lift_initial(rho_raw, self.alpha0)[:-1]
+        return grid, spec, forcing, flow, rho, entropy_vars(rho, spec)
 
 
 # Per converter: a test for the kind of value that it yields, and that
@@ -228,8 +234,8 @@ def initial_conditions(config: SimConfig, grid: Grid, spec: MixtureSpec):
     """Initial (flow_state, raw_full_densities) for the configured preset.
 
     Raw densities are nonnegative and sum to one but may touch the
-    simplex boundary; the driver lifts them before forming entropy
-    variables.
+    simplex boundary; ``SimConfig.validate`` lifts them before forming
+    entropy variables.
     """
     n1 = spec.n_species
     amp = config.amplitude
@@ -305,15 +311,18 @@ def parse_config_text(text: str, overrides=()) -> SimConfig:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, value = item.split("=", 1)
         _apply_pair(cfg, key, value)
-    return cfg.validate()
+    cfg.validate()
+    return cfg
 
 
 def load_config(path, overrides=()) -> SimConfig:
     if path is None:
         return parse_config_text("", overrides)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parse_config_text(text, overrides)

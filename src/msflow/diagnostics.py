@@ -41,8 +41,6 @@ MASS_DRIFT_LIMIT = 1e-8
 class GlobalBoundsReport:
     """The verdict: a (label, ok, detail) tuple per rule; ok if all hold."""
     ok: bool
-    energy_ok: bool
-    entropy_ok: bool
     energy_margin: float
     entropy_margin: float
     first_violation: int | None      # first step breaking rule 1, 2, 3 or 5
@@ -246,8 +244,6 @@ class SimLedger:
         ]
         return GlobalBoundsReport(
             ok=all(ok for _, ok, _ in rules),
-            energy_ok=bool(energy_margin >= 0),
-            entropy_ok=bool(entropy_margin >= 0),
             energy_margin=float(energy_margin),
             entropy_margin=float(entropy_margin),
             first_violation=first_violation,

@@ -1,20 +1,21 @@
 """Simulation driver: time loop, reference solver, sweeps.
 
-``run_simulation`` advances the artificial-compressibility system from
-the initial state that :mod:`msflow.config` builds and checks, and
-fills a diagnostics ledger.  Each step's flow and species solves may
-start from a backward-difference extrapolation of the last accepted
-steps.  ``reference_incompressible`` runs the same time loop on its
-incompressible limit, whose saddle system keeps the velocity
-divergence at machine precision each step; it provides the limit
-object for the relaxation sweep.  Each run builds its flow and species
-operators once, before its first step, among them the flow step's
-transform inverse, and drops them all when it returns.  With
-``write_outputs`` the output directory is made before step 1 and the
-ledger is written even when a solver fails, up to the last completed
-step; each completed step is also logged at INFO level with its
-iteration counts.  ``sweep_epsilon`` runs the relaxed solver for a list
-of eps values against one reference run and checks that both the
+``run_simulation`` advances the artificial-compressibility system and
+fills a diagnostics ledger.  The run takes its start, the grid, the
+mixture, the forcing and the lifted initial state, from
+``SimConfig.validate``, which checks the config first.  Each step's
+flow and species solves may start from a backward-difference
+extrapolation of the last accepted steps.  ``reference_incompressible``
+runs the same time loop on its incompressible limit, whose saddle
+system keeps the velocity divergence at machine precision each step; it
+provides the limit object for the relaxation sweep.  Each run builds
+its flow and species operators once, before its first step, among them
+the flow step's transform inverse, and drops them all when it returns.
+With ``write_outputs`` the output directory is made before step 1 and
+the ledger is written even when a solver fails, up to the last
+completed step; each completed step is also logged at INFO level with
+its iteration counts.  ``sweep_epsilon`` runs the relaxed solver for a
+list of eps values against one reference run and checks that both the
 divergence defect and the distance to the reference decrease
 monotonically as eps decreases.
 """
@@ -30,7 +31,7 @@ from math import comb
 import numpy as np
 
 from . import mixture
-from .config import ConfigError, SimConfig, initial_conditions
+from .config import ConfigError, SimConfig
 from .diagnostics import SimLedger
 from .flow import FlowParams, FlowState, FlowSystem, average_force, flow_step
 from .grid import Grid, inner, write_snapshot
@@ -56,16 +57,6 @@ class SimResult:
     rho: np.ndarray
     ledger: SimLedger
     history: dict | None = None
-
-
-def _prepare(config: SimConfig):
-    config.validate()
-    grid = config.build_grid()
-    spec = config.build_mixture()
-    flow0, rho_raw_full = initial_conditions(config, grid, spec)
-    rho0 = mixture.lift_initial(rho_raw_full, config.alpha0)[:-1]
-    return (grid, spec, flow0, mixture.entropy_vars(rho0, spec), rho0,
-            config.build_forcing())
 
 
 def _write_step_snapshots(config, grid, k, tau, flow, rho):
@@ -127,7 +118,7 @@ def _run(config: SimConfig, keep_history: bool = False,
     species report's ``entropy_after``.  A SolverError leaves with the
     failing step's index as its ``step`` attribute.
     """
-    grid, spec, flow, w, rho, forcing = _prepare(config)
+    grid, spec, forcing, flow, rho, w = config.validate()
     tau = config.tau
     lam = config.lam_value
     ledger = SimLedger(grid, spec, tau, config.eps, lam, config.flow_tol,

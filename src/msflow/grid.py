@@ -85,6 +85,8 @@ class Grid:
             raise GridError("need at least 4 cells per axis")
         if not all(0 < h < np.inf for h in spacing):
             raise GridError("spacing must be positive and finite")
+        if not all(h * h > 0 and 1.0 / (h * h) < np.inf for h in spacing):
+            raise GridError("spacing too small: 1/h^2 is not finite")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
 

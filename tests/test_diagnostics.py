@@ -275,7 +275,8 @@ def test_global_bounds_empty_ledger_raises():
 def test_global_bounds_hold_on_mini_runs(mini_1d_result, mini_2d_result):
     for result in (mini_1d_result, mini_2d_result):
         report = result.ledger.check_global_bounds()
-        assert report.ok and report.energy_ok and report.entropy_ok
+        assert report.ok and (
+            report.energy_margin >= 0 and report.entropy_margin >= 0)
         assert report.energy_margin > 0.0
         assert report.entropy_margin > 0.0
         assert report.first_violation is None
@@ -289,7 +290,7 @@ def test_global_energy_bound_fires_at_the_raised_step(mini_2d_result):
     led.rows[1]["energy"] += 1.0
     report = led.check_global_bounds()
     assert not report.ok
-    assert not report.energy_ok and report.entropy_ok
+    assert report.energy_margin < 0 and report.entropy_margin >= 0
     assert report.energy_margin < 0.0
     assert report.first_violation == 1
 
@@ -302,7 +303,7 @@ def test_global_entropy_bound_fires_at_the_raised_step(mini_2d_result):
     led.rows[1]["entropy"] += 1e-5
     report = led.check_global_bounds()
     assert not report.ok
-    assert not report.entropy_ok and report.energy_ok
+    assert report.entropy_margin < 0 and report.energy_margin >= 0
     assert report.entropy_margin < 0.0
     assert report.first_violation == 1
 
@@ -316,7 +317,7 @@ def test_entropy_check_fires_on_a_step_that_raises_entropy(mini_2d_result):
     led.rows[2]["entropy_slack"] = 101.0 * led.species_tol
     report = led.check_global_bounds()
     assert not report.ok
-    assert not report.entropy_ok and report.energy_ok
+    assert report.entropy_margin < 0 and report.energy_margin >= 0
     assert report.entropy_margin < 0.0
     assert report.first_violation == 2
 
@@ -332,7 +333,8 @@ def test_energy_rule_fires_on_a_step_that_breaks_the_identity(
     led = copy.deepcopy(mini_2d_result.ledger)
     led.rows[1]["energy_residual"] = 101.0 * led.flow_tol
     report = led.check_global_bounds()
-    assert not report.ok and report.energy_ok and report.entropy_ok
+    assert not report.ok and (
+        report.energy_margin >= 0 and report.entropy_margin >= 0)
     assert _failed_rules(report) == ["per-step energy identity"]
     assert report.worst_energy_residual == 101.0 * led.flow_tol
     assert report.first_violation == 1
@@ -365,7 +367,8 @@ def test_mass_rule_fires_on_a_drifted_mass(mini_2d_result):
     led = copy.deepcopy(mini_2d_result.ledger)
     led.rows[2]["mass_2"] += 2e-8
     report = led.check_global_bounds()
-    assert not report.ok and report.energy_ok and report.entropy_ok
+    assert not report.ok and (
+        report.energy_margin >= 0 and report.entropy_margin >= 0)
     assert _failed_rules(report) == ["species mass conservation"]
     assert report.first_violation == 2
 
@@ -374,7 +377,8 @@ def test_positivity_rule_fires_on_a_clamp(mini_2d_result):
     led = copy.deepcopy(mini_2d_result.ledger)
     led.clamp_events = 1
     report = led.check_global_bounds()
-    assert not report.ok and report.energy_ok and report.entropy_ok
+    assert not report.ok and (
+        report.energy_margin >= 0 and report.entropy_margin >= 0)
     assert _failed_rules(report) == ["density positivity without clamping"]
     assert report.first_violation is None       # rule 4 has no step
 
@@ -390,7 +394,7 @@ def test_energy_rules_use_flow_tol_and_entropy_rules_species_tol(
     assert report.ok, _failed_rules(report)
     led.rows[2]["entropy_slack"] = 2e-8         # above 100 species_tol
     report = led.check_global_bounds()
-    assert not report.ok and not report.entropy_ok
+    assert not report.ok and report.entropy_margin < 0
     assert _failed_rules(report) == ["per-step entropy inequality",
                                      "global energy and entropy bounds"]
 
@@ -403,7 +407,8 @@ def test_verdict_on_a_passing_run_lists_the_five_rules(mini_2d_result):
         "species mass conservation", "density positivity without clamping",
         "global energy and entropy bounds"]
     assert all(ok is True for _, ok, _ in report.rules)
-    assert report.ok is report.energy_ok is report.entropy_ok is True
+    assert report.ok is True and (
+        report.energy_margin >= 0 and report.entropy_margin >= 0)
     steps = ledger.rows[1:]
     assert report.worst_energy_residual == max(
         r["energy_residual"] for r in steps)

@@ -130,11 +130,45 @@ def test_load_config_without_path_gives_defaults():
     assert cfg == SimConfig()
 
 
-def test_load_config_reads_file(tmp_path):
+def test_load_config_reads_file(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("grid.dim = 1\ngrid.nx = 12\n")
     cfg = load_config(path, overrides=["scheme.steps=5"])
     assert cfg.nx == 12 and cfg.steps == 5
+    # A file that is not UTF-8 is a bad input, refused in one line.
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes("# L\u00f6sung\ngrid.nx = 12\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(latin)
+    for command in ("run", "check"):
+        rc = cli.main([command, str(latin)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "", command
+        assert err.startswith("msflow: ConfigError: cannot read ")
+        assert err.count("\n") == 1
+
+
+def test_a_run_builds_its_start_once(tmp_path, monkeypatch, capsys):
+    # SimConfig.validate builds the start; every run calls it once.
+    builds = []
+    build_grid = SimConfig.build_grid
+
+    def counted(self):
+        builds.append(1)
+        return build_grid(self)
+
+    monkeypatch.setattr(SimConfig, "build_grid", counted)
+    short = ["scheme.steps=2", "scheme.t_final=2e-3"]
+    run_simulation(SimConfig(steps=2, t_final=2e-3))
+    assert len(builds) == 1
+    builds.clear()
+    assert cli.main(["run", "--set", f"output.dir={tmp_path}"] + [
+        arg for pair in short for arg in ("--set", pair)]) == 0
+    assert len(builds) == 2         # load_config, then the run
+    cfg = load_config(None, short)
+    builds.clear()
+    sweep_epsilon(cfg, [1e-1, 1e-2], strict=False)
+    assert len(builds) == 3         # the reference and two eps
 
 
 def test_tau_zero_when_no_steps():
@@ -774,7 +808,8 @@ def test_cli_rejects_unknown_key(capsys):
         "scheme.eps=nan", "scheme.lambda=inf", "mixture.molar_masses=1,inf")
 ] + [
     pytest.param(["--set", override], id=override) for override in (
-        "output.csv=sub/l.csv", "output.csv=", "output.snapshot_every=-3")
+        "output.csv=sub/l.csv", "output.csv=", "output.snapshot_every=-3",
+        "grid.lx=1e-160")
 ] + [
     pytest.param(["--set", "forcing.preset=sin", "--set", "forcing.omega=0"],
                  id="forcing.preset=sin-omega=0"),

@@ -66,6 +66,8 @@ def test_grid_validation():
     for bad in (-0.1, np.nan, np.inf):
         with pytest.raises(GridError, match="spacing must be positive"):
             Grid((8,), (bad,))
+    with pytest.raises(GridError, match="1/h\\^2 is not finite"):
+        Grid((8,), (1e-162,))
     with pytest.raises(GridError, match="spacing must match"):
         Grid((8, 8), (0.1,))
 
