@@ -20,13 +20,16 @@ iterate (Moler, J. ACM 14, 1967).  Every pass applies the inverse of
 the advection-free matrix A, which the system builds when it is made
 and keeps for the run, and so lags the advection; if that stops
 contracting, the advection is frozen at the current velocity and the
-pass solves that matrix by GMRES, preconditioned by A^-1.
+pass solves that matrix by GMRES, preconditioned by A^-1.  Only that
+pass imports scipy.sparse.linalg.
 
 The advection-free matrix has constant coefficients, and
-``SpectralInverse`` inverts it exactly with fast sine/cosine
-transforms and a capacitance matrix on the wall cells, with no
-factorization: at eps = 0 its per-mode inverse becomes a projection
-onto divergence-free velocities.
+``SpectralInverse`` inverts it exactly with sine/cosine transforms and
+a capacitance matrix on the wall cells, with no factorization: at
+eps = 0 its per-mode inverse becomes a projection onto divergence-free
+velocities.  Each per-axis transform is a product with the dense
+orthonormal matrix below ``grid.TRANSFORM_CROSSOVER`` cells and a
+scipy.fft call from there on (:class:`msflow.grid.AxisTransform`).
 
 Because the advection operator is exactly skew-adjoint and the discrete
 gradient and divergence are exact negative adjoints, the converged step
@@ -48,11 +51,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .grid import (
+    AxisTransform,
+    CosineTransform,
     Grid,
     GridError,
     check_field,
@@ -186,22 +188,6 @@ def average_force(forcing: Forcing, grid: Grid, k: int,
     return factor * forcing.spatial_field(grid)
 
 
-def _dst(x, axis):
-    return sfft.dst(x, type=2, axis=axis, norm="ortho")
-
-
-def _dct(x, axis):
-    return sfft.dct(x, type=2, axis=axis, norm="ortho")
-
-
-def _idst(x, axis):
-    return sfft.idst(x, type=2, axis=axis, norm="ortho")
-
-
-def _idct(x, axis):
-    return sfft.idct(x, type=2, axis=axis, norm="ortho")
-
-
 class SpectralInverse:
     """Exact inverse of the advection-free step matrix
     A = [[A0, G], [D, (eps/tau) I]], A0 = I/tau - lap on each velocity
@@ -235,9 +221,10 @@ class SpectralInverse:
     1971); U^T M^-1 U takes M^-1's velocity block (I - coef s s^T) / p,
     positive semidefinite at eps = 0 too.  K is built from the 1D
     transform matrices, one separable block per pair of components, and
-    inverted once through its Cholesky factor.  A solve takes one
-    forward and one inverse transform per field; the wall terms cost
-    O(n^2).  ``walls`` lists U's cells in storage order.
+    inverted once.  A solve takes one forward and one inverse transform
+    per field; the wall terms cost O(n^2).  :meth:`velocity` leaves out
+    the pressure's inverse transform.  ``walls`` lists U's cells in
+    storage order.
     """
 
     def __init__(self, grid: Grid, tau: float, eps: float):
@@ -261,22 +248,25 @@ class SpectralInverse:
         self.slots = [tuple(slice(1, None) if b == a else slice(0, -1)
                             for b in range(d)) for a in range(d)]
         self.cosine = (slice(0, -1),) * d   # the pressure's DCT modes
+        self._dst = [AxisTransform("dst", n) for n in grid.shape]
+        self._pressure_dct = CosineTransform(grid.shape)
+        self._dct = self._pressure_dct.axes
         self.walls = np.zeros(0, dtype=int)
         if d == 2:
             (nx, ny), (hx, hy) = grid.shape, grid.spacing
             # Per axis: the orthonormal DST-II matrix, and the DCT-II
             # columns of the two end cells.
-            self._dst_mat = [_dst(np.eye(n), 0) for n in grid.shape]
-            self._end_cols = [_dct(np.eye(n)[:, [0, -1]], 0)
-                              for n in grid.shape]
+            eye = [np.eye(n) for n in grid.shape]
+            self._dst_mat = [t.forward(e, 0) for t, e in zip(self._dst, eye)]
+            self._end_cols = [t.forward(e[:, [0, -1]], 0)
+                              for t, e in zip(self._dct, eye)]
             cells = np.arange(2 * grid.n_cells).reshape(self.fields)
             self.walls = np.concatenate([cells[0][:, [0, -1]].reshape(-1),
                                          cells[1][[0, -1]].reshape(-1)])
             cap = self.capacitance()
             cap[np.diag_indices_from(cap)] += np.repeat(
                 [0.5 * hy * hy, 0.5 * hx * hx], [2 * nx, 2 * ny])
-            self._cap_inv = sla.cho_solve(sla.cho_factor(cap, lower=True),
-                                          np.eye(len(cap)))
+            self._cap_inv = np.linalg.inv(cap)
         self.k = self.walls.size
 
     def _spectral(self, f, q):
@@ -290,20 +280,20 @@ class SpectralInverse:
     def _forward(self, r):
         out = np.zeros((len(r),) + self.inv_p.shape)
         for a, slot in enumerate(self.slots):
-            x = _dst(r[a], a)
+            x = self._dst[a].forward(r[a], a)
             for b in range(x.ndim):
                 if b != a:
-                    x = _dct(x, b)
+                    x = self._dct[b].forward(x, b)
             out[a][slot] = x
         return out
 
     def _backward(self, f):
         out = np.empty(self.fields)
         for a, slot in enumerate(self.slots):
-            x = _idst(f[a][slot], a)
+            x = self._dst[a].inverse(f[a][slot], a)
             for b in range(x.ndim):
                 if b != a:
-                    x = _idct(x, b)
+                    x = self._dct[b].inverse(x, b)
             out[a] = x
         return out
 
@@ -327,15 +317,14 @@ class SpectralInverse:
                 blocks[b][a] = blocks[a][b].T
         return np.block(blocks)
 
-    def solve(self, b):
-        """A^-1 b for ``b`` flat in storage order: the momentum residual,
-        then the pressure equation's; the result stacks the velocity
-        and the pressure the same way."""
+    def _modes(self, b):
+        """The velocity and the coupling g of A^-1 b in the transform
+        frame, for ``b`` flat as :meth:`solve` takes it."""
         n = int(np.prod(self.fields))
         f = self._forward(b[:n].reshape(self.fields))
         q = np.zeros(self.inv_p.shape)
-        q[self.cosine] = sfft.dctn(b[n:].reshape(self.fields[1:]), type=2,
-                                   norm="ortho")
+        q[self.cosine] = self._pressure_dct.forward(
+            b[n:].reshape(self.fields[1:]))
         y, g = self._spectral(f, q)
         if self.k:
             (sx, sy), (ex, ey) = self._dst_mat, self._end_cols
@@ -347,8 +336,20 @@ class SpectralInverse:
             f[0][self.slots[0]] -= sx @ z[:2 * nx].reshape(nx, 2) @ ey.T
             f[1][self.slots[1]] -= ex @ z[2 * nx:].reshape(2, -1) @ sy.T
             y, g = self._spectral(f, q)
-        p = sfft.idctn(-g[self.cosine], type=2, norm="ortho")
+        return y, g
+
+    def solve(self, b):
+        """A^-1 b for ``b`` flat in storage order: the momentum residual,
+        then the pressure equation's; the result stacks the velocity
+        and the pressure the same way."""
+        y, g = self._modes(b)
+        p = self._pressure_dct.inverse(-g[self.cosine])
         return np.concatenate([self._backward(y).reshape(-1), p.reshape(-1)])
+
+    def velocity(self, b):
+        """The velocity of :meth:`solve`, ``solve(b)[:n]``, without the
+        pressure's inverse transform."""
+        return self._backward(self._modes(b)[0]).reshape(-1)
 
 
 # GMRES on a frozen-advection pass: the relative tolerance, at which
@@ -399,11 +400,13 @@ class FlowSystem:
         constraint residual, which P^-1 drops.  A solve that misses its
         tolerance raises FlowSolverError with GMRES's relative residuals.
         """
-        grid, inv, n = self.grid, self.inverse.solve, u.size
+        import scipy.sparse.linalg as spla
+
+        grid, inv, n = self.grid, self.inverse, u.size
 
         def apply(y):
             out = y.copy()
-            v = inv(y)[:n].reshape(u.shape)
+            v = inv.velocity(y).reshape(u.shape)
             out[:n] += skew_advect(grid, u, v, "dirichlet").reshape(-1)
             return out
 
@@ -420,7 +423,7 @@ class FlowSystem:
                 raise FlowSolverError(
                     f"frozen-advection solve failed (gmres info={info})",
                     history)
-            return inv(y)
+            return inv.solve(y)
 
         return solve
 

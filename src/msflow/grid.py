@@ -293,6 +293,104 @@ def grad_sq_norm(grid: Grid, u: np.ndarray) -> float:
     return float(total)
 
 
+# An axis shorter than this applies its sine/cosine transforms as a
+# product with the dense orthonormal matrix; a longer one calls
+# scipy.fft.  The product's cost grows like n^3.  Matrix over FFT time
+# per 1D transform of an n x n array, one BLAS thread: 0.33-0.48 at
+# n = 64, 0.39-0.73 at 96, 0.71-0.80 at 112, 0.91-1.08 at 128, 1.3 at
+# 160 and 1.6-2.0 at 256.
+TRANSFORM_CROSSOVER = 128
+
+
+def transform_matrix(kind: str, n: int) -> np.ndarray:
+    """The orthonormal DCT-II ("dct") or DST-II ("dst") matrix of order n,
+    as scipy.fft defines it with norm="ortho".
+
+    Row k holds sqrt(2/n) cos(pi k (2j + 1) / 2n), or sin with k + 1 in
+    place of k, with the DCT's row 0 or the DST's row n - 1 scaled by
+    1/sqrt(2).  The integer k (2j + 1) is reduced mod 4n before it is
+    scaled, so no angle reaches 2 pi.
+    """
+    k = np.arange(n)[:, None] + (kind == "dst")
+    angle = (np.pi / (2 * n)) * (k * (2 * np.arange(n) + 1) % (4 * n))
+    mat = np.sqrt(2.0 / n) * (np.sin(angle) if kind == "dst"
+                              else np.cos(angle))
+    mat[-1 if kind == "dst" else 0] *= np.sqrt(0.5)
+    return mat
+
+
+class AxisTransform:
+    """The orthonormal DCT-II or DST-II along one axis of n cells, and
+    its inverse, on arrays that hold that axis at position ``axis``.
+
+    Even ghosts make the DCT-II modes cos(pi k (i + 1/2) / n)
+    eigenvectors of the "neumann" stencils, and odd ghosts make the
+    DST-II modes sin(pi (k + 1)(i + 1/2) / n) eigenvectors of the
+    "dirichlet" ones.  Below ``TRANSFORM_CROSSOVER`` cells (``dense``)
+    a transform is a product with :func:`transform_matrix`; from there
+    on it is a scipy.fft call, and only then is scipy.fft imported.
+    """
+
+    def __init__(self, kind: str, n: int):
+        self.kind, self.dense = kind, n < TRANSFORM_CROSSOVER
+        if self.dense:
+            self._mat = transform_matrix(kind, n)
+            self._mat_t = np.ascontiguousarray(self._mat.T)
+        else:
+            import scipy.fft
+            self._fft = scipy.fft
+
+    def forward(self, x: np.ndarray, axis: int) -> np.ndarray:
+        if self.dense:
+            return _product(self._mat, self._mat_t, x, axis)
+        return getattr(self._fft, self.kind)(x, type=2, axis=axis,
+                                             norm="ortho")
+
+    def inverse(self, x: np.ndarray, axis: int) -> np.ndarray:
+        if self.dense:
+            return _product(self._mat_t, self._mat, x, axis)
+        return getattr(self._fft, "i" + self.kind)(x, type=2, axis=axis,
+                                                   norm="ortho")
+
+
+class CosineTransform:
+    """The orthonormal DCT-II over the grid axes of a field, which come
+    last, and its inverse.  ``axes`` holds one :class:`AxisTransform`
+    per grid axis.  The axes at or above the crossover go together
+    through one scipy.fft.dctn call, about 1.7 times faster at 256^2
+    than one call per axis; the shorter ones follow as dense products.
+    """
+
+    def __init__(self, shape: tuple):
+        self.axes = [AxisTransform("dct", n) for n in shape]
+        self._long = [a for a, t in enumerate(self.axes) if not t.dense]
+
+    def _apply(self, x, inverse):
+        lead = x.ndim - len(self.axes)
+        if self._long:
+            fft = self.axes[self._long[0]]._fft
+            x = (fft.idctn if inverse else fft.dctn)(
+                x, type=2, axes=[lead + a for a in self._long], norm="ortho")
+        for a, t in enumerate(self.axes):
+            if t.dense:
+                x = (t.inverse if inverse else t.forward)(x, lead + a)
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(x, False)
+
+    def inverse(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(x, True)
+
+
+def _product(mat, mat_t, x, axis):
+    """``mat`` applied along ``axis`` of x; ``mat_t`` is its transpose,
+    held contiguous for the last axis."""
+    if axis % x.ndim == x.ndim - 1:
+        return x @ mat_t
+    return np.moveaxis(mat @ np.moveaxis(x, axis, -2), -2, axis)
+
+
 def write_snapshot(path, grid: Grid, name: str, time: float,
                    data: np.ndarray) -> None:
     """Write a field to a plain-text snapshot, bit-exact on reread.

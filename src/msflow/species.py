@@ -18,7 +18,8 @@ no operator is assembled.  The nonlinear problem is solved by a
 frozen-coefficient outer loop: B, the advected densities and the
 inversion Jacobian are frozen at the current iterate, the
 time-difference term is linearized through the closed-form Jacobian
-drho/dw = H^{-1}, and preconditioned CG solves
+drho/dw = H^{-1}, and preconditioned CG (:func:`pcg`, scipy's cg
+recurrences and stopping rule in numpy) solves
 H^{-1} delta / tau + D delta = -residual for the update.
 D w = -sum_a dd_a (B dn_a w) + lambda (lap^T lap + I) w is the one
 diffusion apply that the residual also uses.  It is symmetric because
@@ -50,8 +51,10 @@ Cbar + sigma_k Bbar + lambda (nu_k^2 + 1) I per mode.  It is
 symmetric positive definite, so each outer pass inverts all modes at
 once with ``mixture.spd_inverse`` (a reciprocal at N = 1, no LAPACK
 call), and the inverse is applied between an orthonormal DCT-II and
-its inverse.  CG iterations then stay flat under grid refinement, where a
-Jacobi diagonal doubles them with each halving of h.
+its inverse: per axis a product with the dense matrix below
+``grid.TRANSFORM_CROSSOVER`` cells, a scipy.fft call from there on.
+CG iterations then stay flat under grid refinement, where a Jacobi
+diagonal doubles them with each halving of h.
 
 Testing the converged equation against w itself and using convexity of
 the entropy density gives the per-step entropy balance
@@ -68,12 +71,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.sparse.linalg as spla
 
 from . import mixture
-from .grid import (Grid, advect_form, check_field, derivative, div,
-                   inner, laplacian, skew_advect)
+from .grid import (CosineTransform, Grid, advect_form, check_field,
+                   derivative, div, inner, laplacian, skew_advect)
 from .iteration import SolverError, iterate
 
 
@@ -145,6 +146,7 @@ class SpeciesSystem:
             nu = sum((2.0 * np.sin(0.5 * t) / h) ** 2
                      for t, h in zip(modes, grid.spacing))
             self.reg_symbol = params.lam * (nu * nu + 1.0)
+        self.dct = CosineTransform(grid.shape)
 
     def diffusion(self, b_blocks, w) -> np.ndarray:
         """-div(B grad w) + lambda (lap^2 w + w)."""
@@ -164,7 +166,7 @@ class SpeciesSystem:
         its preconditioner: the exact inverse at the cell-mean
         coefficients, applied mode by mode in DCT-II space."""
         grid, tau, n = self.grid, self.params.tau, len(minv_blocks)
-        shape, axes = (n,) + grid.shape, tuple(range(1, grid.dim + 1))
+        shape = (n,) + grid.shape
 
         def matvec(x):
             x = x.reshape(shape)
@@ -179,15 +181,36 @@ class SpeciesSystem:
         inverse = mixture.spd_inverse(symbols)
 
         def precondition(r):
-            r_hat = scipy.fft.dctn(r.reshape(shape), type=2, norm="ortho",
-                                   axes=axes)
+            r_hat = self.dct.forward(r.reshape(shape))
             z_hat = np.einsum("ij...,j...->i...", inverse, r_hat)
-            return scipy.fft.idctn(z_hat, type=2, norm="ortho",
-                                   axes=axes).reshape(-1)
+            return self.dct.inverse(z_hat).reshape(-1)
 
-        size = (n * grid.n_cells,) * 2
-        return (spla.LinearOperator(size, matvec, dtype=float),
-                spla.LinearOperator(size, precondition, dtype=float))
+        return matvec, precondition
+
+
+def pcg(matvec, precondition, b, rtol, atol, maxiter, callback):
+    """Preconditioned conjugate gradients for matvec(x) = b from x = 0,
+    with the recurrences and the stopping rule of scipy.sparse.linalg.cg:
+    stop when |r| < max(atol, rtol |b|), ``atol`` > 0.  ``callback``
+    gets the iterate after each iteration.  Returns (x, info), info 0 on
+    convergence and ``maxiter`` when the budget runs out."""
+    x, r, p = np.zeros_like(b), b.copy(), np.zeros_like(b)
+    atol = max(atol, rtol * np.linalg.norm(b))
+    rho_prev = 1.0              # with p = 0, the first direction is z
+    for _ in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = precondition(r)
+        rho = np.dot(r, z)
+        p *= rho / rho_prev
+        p += z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        callback(x)
+    return x, maxiter
 
 
 def species_step(system: SpeciesSystem, w_prev: np.ndarray,
@@ -240,9 +263,9 @@ def species_step(system: SpeciesSystem, w_prev: np.ndarray,
         w, rho, b, r, res = x
         op, precond = system.frozen_operator(
             mixture.density_jacobian(rho, spec), b)
-        delta, info = spla.cg(op, -r.reshape(-1), rtol=1e-2 * params.tol,
-                              atol=1e-2 * params.tol / sqrt_cell,
-                              maxiter=4000, M=precond, callback=count_cg)
+        delta, info = pcg(op, precond, -r.reshape(-1), rtol=1e-2 * params.tol,
+                          atol=1e-2 * params.tol / sqrt_cell, maxiter=4000,
+                          callback=count_cg)
         if info != 0:
             raise SpeciesSolverError(
                 f"species linear solve failed (cg info={info})", residuals)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import msflow.flow as flow_mod
 from msflow import cli, driver, mixture
@@ -438,13 +439,13 @@ def test_reference_run_without_stall_factors_nothing(monkeypatch):
     # The lagged passes invert the saddle matrix by transforms; only a
     # stalled pass would factor its frozen-advection LU.
     calls = []
-    orig = flow_mod.spla.splu
+    orig = spla.splu
 
     def recording_splu(*args, **kwargs):
         calls.append(args)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(flow_mod.spla, "splu", recording_splu)
+    monkeypatch.setattr(spla, "splu", recording_splu)
     cfg = load_config(CONFIGS / "standard-2d.cfg", [
         "grid.nx=16", "grid.ny=16", "scheme.steps=5", "scheme.t_final=5e-3"])
     ref = reference_incompressible(cfg)

@@ -22,6 +22,7 @@ from msflow.flow import (
     flow_step,
 )
 from msflow.grid import (
+    TRANSFORM_CROSSOVER,
     Grid,
     GridError,
     div,
@@ -307,8 +308,8 @@ def test_stall_fallback_refactorizes_and_converges(monkeypatch, n, amplitude,
         solved.append(info)
         return x, info
 
-    monkeypatch.setattr(flow_mod.spla, "splu", recording_splu)
-    monkeypatch.setattr(flow_mod.spla, "gmres", recording_gmres)
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(spla, "gmres", recording_gmres)
     state = FlowState(stream_velocity(g, amplitude), np.zeros(g.shape))
     params = FlowParams(tau=0.1, eps=eps, tol=1e-10, max_picard=60)
     system = FlowSystem(g, params)
@@ -514,6 +515,40 @@ def test_spectral_inverse_solves_the_stacked_relaxed_matrix():
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_spectral_inverse_across_the_transform_crossover(eps):
+    # 160 cells along x take scipy.fft, 24 along y the dense products:
+    # one system holds both transform paths, and its solve is still that
+    # of the step matrix; measured 3.5e-15 and 4.7e-15.  The oracle's
+    # own error grows on this grid, to 4.2e-13 at eps = 1e-6 and
+    # 3.8e-12 for the pinned saddle matrix, so those are left to the
+    # smaller grids.
+    assert 24 < TRANSFORM_CROSSOVER <= 160
+    rng = np.random.default_rng(13)
+    g = Grid.box((160, 24), (1.0, 0.3))
+    tau = 1e-3
+    system = FlowSystem(g, FlowParams(tau=tau, eps=eps))
+    rhs = rng.standard_normal(2 * g.n_cells)
+    ref = spla.spsolve(step_matrix(system), rhs)
+    got = SpectralInverse(g, tau, eps).solve(
+        np.concatenate([rhs, np.zeros(g.n_cells)]))[:rhs.size]
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape, lengths", [((10, 12), (1.0, 1.5)),
+                                            ((160, 24), (1.0, 0.3)),
+                                            ((16,), (1.0,))],
+                         ids=["2d", "crossover", "1d"])
+def test_velocity_apply_is_the_solves_velocity(shape, lengths):
+    # A frozen pass's GMRES applies only the velocity of the inverse;
+    # it is exactly the velocity part of the stacked solve.
+    rng = np.random.default_rng(14)
+    g = Grid.box(shape, lengths)
+    inv = SpectralInverse(g, 1e-2, 1e-3)
+    b = rng.standard_normal((g.dim + 1) * g.n_cells)
+    assert np.array_equal(inv.velocity(b), inv.solve(b)[:g.dim * g.n_cells])
+
+
 def test_capacitance_matches_unit_solves():
     # K = U^T M^-1 U with M the free-slip model: the step matrix less
     # 2/h^2 on each wall cell, h the spacing across that wall.  Each
@@ -563,13 +598,13 @@ def test_saddle_spectral_inverse_matches_spsolve(shape, lengths, tau):
 def test_relaxed_steps_without_stall_factor_nothing(monkeypatch):
     g = Grid.box((16, 16), (1.0, 1.0))
     calls = []
-    orig = flow_mod.spla.splu
+    orig = spla.splu
 
     def recording_splu(*args, **kwargs):
         calls.append(args)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(flow_mod.spla, "splu", recording_splu)
+    monkeypatch.setattr(spla, "splu", recording_splu)
     params = FlowParams(tau=1e-3, eps=1e-2)
     system = FlowSystem(g, params)
     state = FlowState(stream_velocity(g, 0.4), np.zeros(g.shape))

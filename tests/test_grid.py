@@ -9,9 +9,13 @@ seeded random fields because the solvers rely on them holding exactly.
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from msflow.grid import (
+    TRANSFORM_CROSSOVER,
+    AxisTransform,
+    CosineTransform,
     Grid,
     GridError,
     advect_form,
@@ -24,6 +28,7 @@ from msflow.grid import (
     norm_l2,
     read_snapshot,
     skew_advect,
+    transform_matrix,
     write_snapshot,
 )
 from msflow.mixture import mobility_matrix
@@ -357,6 +362,64 @@ def test_divergence_identity_second_order(ternary_spec):
         res.append(divergence_identity_residual(g, u, w, ternary_spec))
     order = np.log2(res[0] / res[1])
     assert order >= 1.8
+
+
+# ---------------------------------------------------------------------
+# Sine/cosine transforms
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["dct", "dst"])
+@pytest.mark.parametrize(
+    "n", [*range(1, 10), 63, 64, 96, TRANSFORM_CROSSOVER - 1])
+def test_transform_matrix_is_scipys_orthonormal_transform(kind, n):
+    # Measured: at most 5.6e-16 from scipy.fft and 1.8e-15 from
+    # orthogonality over these orders.
+    mat = transform_matrix(kind, n)
+    ref = getattr(scipy.fft, kind)(np.eye(n), type=2, axis=0, norm="ortho")
+    assert np.abs(mat - ref).max() <= 1e-14
+    assert np.abs(mat @ mat.T - np.eye(n)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["dct", "dst"])
+@pytest.mark.parametrize("n", [24, TRANSFORM_CROSSOVER - 1,
+                               TRANSFORM_CROSSOVER, 160])
+def test_axis_transform_matches_scipy_on_either_side_of_the_crossover(
+        kind, n):
+    # Below the crossover a product with the dense matrix, from there on
+    # scipy.fft itself; along the last axis and along an inner one.
+    rng = np.random.default_rng(31)
+    t = AxisTransform(kind, n)
+    fwd = getattr(scipy.fft, kind)
+    inv = getattr(scipy.fft, "i" + kind)
+    for x, axis in ((rng.standard_normal((2, 5, n)), 2),
+                    (rng.standard_normal((2, n, 5)), 1),
+                    (rng.standard_normal(n), 0)):
+        scale = np.abs(x).max()
+        ref = fwd(x, type=2, axis=axis, norm="ortho")
+        assert np.abs(t.forward(x, axis) - ref).max() <= 1e-14 * scale
+        ref = inv(x, type=2, axis=axis, norm="ortho")
+        assert np.abs(t.inverse(x, axis) - ref).max() <= 1e-14 * scale
+        assert np.abs(t.inverse(t.forward(x, axis), axis) - x).max() \
+            <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("shape", [(64,), (160,), (24, 40), (160, 24),
+                                   (24, 160), (160, 130)])
+def test_cosine_transform_is_scipys_dctn_over_the_grid_axes(shape):
+    # Dense products on the short axes, one dctn call over the long ones,
+    # with a leading component axis riding along.
+    rng = np.random.default_rng(37)
+    t = CosineTransform(shape)
+    axes = tuple(range(1, len(shape) + 1))
+    x = rng.standard_normal((2,) + shape)
+    ref = scipy.fft.dctn(x, type=2, axes=axes, norm="ortho")
+    assert np.abs(t.forward(x) - ref).max() <= 1e-14 * np.abs(x).max()
+    ref = scipy.fft.idctn(x, type=2, axes=axes, norm="ortho")
+    assert np.abs(t.inverse(x) - ref).max() <= 1e-14 * np.abs(x).max()
+    if all(n >= TRANSFORM_CROSSOVER for n in shape):
+        # Long axes only: today's one scipy.fft call, bit for bit.
+        assert np.array_equal(t.forward(x), scipy.fft.dctn(
+            x, type=2, axes=axes, norm="ortho"))
 
 
 # ---------------------------------------------------------------------

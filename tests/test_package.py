@@ -1,6 +1,6 @@
 """Package-wide structure: no process-global operator state, no
 private names crossing modules, no ledger rule restated outside the
-ledger.
+ledger, and no scipy on the 64-cell path.
 
 The solver's operators belong to the run objects that build them
 (``FlowSystem``, ``SpeciesSystem``); a ``functools`` cache at module
@@ -17,14 +17,18 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import msflow
 from msflow.config import SimConfig
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _cached_attributes(module):
@@ -112,3 +116,28 @@ def test_each_config_key_is_declared_once_and_spelled_only_by_config():
                     and isinstance(node.value, str)
                     for match in spelled.findall(node.value)})
     assert not found, f"config keys spelled outside config.py: {found}"
+
+
+def test_a_64_cell_run_loads_no_scipy():
+    # Below TRANSFORM_CROSSOVER cells per axis the transforms are dense
+    # products and the species CG is the package's own, so neither
+    # `msflow check` nor a run of the shipped 64 x 64 config imports
+    # scipy.  scipy.fft comes in only for a longer axis, and
+    # scipy.sparse.linalg only for a frozen-advection pass.
+    code = (
+        "import sys\n"
+        "from msflow.cli import main\n"
+        "from msflow.config import load_config\n"
+        "from msflow.driver import run_simulation\n"
+        "assert main(['check', 'configs/standard-2d.cfg']) == 0\n"
+        "cfg = load_config('configs/standard-2d.cfg',\n"
+        "                  ['scheme.steps=3', 'scheme.t_final=3e-3'])\n"
+        "assert run_simulation(cfg).ledger.check_global_bounds().ok\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
